@@ -8,10 +8,12 @@ deterministic dense simplex in :mod:`chebydev.lp`; the approximant
 coefficients and the deviation are the simplex multipliers of the optimal
 basis, and the active columns are the residual extrema.
 
-A Remez-style exchange then closes the grid-to-continuum gap: locate the
-stationary points of the residual over the continuum, adjoin them, re-solve.
-Both the LP value (a lower bound over any grid subset of the domain) and the
-refined continuum sup of the final residual (an upper bound for the achieved
+A Remez-style exchange then closes the grid-to-continuum gap in one loop:
+solve on the current points, locate the stationary points of the residual
+over the continuum, adjoin them, re-solve.  A closing solve on the initial
+grid plus the final extremal points gives the reported deviation.  Both the LP
+value (a lower bound over any grid subset of the domain) and the refined
+continuum sup of the final residual (an upper bound for the achieved
 approximant) are reported; the gap is never hidden.
 """
 
@@ -25,11 +27,15 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import LPError, simplex_solve
-from .polycore import FLOAT64, Poly, PolyError
+from .polycore import FLOAT64, Poly, PolyError, monomial_exponents
 from .supnorm import critical_points, sample_domain, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
+
+# the exchange counts as stalled once the deviation moves by less than this
+# and the gap has stopped shrinking
+DEV_CHANGE_TOL = 1e-10
 
 
 @dataclass
@@ -67,13 +73,20 @@ class ApproxResult:
     warning: str = ""
 
     def approximant(self) -> Poly:
-        p = Poly.zero(self.basis_polys[0].nvars, FLOAT64)
-        for c, phi in zip(self.coefficients, self.basis_polys):
-            p = p + float(c) * phi.to_float64()
-        return p
+        return _combination(self.coefficients,
+                            [b.to_float64() for b in self.basis_polys])
 
     def residual_poly(self, target: Poly) -> Poly:
         return target.to_float64() - self.approximant()
+
+
+def _combination(coeffs, basis_f: list[Poly]) -> Poly:
+    """sum_k c_k phi_k over float64 basis functions; every residual in this
+    module is built as f - _combination(c, basis)."""
+    p = Poly.zero(basis_f[0].nvars, FLOAT64)
+    for c, phi in zip(coeffs, basis_f):
+        p = p + float(c) * phi
+    return p
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +96,6 @@ class ApproxResult:
 
 def _graded_monomials(n: int, d: int, even: bool = False,
                       sphere_reduced: bool = False):
-    from .signatures import monomial_exponents
     mons = monomial_exponents(n, d)
     mons.sort(key=lambda e: (sum(e), e))
     if even:
@@ -249,29 +261,46 @@ def _solve_on_points(target_f: Poly, scaled_basis_f: list[Poly],
     return float(t), coeffs_scaled, active, res.iterations, float(res.objective)
 
 
-def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
-    """Solve the discrete minimax problem on the domain grid by the dual LP."""
-    points = approx_grid(prob.domain, prob.grid)
-    return _minimax_on(prob, points)
+@dataclass
+class _ProblemBasis:
+    """What stays fixed while one problem is solved on growing point sets."""
+    target_f: Poly
+    basis: list[Poly]            # original coordinates
+    basis_f: list[Poly]
+    scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
+    M: np.ndarray                # original coefficients = M @ scaled ones
+    names: list[str]
 
 
-def _minimax_on(prob: ApproxProblem, points: np.ndarray) -> ApproxResult:
+def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
                             for_sphere=prob.domain.kind == SPHERE)
     scaled, M = _scaled_basis(basis, prob.domain)
-    scaled_f = [b.to_float64() for b in scaled]
-    names = [repr(b) for b in basis]
+    return _ProblemBasis(
+        target_f=prob.target.to_float64(), basis=basis,
+        basis_f=[b.to_float64() for b in basis],
+        scaled_f=[b.to_float64() for b in scaled], M=M,
+        names=[repr(b) for b in basis])
+
+
+def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
+    """Solve the discrete minimax problem on the domain grid by the dual LP."""
+    points = approx_grid(prob.domain, prob.grid)
+    return _minimax_on(_problem_basis(prob), points)
+
+
+def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
     t, coeffs_scaled, active, iters, obj = _solve_on_points(
-        prob.target.to_float64(), scaled_f, points, names)
-    coeffs = M @ coeffs_scaled
+        pb.target_f, pb.scaled_f, points, pb.names)
+    coeffs = pb.M @ coeffs_scaled
     result = ApproxResult(
-        deviation=t, coefficients=coeffs, basis_polys=basis,
+        deviation=t, coefficients=coeffs, basis_polys=pb.basis,
         residual_extrema=[(tuple(points[i]), s) for i, s, _ in active],
         iterations=iters)
-    resid = result.residual_poly(prob.target).eval_grid(points)
+    resid = (pb.target_f - _combination(coeffs, pb.basis_f)).eval_grid(points)
     near = np.abs(np.abs(resid) - t) <= 1e-8 * max(1.0, t)
     result.equioscillation_count = int(np.sum(near))
-    result.equioscillation_ok = result.equioscillation_count >= len(basis) + 1
+    result.equioscillation_ok = result.equioscillation_count >= len(pb.basis) + 1
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
         result.warning = f"dual objective {obj} differs from recovered t {t}"
     return result
@@ -348,147 +377,95 @@ def _equioscillation_fit(target_f: Poly, basis_f: list[Poly], M: np.ndarray,
     return M @ sol[:-1], float(sol[-1])
 
 
+def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
+    """(point, value) pairs: the residual's critical points with |value| >=
+    (1 - rel) * level, then the argmax of its sup-norm search."""
+    near = [(pt, val) for pt, val, _ in rep.critical_points
+            if abs(val) >= level * (1 - rel)]
+    near.append((rep.argmax, resid.eval(rep.argmax)))
+    return near
+
+
 def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
-                   dev_change_tol: float = 1e-10, seed: int = 0) -> ApproxResult:
+                   seed: int = 0) -> ApproxResult:
     """Exchange refinement: solve on the current point set, adjoin the
     continuum stationary points of the residual, re-solve.
 
     Each iteration also re-fits the coefficients on the refined extremal
     candidates by least squares (the LP picks the active set; the fit removes
-    the coordinate noise a degenerate vertex basis leaves in the multipliers).
-    Stops when the sandwich gap reaches rounding level, when the deviation has
-    stabilized (change below ``dev_change_tol``) and the gap stops improving,
-    when refinement yields no new points, or at ``max_iter``.  A final solve
-    on the initial grid plus the polished extremal points gives the reported
+    the coordinate noise a degenerate vertex basis leaves in the multipliers)
+    and keeps the fit when its continuum sup is smaller.  Stops when the
+    sandwich gap reaches rounding level, when the deviation has stabilized
+    (change below ``DEV_CHANGE_TOL``) and the gap stops improving, when
+    refinement yields no new points, or at ``max_iter``.  A closing solve on
+    the initial grid plus the final extremal points gives the reported
     deviation (a LOWER bound for the continuum problem, since the point set is
     a subset of the domain); the continuum sup of the achieved residual is the
     reported upper bound.
     """
-    points = approx_grid(prob.domain, prob.grid)
+    pb = _problem_basis(prob)
     search_domain = prob.domain
     if prob.domain.kind == SIMPLEX_FACE:
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)
-    basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
-                            for_sphere=prob.domain.kind == SPHERE)
-    scaled, M = _scaled_basis(basis, prob.domain)
-    scaled_f = [b.to_float64() for b in scaled]
-    target_f = prob.target.to_float64()
     search_res = max(8, prob.grid // 2)
-    prev_dev = None
-    result = None
+
+    def search(coeffs):
+        resid = pb.target_f - _combination(coeffs, pb.basis_f)
+        return resid, sup_norm(resid, search_domain, resolution=search_res,
+                               seed=seed)
+
+    grid0 = approx_grid(prob.domain, prob.grid)
+    points = grid0
     gap_log = []
-    sup_val = math.inf
-    for it in range(1, max_iter + 1):
-        result = _minimax_on(prob, points)
-        resid = result.residual_poly(prob.target)
-        rep = sup_norm(resid, search_domain, resolution=search_res, seed=seed)
-        sup_val = rep.value
-        extremal = [(pt, val) for pt, val, _ in rep.critical_points
-                    if abs(val) >= result.deviation * (1 - 1e-3)]
-        extremal.append((rep.argmax, resid.eval(rep.argmax)))
-        # least-squares polish of (c, t) on the refined extremal set
-        if len(extremal) >= len(basis) + 1:
+    for _ in range(max_iter):
+        result = _minimax_on(pb, points)
+        dev = result.deviation
+        resid, rep = search(result.coefficients)
+        extremal = _near_extremal(rep, resid, dev, 1e-3)
+        if len(extremal) >= len(pb.basis) + 1:
             E = np.array([pt for pt, _ in extremal], dtype=float)
             sg = np.sign([val for _, val in extremal])
             try:
-                c2, _t2 = _equioscillation_fit(target_f, scaled_f, M, E, sg, search_domain)
-                resid2 = target_f
-                for cc, phi in zip(c2, basis):
-                    resid2 = resid2 - float(cc) * phi.to_float64()
-                rep2 = sup_norm(resid2, search_domain, resolution=search_res,
-                                seed=seed)
-                if rep2.value < sup_val:
+                c2, _ = _equioscillation_fit(pb.target_f, pb.scaled_f, pb.M,
+                                             E, sg, search_domain)
+                resid2, rep2 = search(c2)
+                if rep2.value < rep.value:
                     result.coefficients = np.asarray(c2)
-                    resid, rep, sup_val = resid2, rep2, rep2.value
+                    resid, rep = resid2, rep2
             except np.linalg.LinAlgError:
                 pass
-        gap = sup_val - result.deviation
-        gap_log.append((result.deviation, sup_val, gap))
-        converged = (prev_dev is not None
-                     and abs(result.deviation - prev_dev) < dev_change_tol)
-        if gap <= max(1e-13, 1e-11 * result.deviation):
-            result.exchange_iterations = it
+        gap = rep.value - dev
+        gap_log.append((dev, rep.value, gap))
+        if gap <= max(1e-13, 1e-11 * dev):
             break
-        # stall detection: deviation stable and the gap no longer shrinking
-        if converged and len(gap_log) >= 3 and gap > 0.9 * gap_log[-3][2]:
-            result.exchange_iterations = it
+        # stall: deviation stable and the gap no longer shrinking
+        if (len(gap_log) >= 3 and abs(dev - gap_log[-2][0]) < DEV_CHANGE_TOL
+                and gap > 0.9 * gap_log[-3][2]):
             break
-        new_pts = [pt for pt, val, _ in rep.critical_points
-                   if abs(val) >= result.deviation * (1 - 1e-6)]
-        new_pts.append(rep.argmax)
-        fresh = []
-        for pt in new_pts:
-            arr = np.asarray(pt, dtype=float)
-            if len(points) == 0 or np.min(
-                    np.max(np.abs(points - arr[None, :]), axis=1)) > 1e-8:
-                fresh.append(arr)
-        prev_dev = result.deviation
-        if fresh:
-            points = np.vstack([points] + [f[None, :] for f in fresh])
-        else:
-            result.exchange_iterations = it
+        fresh = [np.asarray(pt, dtype=float)
+                 for pt, _ in _near_extremal(rep, resid, dev, 1e-6)]
+        fresh = [p for p in fresh
+                 if np.min(np.max(np.abs(points - p), axis=1)) > 1e-8]
+        if not fresh:
             break
+        points = np.vstack([points] + fresh)
     else:
-        result.exchange_iterations = max_iter
         result.warning = (result.warning + "; " if result.warning else "") + \
             f"exchange did not close the gap in {max_iter} iterations"
 
-    # dedicated polish phase: alternate extremal-point refinement with the
-    # confluent least-squares fit until the sandwich gap stabilizes
-    for _ in range(10):
-        if sup_val - result.deviation <= max(1e-13, 1e-11 * result.deviation):
-            break
-        resid = result.residual_poly(prob.target)
-        rep = sup_norm(resid, search_domain, resolution=search_res, seed=seed)
-        sup_val = min(sup_val, rep.value)
-        # two-sided window: true extremal points sit at the deviation level,
-        # spurious bumps of an imperfect approximant sit above it
-        extremal = [(pt, val) for pt, val, _ in rep.critical_points
-                    if result.deviation * (1 - 1e-3) <= abs(val)
-                    <= result.deviation * (1 + 1e-4)]
-        if len(extremal) < len(basis) + 1:
-            extremal = [(pt, val) for pt, val, _ in rep.critical_points
-                        if abs(val) >= result.deviation * (1 - 1e-3)]
-        if len(extremal) < len(basis) + 1:
-            break
-        E = np.array([pt for pt, _ in extremal], dtype=float)
-        sg = np.sign([val for _, val in extremal])
-        try:
-            c2, _t2 = _equioscillation_fit(target_f, scaled_f, M, E, sg, search_domain)
-        except np.linalg.LinAlgError:
-            break
-        resid2 = target_f
-        for cc, phi in zip(c2, basis):
-            resid2 = resid2 - float(cc) * phi.to_float64()
-        rep2 = sup_norm(resid2, search_domain, resolution=search_res, seed=seed)
-        if rep2.value < sup_val - 1e-16:
-            result.coefficients = np.asarray(c2)
-            sup_val = rep2.value
-            gap_log.append((result.deviation, sup_val, sup_val - result.deviation))
-        else:
-            break
-
-    # final clean solve: the exchange located the extremal configuration; one
-    # LP on the initial grid plus those (polished) points gives the deviation
-    # without the conditioning noise of the accumulated exchange columns
-    resid = result.residual_poly(prob.target)
-    rep = sup_norm(resid, search_domain, resolution=search_res, seed=seed)
-    sup_val = min(sup_val, rep.value)
-    extremal = [pt for pt, val, _ in rep.critical_points
-                if abs(val) >= result.deviation * (1 - 1e-3)]
-    extremal.append(rep.argmax)
-    grid0 = approx_grid(prob.domain, prob.grid)
-    pts = [np.asarray(p, dtype=float) for p in extremal]
-    clean = np.vstack([grid0] + [p[None, :] for p in pts]) if pts else grid0
-    coeffs_polished = result.coefficients
-    final = _minimax_on(prob, clean)
+    # closing solve: the exchange located the extremal configuration; one LP
+    # on the initial grid plus those points gives the deviation without the
+    # conditioning noise of the accumulated exchange columns
+    resid, rep = search(result.coefficients)
+    extremal = _near_extremal(rep, resid, result.deviation, 1e-3)
+    clean = np.vstack([grid0] + [np.asarray(pt, dtype=float) for pt, _ in extremal])
+    final = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
-        final.coefficients = coeffs_polished
+        final.coefficients = result.coefficients
         result = final
     result.deviation_lower = result.deviation
-    result.deviation_upper = sup_val
-    result.exchange_iterations = max(result.exchange_iterations,
-                                     len(gap_log))
+    result.deviation_upper = min(gap_log[-1][1], rep.value)
+    result.exchange_iterations = len(gap_log)
     result.gap_log = gap_log
     return result
 

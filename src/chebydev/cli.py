@@ -10,10 +10,7 @@ rd-table    CSV table of the scale constants r_d with prime factorizations
 surface     CSV samples of U_3 / U_5 over a triangular grid
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Identical flags and seed produce byte-identical output; the
-CHEBYDEV_THREADS environment variable caps worker parallelism (the built-in
-engines are sequential and deterministic, so the cap is recorded but never
-changes results).
+failure.  Identical flags and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -52,14 +48,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("CHEBYDEV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None):
@@ -108,7 +96,6 @@ def _config_block(args, tols) -> dict:
         "version": __version__,
         "seed": getattr(args, "seed", 0),
         "tolerances": tols,
-        "threads_cap": _threads_cap(),
     }
 
 

@@ -358,6 +358,27 @@ def restrict_affine_last(p: Poly) -> Poly:
     return p.compose(inners + [last])
 
 
+def monomial_exponents(n: int, d: int) -> list[Exponent]:
+    """All exponent tuples of total degree <= n in d variables, in
+    lexicographic order."""
+    out: list[Exponent] = []
+
+    def rec(prefix: list[int], remaining: int, pos: int):
+        if pos == d - 1:
+            for e in range(remaining + 1):
+                out.append(tuple(prefix + [e]))
+            return
+        for e in range(remaining + 1):
+            prefix.append(e)
+            rec(prefix, remaining - e, pos + 1)
+            prefix.pop()
+
+    if d == 0:
+        return [()]
+    rec([], n, 0)
+    return out
+
+
 def insert_zero(point: Sequence[Scalar], index: int) -> tuple:
     """Inverse of restrict_zero on points: re-insert a zero coordinate."""
     pt = list(point)

@@ -22,8 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .domains import Domain, domain_from_label
-from .polycore import (RATIONAL, Poly, PolyError, poly_from_json_dict,
-                       poly_to_json_dict)
+from .polycore import (RATIONAL, Poly, PolyError,
+                       monomial_exponents,  # re-exported: signatures' public API
+                       poly_from_json_dict, poly_to_json_dict)
 from .constructions import R5Constants
 
 Point = tuple
@@ -218,26 +219,6 @@ def r5_signature(consts: R5Constants) -> SignedPointSet:
 # --------------------------------------------------------------------------
 # annihilation
 # --------------------------------------------------------------------------
-
-
-def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= n in d variables."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == d - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, pos + 1)
-            prefix.pop()
-
-    if d == 0:
-        return [()]
-    rec([], n, 0)
-    return out
 
 
 def _integer_scaled(sps: SignedPointSet):

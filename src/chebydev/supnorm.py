@@ -16,8 +16,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
-from .polycore import (FLOAT64, Poly, PolyError, restrict_affine_last,
-                       restrict_zero)
+from .polycore import (FLOAT64, Poly, PolyError, monomial_exponents,
+                       restrict_affine_last, restrict_zero)
 
 DEDUP_TOL = 1e-8
 ACTIVE_TOL = 1e-10
@@ -40,20 +40,8 @@ class SupNormReport:
 
 
 def _simplex_lattice(d: int, m: int) -> np.ndarray:
-    pts = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d - 1:
-            for e in range(remaining + 1):
-                pts.append(prefix + [e])
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    if d == 0:
-        return np.zeros((1, 0))
-    rec([], m)
-    return np.array(pts, dtype=float) / m
+    """Barycentric lattice {x >= 0, sum x <= 1} with spacing 1/m."""
+    return np.array(monomial_exponents(m, d), dtype=float) / m
 
 
 def sample_domain(dom: Domain, resolution: int) -> np.ndarray:
@@ -327,14 +315,13 @@ def critical_points(p: Poly, dom: Domain, starts: int | None = None,
             st = _simplex_starts(rng, k, n_starts)
             tol = 1e-11 * _grad_scale(q)
 
-            def feasible(y, _k=k):
+            def feasible(y):
                 return np.all(y > 1e-9) and y.sum() < 1 - 1e-9
 
             for y in _newton_critical_points(q, st, feasible, tol):
                 pt = embed_from_face(y, zeros, sum_active, d)
                 results.append((pt, q.eval(np.array(y)), label))
     elif dom.kind == BALL:
-        grads, _ = _grad_hess(pf)
         st = rng.uniform(-1, 1, size=(total, d))
         st = st[np.einsum("ij,ij->i", st, st) < 1.0]
         tol = 1e-11 * _grad_scale(pf)
@@ -406,7 +393,6 @@ def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0,
     pf = p.to_float64()
     grid = sample_domain(dom, resolution)
     if boundary_only and dom.kind == SIMPLEX:
-        d = dom.dimension
         keep = np.any(grid <= 1e-12, axis=1) | (grid.sum(axis=1) >= 1 - 1e-12)
         grid = grid[keep]
     best = float(np.max(pf.eval_grid(grid))) if len(grid) else -math.inf
@@ -442,8 +428,7 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
     report["interior_max_abs"] = max((abs(v) for _, v, _ in interior), default=0.0)
 
     identity_ok = True
-    from .constructions import build_td as _build
-    lower = _build(d - 1).polynomial if d > 3 else None
+    lower = build_td(d - 1).polynomial if d > 3 else None
     if lower is not None:
         for i in range(d):
             if restrict_zero(td, i) != -lower:

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from chebydev import bestapprox
 from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
@@ -13,6 +14,14 @@ from chebydev.domains import ball, simplex, sphere
 from chebydev.polycore import Poly, PolyError
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
+from chebydev.supnorm import sup_norm
+
+
+def assert_upper_is_residual_sup(res, prob):
+    """deviation_upper is the searched sup of the returned residual."""
+    rep = sup_norm(res.residual_poly(prob.target), prob.domain,
+                   max(8, prob.grid // 2), seed=0)
+    assert res.deviation_upper == pytest.approx(rep.value, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +97,26 @@ class TestDiscreteMinimax:
 
 class TestRemezExchange:
     def test_simplex_product_converges(self):
-        res = remez_exchange(ApproxProblem(
-            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16), seed=0)
+        prob = ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16)
+        res = remez_exchange(prob, seed=0)
         assert res.deviation_lower == pytest.approx(1 / 72, rel=1e-12)
         assert res.deviation_upper - res.deviation_lower < 1e-8
+        assert_upper_is_residual_sup(res, prob)
+
+    def test_basis_is_built_once(self, monkeypatch):
+        calls = []
+        original = bestapprox._scaled_basis
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(bestapprox, "_scaled_basis", counted)
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
+        assert res.exchange_iterations > 1
+        assert len(calls) == 1
 
     def test_degree5_product_squared(self, consts):
         res = remez_exchange(ApproxProblem(
@@ -144,6 +169,13 @@ class TestBallMixedMonomials:
         rep = ball_mixed_monomial_check(k, n, grid=16, seed=0)
         assert rep["abs_error"] < 1e-4
         assert rep["expected"] == 2.0 ** (1 - n)
+
+    def test_upper_is_residual_sup(self):
+        prob = ApproxProblem(Poly.monomial((1, 1, 0)), 1, ball(3), "full",
+                             grid=10)
+        res = remez_exchange(prob, seed=0)
+        assert res.deviation_lower == pytest.approx(0.5, abs=1e-4)
+        assert_upper_is_residual_sup(res, prob)
 
     def test_preconditions(self):
         with pytest.raises(PolyError):

@@ -125,4 +125,3 @@ class TestDeterminism:
         payload = json.loads(out)
         cfg = payload["config"]
         assert cfg["version"] and "tolerances" in cfg and "seed" in cfg
-        assert "threads_cap" in cfg
