@@ -28,7 +28,7 @@ import numpy as np
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import LPError, simplex_solve
 from .polycore import FLOAT64, Poly, PolyError, monomial_exponents
-from .supnorm import critical_points, sample_domain, sup_norm
+from .supnorm import _unique_rows, sample_domain, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -36,6 +36,11 @@ BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
 # the exchange counts as stalled once the deviation moves by less than this
 # and the gap has stopped shrinking
 DEV_CHANGE_TOL = 1e-10
+# a basis column counts as independent when Gram-Schmidt keeps more than this
+# fraction of its norm
+INDEPENDENCE_TOL = 1e-9
+# a point lies on the face x_i = 0 (or sum x = 1, or |x| = 1) within this
+FACE_ACTIVE_TOL = 1e-9
 
 
 @dataclass
@@ -140,7 +145,7 @@ def invariant_basis(n: int, d: int, kind: str = "full",
     return basis
 
 
-def _independent_columns(Phi: np.ndarray, rel_tol: float = 1e-9) -> list[int]:
+def _independent_columns(Phi: np.ndarray) -> list[int]:
     """Greedy modified Gram-Schmidt: indices of a maximal independent prefix set."""
     keep: list[int] = []
     ortho: list[np.ndarray] = []
@@ -154,7 +159,7 @@ def _independent_columns(Phi: np.ndarray, rel_tol: float = 1e-9) -> list[int]:
         # second pass for numerical safety
         for u in ortho:
             v -= (u @ v) * u
-        if np.linalg.norm(v) > rel_tol * norm0:
+        if np.linalg.norm(v) > INDEPENDENCE_TOL * norm0:
             ortho.append(v / np.linalg.norm(v))
             keep.append(j)
     return keep
@@ -213,10 +218,7 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
         base = _sphere_spiral(max(8, 2 * resolution * resolution))
     else:
         base = sample_domain(domain, resolution)
-    pts = np.vstack([base, axes, diag])
-    rounded = np.round(pts / 1e-12) * 1e-12
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    return _unique_rows(np.vstack([base, axes, diag]))
 
 
 # --------------------------------------------------------------------------
@@ -306,14 +308,13 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
     return result
 
 
-def _face_tangent_vectors(point: np.ndarray, domain: Domain,
-                          active_tol: float = 1e-9) -> list[np.ndarray]:
+def _face_tangent_vectors(point: np.ndarray, domain: Domain) -> list[np.ndarray]:
     """Basis of the tangent space of the face of the domain containing the
     point in its relative interior (empty at vertices)."""
     d = len(point)
     if domain.kind in (SIMPLEX, SIMPLEX_FACE):
-        free = [i for i in range(d) if point[i] > active_tol]
-        sum_active = point.sum() > 1 - active_tol or domain.kind == SIMPLEX_FACE
+        free = [i for i in range(d) if point[i] > FACE_ACTIVE_TOL]
+        sum_active = point.sum() > 1 - FACE_ACTIVE_TOL or domain.kind == SIMPLEX_FACE
         if not free:
             return []
         if sum_active:
@@ -326,7 +327,7 @@ def _face_tangent_vectors(point: np.ndarray, domain: Domain,
         return [np.eye(d)[i] for i in free]
     if domain.kind == BALL:
         r2 = float(point @ point)
-        if r2 < 1 - active_tol:
+        if r2 < 1 - FACE_ACTIVE_TOL:
             return [np.eye(d)[i] for i in range(d)]
         return _face_tangent_vectors(point, Domain(SPHERE, d))
     # sphere: orthogonal complement of the radius direction
@@ -417,6 +418,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     grid0 = approx_grid(prob.domain, prob.grid)
     points = grid0
     gap_log = []
+    unclosed = ""
     for _ in range(max_iter):
         result = _minimax_on(pb, points)
         dev = result.deviation
@@ -450,21 +452,21 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             break
         points = np.vstack([points] + fresh)
     else:
-        result.warning = (result.warning + "; " if result.warning else "") + \
-            f"exchange did not close the gap in {max_iter} iterations"
+        unclosed = f"exchange did not close the gap in {max_iter} iterations"
 
     # closing solve: the exchange located the extremal configuration; one LP
     # on the initial grid plus those points gives the deviation without the
-    # conditioning noise of the accumulated exchange columns
-    resid, rep = search(result.coefficients)
+    # conditioning noise of the accumulated exchange columns.  (resid, rep)
+    # is the last iteration's search of result.coefficients.
     extremal = _near_extremal(rep, resid, result.deviation, 1e-3)
     clean = np.vstack([grid0] + [np.asarray(pt, dtype=float) for pt, _ in extremal])
     final = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         final.coefficients = result.coefficients
         result = final
+    result.warning = "; ".join(w for w in (result.warning, unclosed) if w)
     result.deviation_lower = result.deviation
-    result.deviation_upper = min(gap_log[-1][1], rep.value)
+    result.deviation_upper = gap_log[-1][1]
     result.exchange_iterations = len(gap_log)
     result.gap_log = gap_log
     return result

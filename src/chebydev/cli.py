@@ -106,25 +106,15 @@ def _config_block(args, tols) -> dict:
 
 def cmd_construct(args) -> int:
     tols = _parse_tols(args.tol)
-    if args.family == "td":
-        if args.d is None or args.d < 3:
+    if args.family in ("td", "r3"):
+        d = 3 if args.family == "r3" else args.d
+        if d is None or d < 3:
             sys.stderr.write("construct: d must be >= 3 for the td family\n")
             return EXIT_USAGE
-        report = build_td(args.d)
+        report = build_td(d)
         payload = {
-            "family": "td",
+            "family": args.family,
             "dimension": report.dimension,
-            "leading_coefficient": report.r_value,
-            "r_value": report.r_value,
-            "polynomial": poly_to_json_dict(report.polynomial),
-            "construction_log": report.construction_log,
-            "config": _config_block(args, tols),
-        }
-    elif args.family == "r3":
-        report = build_td(3)
-        payload = {
-            "family": "r3",
-            "dimension": 3,
             "leading_coefficient": report.r_value,
             "r_value": report.r_value,
             "polynomial": poly_to_json_dict(report.polynomial),

@@ -30,6 +30,9 @@ R5_ROOT_POLY = (
 )
 
 R5_ROOT_BRACKET = (-1.3, -1.1)
+# the sign-change scan for its real roots: step and range
+R5_SCAN_STEP = 0.01
+R5_SCAN_RANGE = (-10.0, 10.0)
 
 
 # --------------------------------------------------------------------------
@@ -195,16 +198,15 @@ def _eval_root_poly_deriv(t: float) -> float:
     return acc
 
 
-def real_roots_of_r5_poly(scan_step: float = 0.01,
-                          scan_range: tuple[float, float] = (-10.0, 10.0)) -> list[float]:
-    """All real roots of the degree-8 polynomial found by sign-change scan,
-    bisection, and Newton polish."""
-    lo, hi = scan_range
-    n = int(round((hi - lo) / scan_step))
+def real_roots_of_r5_poly() -> list[float]:
+    """All real roots in R5_SCAN_RANGE of the degree-8 polynomial found by
+    sign-change scan, bisection, and Newton polish."""
+    lo, hi = R5_SCAN_RANGE
+    n = int(round((hi - lo) / R5_SCAN_STEP))
     roots = []
     prev_t, prev_v = lo, _eval_root_poly(lo)
     for i in range(1, n + 1):
-        t = lo + i * scan_step
+        t = lo + i * R5_SCAN_STEP
         v = _eval_root_poly(t)
         if prev_v == 0.0:
             roots.append(prev_t)

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# pivoting tolerance on reduced costs, ratio-test columns and artificial rows
+PIVOT_TOL = 1e-9
+# consecutive degenerate pivots after which pricing switches to Bland's rule
+BLAND_AFTER = 30
+
+
 class LPError(RuntimeError):
     pass
 
@@ -41,33 +47,31 @@ def _pivot(tableau: np.ndarray, row: int, col: int):
     tableau[row, col] = 1.0
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], ncols: int,
-                 tol: float, bland_after: int = 30,
-                 max_iter: int | None = None) -> tuple[str, int]:
+def _run_simplex(tableau: np.ndarray, basis: list[int],
+                 ncols: int) -> tuple[str, int]:
     """Iterate to optimality on the given tableau (last row = negated reduced
     costs for maximization, last column = rhs).  Returns (status, iterations)."""
     m = tableau.shape[0] - 1
-    if max_iter is None:
-        max_iter = 2000 + 40 * (m + ncols)
+    max_iter = 2000 + 40 * (m + ncols)
     degenerate_run = 0
     it = 0
     while True:
         if it >= max_iter:
             raise LPError(f"simplex iteration limit {max_iter} exceeded")
         reduced = tableau[-1, :ncols]
-        bland = degenerate_run >= bland_after
+        bland = degenerate_run >= BLAND_AFTER
         if bland:
-            candidates = np.where(reduced < -tol)[0]
+            candidates = np.where(reduced < -PIVOT_TOL)[0]
             if candidates.size == 0:
                 return "optimal", it
             col = int(candidates[0])
         else:
             col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
+            if reduced[col] >= -PIVOT_TOL:
                 return "optimal", it
         colvals = tableau[:m, col]
         rhs = np.maximum(tableau[:m, -1], 0.0)  # clip roundoff-negative rhs
-        positive = colvals > tol
+        positive = colvals > PIVOT_TOL
         if not positive.any():
             return "unbounded", it
         ratios = np.full(m, np.inf)
@@ -80,11 +84,10 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], ncols: int,
         _pivot(tableau, row, col)
         basis[row] = col
         it += 1
-        degenerate_run = degenerate_run + 1 if tableau[-1, -1] <= obj_before + tol else 0
+        degenerate_run = degenerate_run + 1 if tableau[-1, -1] <= obj_before + PIVOT_TOL else 0
 
 
-def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  tol: float = 1e-9) -> LPResult:
+def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LPResult:
     """Maximize c.x subject to A x = b, x >= 0 (two-phase dense simplex).
 
     Heavily degenerate instances that exhaust the iteration limit are retried
@@ -98,12 +101,12 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     if b.shape != (A.shape[0],) or c.shape != (A.shape[1],):
         raise LPError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
     try:
-        return _simplex_solve_once(A, b, c, tol)
+        return _simplex_solve_once(A, b, c)
     except LPError:
         m = A.shape[0]
         scale = max(1.0, float(np.abs(b).max()))
         eps = 1e-9 * scale * (1.0 + np.arange(1, m + 1) / m)
-        pert = _simplex_solve_once(A, b + eps, c, tol)
+        pert = _simplex_solve_once(A, b + eps, c)
         if pert.status != "optimal":
             return pert
         basis = pert.basis
@@ -119,12 +122,9 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         return LPResult("optimal", float(c @ x), x, basis, y, pert.iterations)
 
 
-def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                        tol: float) -> LPResult:
-    b = b.copy()
+def _simplex_solve_once(A: np.ndarray, b: np.ndarray,
+                        c: np.ndarray) -> LPResult:
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise LPError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
 
     # phase 1: artificial variables form the starting basis
     A1 = A.copy()
@@ -139,7 +139,7 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     tableau[-1, :] = -tableau[:m, :].sum(axis=0)
     tableau[-1, n:n + m] = 0.0
     basis = list(range(n, n + m))
-    status, it1 = _run_simplex(tableau, basis, n, tol)
+    status, it1 = _run_simplex(tableau, basis, n)
     if status != "optimal" or tableau[-1, -1] < -1e-7 * max(1.0, np.abs(b1).max()):
         return LPResult("infeasible", float("nan"), np.zeros(n), basis,
                         np.zeros(m), it1)
@@ -148,14 +148,14 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     drop_rows = []
     for r in range(m):
         if basis[r] >= n:
-            pivot_col = next((j for j in range(n) if abs(tableau[r, j]) > tol), None)
+            pivot_col = next((j for j in range(n) if abs(tableau[r, j]) > PIVOT_TOL), None)
             if pivot_col is None:
                 drop_rows.append(r)
             else:
                 _pivot(tableau, r, pivot_col)
                 basis[r] = pivot_col
+    keep = [r for r in range(m) if r not in drop_rows]
     if drop_rows:
-        keep = [r for r in range(m) if r not in drop_rows]
         tableau = tableau[keep + [m], :]
         basis = [basis[r] for r in keep]
         m = len(keep)
@@ -167,7 +167,7 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     for r, j in enumerate(basis):
         if abs(tableau[-1, j]) > 0:
             tableau[-1, :] -= tableau[-1, j] * tableau[r, :]
-    status, it2 = _run_simplex(tableau, basis, n, tol)
+    status, it2 = _run_simplex(tableau, basis, n)
     if status == "unbounded":
         return LPResult("unbounded", float("inf"), np.zeros(n), basis,
                         np.zeros(m), it1 + it2)
@@ -175,17 +175,8 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     x = np.zeros(n)
     for r, j in enumerate(basis):
         x[j] = tableau[r, -1]
-    B = A[:, basis] if m == A.shape[0] else None
-    if B is None:
-        # rows were dropped as redundant: rebuild the retained row system
-        keep = [r for r in range(A.shape[0]) if r not in drop_rows]
-        B = A[np.ix_(keep, basis)]
-        cb = c[basis]
-        y_small = np.linalg.solve(B.T, cb)
-        y = np.zeros(A.shape[0])
-        for i, r in enumerate(keep):
-            y[r] = y_small[i]
-    else:
-        y = np.linalg.solve(B.T, c[basis])
+    # multipliers of the retained rows; a row dropped as redundant gets 0
+    y = np.zeros(A.shape[0])
+    y[keep] = np.linalg.solve(A[np.ix_(keep, basis)].T, c[basis])
     objective = float(c @ x)
     return LPResult("optimal", objective, x, basis, y, it1 + it2)

@@ -22,6 +22,8 @@ import numpy as np
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
+# eval_grid works through at most this many points at a time
+EVAL_CHUNK = 65536
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, float, Fraction]
@@ -242,7 +244,7 @@ class Poly:
             total += term
         return total
 
-    def eval_grid(self, points: np.ndarray, chunk: int = 65536) -> np.ndarray:
+    def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (N, nvars) array of points."""
         p = self if self.field == FLOAT64 else self.to_float64()
         pts = np.ascontiguousarray(points, dtype=float)
@@ -256,14 +258,14 @@ class Poly:
         coefs = np.array([c for _, c in items], dtype=float)
         out = np.empty(len(pts))
         maxdeg = int(exps.max()) if exps.size else 0
-        for lo in range(0, len(pts), chunk):
-            block = pts[lo:lo + chunk]
+        for lo in range(0, len(pts), EVAL_CHUNK):
+            block = pts[lo:lo + EVAL_CHUNK]
             # per-variable power tables, then product over variables per term
             pows = block[:, :, None] ** np.arange(maxdeg + 1)
             vals = np.ones((len(block), len(exps)))
             for i in range(p.nvars):
                 vals *= pows[:, i, exps[:, i]]
-            out[lo:lo + chunk] = vals @ coefs
+            out[lo:lo + EVAL_CHUNK] = vals @ coefs
         return out
 
     # -- calculus and substitution -------------------------------------------

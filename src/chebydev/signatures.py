@@ -153,6 +153,11 @@ R5_WEIGHT_DIAG_PLUS = 0.0615774830
 R5_WEIGHT_EDGE = 0.0243979796
 R5_WEIGHT_DIAG_MINUS = 0.1178707075
 
+# solve_signature_weights: annihilation degrees tried past n, and the relative
+# singular-value cutoff of float systems
+MAX_EXTENSION = 3
+SV_CUTOFF = 1e-10
+
 
 def r5_diagonal_parameters(consts: R5Constants) -> tuple[float, float]:
     """Diagonal orbit parameters (t_plus, t_minus) of the R_5 extremal set.
@@ -352,8 +357,7 @@ def _rational_nullspace(rows: list[list[Fraction]], ncols: int):
 
 
 def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
-                            n: int, d: int, max_extension: int = 3,
-                            sv_cutoff: float = 1e-10) -> SignatureSolution:
+                            n: int, d: int) -> SignatureSolution:
     """Find per-point weights lambda_v > 0 with sum lambda_v = 1 making the
     signed point set annihilate all polynomials of degree <= n.
 
@@ -412,7 +416,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
                                      base_nullspace_dim=0)
         ext_degree = n
         # extend annihilation degree within the nullspace while freedom remains
-        while len(basis) > 1 and ext_degree < n + max_extension:
+        while len(basis) > 1 and ext_degree < n + MAX_EXTENSION:
             ext_degree += 1
             ext_rows = condition_rows(ext_degree, ext_degree, exact=True)
             # rows acting on nullspace coordinates
@@ -458,19 +462,19 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     else:
         A = np.array(condition_rows(0, n, exact=False), dtype=float)
         u, s, vt = np.linalg.svd(A, full_matrices=True)
-        rank = int(np.sum(s > sv_cutoff * (s[0] if s.size else 1.0)))
+        rank = int(np.sum(s > SV_CUTOFF * (s[0] if s.size else 1.0)))
         base_dim = k - rank
         if base_dim == 0:
             return SignatureSolution(False, "annihilation system admits only the zero functional",
                                      base_nullspace_dim=0)
         N = vt[rank:].T  # k x base_dim
         ext_degree = n
-        while N.shape[1] > 1 and ext_degree < n + max_extension:
+        while N.shape[1] > 1 and ext_degree < n + MAX_EXTENSION:
             ext_degree += 1
             E = np.array(condition_rows(ext_degree, ext_degree, exact=False))
             R = E @ N
             u2, s2, vt2 = np.linalg.svd(R, full_matrices=True)
-            rank2 = int(np.sum(s2 > sv_cutoff * (s2[0] if s2.size and s2[0] > 0 else 1.0)))
+            rank2 = int(np.sum(s2 > SV_CUTOFF * (s2[0] if s2.size and s2[0] > 0 else 1.0)))
             if rank2 == R.shape[1]:
                 break
             N = N @ vt2[rank2:].T

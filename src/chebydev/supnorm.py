@@ -20,7 +20,8 @@ from .polycore import (FLOAT64, Poly, PolyError, monomial_exponents,
                        restrict_affine_last, restrict_zero)
 
 DEDUP_TOL = 1e-8
-ACTIVE_TOL = 1e-10
+# Newton starts per domain dimension, spread over the faces of a simplex
+STARTS_PER_DIMENSION = 50
 
 
 @dataclass
@@ -65,10 +66,31 @@ def sample_domain(dom: Domain, resolution: int) -> np.ndarray:
     pts = np.array(list(product(*axes)), dtype=float)
     pts = pts[np.einsum("ij,ij->i", pts, pts) > 0]
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = np.vstack([pts, np.eye(d), -np.eye(d)])
+    return _unique_rows(np.vstack([pts, np.eye(d), -np.eye(d)]))
+
+
+def _unique_rows(pts: np.ndarray) -> np.ndarray:
+    """The rows of pts that differ after rounding to 1e-12, in first-seen order."""
     rounded = np.round(pts / 1e-12) * 1e-12
     _, idx = np.unique(rounded, axis=0, return_index=True)
     return pts[np.sort(idx)]
+
+
+def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
+    """Indices of the greedy first-wins subset of the points: a point is kept
+    when its max-norm distance to every point already kept is > tol.  The
+    loop runs once per kept point: the next one is the first not yet near."""
+    if len(points) == 0:
+        return []
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    unseen = np.ones(len(pts), dtype=bool)  # farther than tol from all kept
+    kept: list[int] = []
+    while unseen.any():
+        i = int(np.argmax(unseen))
+        kept.append(i)
+        unseen[i] = False
+        unseen &= np.max(np.abs(pts - pts[i]), axis=1) > tol
+    return kept
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +156,10 @@ def _chart_dim(zeros: tuple, sum_active: bool, d: int) -> int:
 
 
 def _grad_hess(q: Poly):
+    """The gradient and the upper triangle (j >= i) of the Hessian."""
     grads = q.gradient()
-    hess = [[grads[i].partial(j) for j in range(q.nvars)] for i in range(q.nvars)]
+    hess = [{j: grads[i].partial(j) for j in range(i, q.nvars)}
+            for i in range(q.nvars)]
     return grads, hess
 
 
@@ -146,9 +170,9 @@ def _batch_gradient(grads, X: np.ndarray) -> np.ndarray:
 def _batch_hessian(hess, X: np.ndarray) -> np.ndarray:
     k = len(hess)
     H = np.empty((len(X), k, k))
-    for i in range(k):
-        for j in range(i, k):
-            v = hess[i][j].eval_grid(X)
+    for i, row in enumerate(hess):
+        for j, h in row.items():
+            v = h.eval_grid(X)
             H[:, i, j] = v
             H[:, j, i] = v
     return H
@@ -207,14 +231,9 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
         X[live] = X[live] + s
         tiny = norms <= 1e-15 * (1.0 + np.linalg.norm(X[live], axis=1))
         converged[live[tiny]] = True
-    found: list[tuple] = []
-    for i in np.where(converged)[0]:
-        x = X[i]
-        if feasible(x):
-            key = tuple(float(v) for v in x)
-            if all(max(abs(a - b) for a, b in zip(key, f)) > DEDUP_TOL for f in found):
-                found.append(key)
-    return found
+    found = [tuple(float(v) for v in X[i])
+             for i in np.where(converged)[0] if feasible(X[i])]
+    return [found[i] for i in dedup_points(found)]
 
 
 def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
@@ -260,12 +279,8 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
         X[live[pos]] = X[live[pos]] / n[pos, None]
         tiny = np.linalg.norm(s, axis=1) <= 1e-15
         converged[live[tiny]] = True
-    found: list[tuple] = []
-    for i in np.where(converged)[0]:
-        key = tuple(float(v) for v in X[i])
-        if all(max(abs(a - b) for a, b in zip(key, f)) > DEDUP_TOL for f in found):
-            found.append(key)
-    return found
+    found = [tuple(float(v) for v in X[i]) for i in np.where(converged)[0]]
+    return [found[i] for i in dedup_points(found)]
 
 
 def _simplex_starts(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
@@ -282,8 +297,8 @@ def _grad_scale(q: Poly) -> float:
     return max(1.0, max(abs(float(c)) for c in q.terms.values()))
 
 
-def critical_points(p: Poly, dom: Domain, starts: int | None = None,
-                    seed: int = 0, interior_only: bool = False):
+def critical_points(p: Poly, dom: Domain, seed: int = 0,
+                    interior_only: bool = False):
     """Multi-start Newton stationary points of p on the domain.
 
     Interior criticals solve grad p = 0; each face of the simplex is searched
@@ -295,7 +310,7 @@ def critical_points(p: Poly, dom: Domain, starts: int | None = None,
     d = dom.nvars
     if pf.nvars != d:
         raise PolyError(f"polynomial has {pf.nvars} variables, domain needs {d}")
-    total = starts if starts is not None else 50 * max(1, dom.dimension)
+    total = STARTS_PER_DIMENSION * max(1, dom.dimension)
     rng = np.random.default_rng(seed)
     results = []
 
@@ -346,11 +361,7 @@ def critical_points(p: Poly, dom: Domain, starts: int | None = None,
     else:
         raise PolyError(f"unsupported domain {dom.kind}")
 
-    dedup = []
-    for pt, val, loc in results:
-        if all(max(abs(a - b) for a, b in zip(pt, q[0])) > DEDUP_TOL for q in dedup):
-            dedup.append((pt, val, loc))
-    return dedup
+    return [results[i] for i in dedup_points([pt for pt, _, _ in results])]
 
 
 # --------------------------------------------------------------------------
@@ -358,8 +369,8 @@ def critical_points(p: Poly, dom: Domain, starts: int | None = None,
 # --------------------------------------------------------------------------
 
 
-def sup_norm(p: Poly, dom: Domain, resolution: int, seed: int = 0,
-             starts: int | None = None) -> SupNormReport:
+def sup_norm(p: Poly, dom: Domain, resolution: int,
+             seed: int = 0) -> SupNormReport:
     """Coarse grid maximum of |p| refined by stationary-point search on every
     face; falls back to the grid value if refinement fails everywhere."""
     pf = p.to_float64()
@@ -372,7 +383,7 @@ def sup_norm(p: Poly, dom: Domain, resolution: int, seed: int = 0,
     best_pt = tuple(float(v) for v in grid[gi])
     best_loc = "grid"
     failures = 0
-    crits = critical_points(p, dom, starts=starts, seed=seed)
+    crits = critical_points(p, dom, seed=seed)
     for pt, val, loc in crits:
         if abs(val) > abs(best_val):
             best_val, best_pt, best_loc = val, pt, loc
@@ -459,7 +470,7 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
 
 
 def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
-              resolution: int = 48, seed: int = 0, cluster_tol: float = 1e-8):
+              resolution: int = 48, seed: int = 0):
     """Points of the domain where | |f - p| - r | <= tol, found by a grid scan
     of every face followed by Gauss-Newton projection onto the level set.
 
@@ -539,21 +550,13 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
     else:
         raise PolyError("level_set currently supports simplex-type domains")
 
-    # cluster coarsely (merges Gauss-Newton square-root scatter around
-    # tangency points, preferring polished representatives), verify at 10x
-    # tighter tolerance, then dedup at cluster_tol
-    coarse = max(cluster_tol, 1e-4)
-    ordered = sorted(raw, key=lambda item: (not item[1], item[0]))
-    merged: list[tuple] = []
-    for pt, _polished in ordered:
-        if any(max(abs(a - b) for a, b in zip(pt, c)) <= coarse for c in merged):
-            continue
-        if abs(abs(g.eval(pt)) - r) <= tol / 10:
-            merged.append(pt)
-    out: list[tuple] = []
-    for pt in sorted(merged):
-        if all(max(abs(a - b) for a, b in zip(pt, c)) > cluster_tol for c in out):
-            out.append(pt)
+    # verify at 10x tighter tolerance, cluster coarsely (merges Gauss-Newton
+    # square-root scatter around tangency points, preferring polished
+    # representatives), then dedup in sorted order
+    ordered = [pt for pt, _polished in sorted(raw, key=lambda item: (not item[1], item[0]))
+               if abs(abs(g.eval(pt)) - r) <= tol / 10]
+    merged = sorted(ordered[i] for i in dedup_points(ordered, 1e-4))
+    out = [merged[i] for i in dedup_points(merged)]
     if face_mode:
         out = [tuple(list(pt) + [1.0 - sum(pt)]) for pt in out]
     return out

@@ -118,6 +118,28 @@ class TestRemezExchange:
         assert res.exchange_iterations > 1
         assert len(calls) == 1
 
+    def test_closing_solve_reuses_last_search(self, monkeypatch):
+        searched = []
+        original = bestapprox.sup_norm
+
+        def recorded(resid, *args, **kwargs):
+            searched.append(resid)
+            return original(resid, *args, **kwargs)
+
+        monkeypatch.setattr(bestapprox, "sup_norm", recorded)
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "full", grid=8), seed=0)
+        assert res.exchange_iterations > 1
+        assert all(a != b for a, b in zip(searched, searched[1:]))
+        assert res.deviation_upper == res.gap_log[-1][1]
+
+    def test_unconverged_exchange_keeps_warning(self):
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8),
+            max_iter=1, seed=0)
+        assert res.gap_log[-1][2] > 1e-6
+        assert "did not close the gap in 1 iterations" in res.warning
+
     def test_degree5_product_squared(self, consts):
         res = remez_exchange(ApproxProblem(
             Poly.monomial((2, 2, 2)), 5, simplex(3), "symmetric", grid=16), seed=0)

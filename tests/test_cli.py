@@ -27,6 +27,13 @@ class TestConstruct:
         assert round(consts["d_root"], 9) == -1.208972894
         assert payload["face_defect"]["exceeds_one"]
 
+    def test_r3_is_td3(self, capsys):
+        _, r3 = run(["construct", "--family", "r3"], capsys)
+        _, td3 = run(["construct", "--family", "td", "--d", "3"], capsys)
+        r3, td3 = json.loads(r3), json.loads(td3)
+        assert (r3.pop("family"), td3.pop("family")) == ("r3", "td")
+        assert r3 == td3
+
     def test_td_requires_d_at_least_3(self, capsys):
         code = cli.main(["construct", "--family", "td", "--d", "2"])
         assert code == 2

@@ -10,8 +10,8 @@ from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
 from chebydev.domains import ball, simplex, simplex_face, sphere
 from chebydev.polycore import Poly, restrict_zero
 from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
-                              level_set, sample_domain, signed_max, sup_norm,
-                              vandermonde_factor_report, verify_td_bound)
+                              dedup_points, level_set, sample_domain, signed_max,
+                              sup_norm, vandermonde_factor_report, verify_td_bound)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,39 @@ class TestSamplers:
         small = {tuple(np.round(p, 12)) for p in sample_domain(dom, 4)}
         large = {tuple(np.round(p, 12)) for p in sample_domain(dom, 8)}
         assert small <= large
+
+
+class TestDedupPoints:
+    def test_chain_keeps_first_and_far_end(self):
+        # b is within tol of a, c within tol of b but not of a
+        pts = [(0.0, 0.0), (0.0, 0.1875), (0.0, 0.375)]
+        assert dedup_points(pts, 0.25) == [0, 2]
+
+    def test_distance_exactly_tol_is_dropped(self):
+        assert dedup_points([(0.5, 0.5), (0.75, 0.5), (0.5, 0.25)], 0.25) == [0]
+
+    def test_max_norm(self):
+        # Euclidean distance sqrt(2) * 0.2 > 0.25, max-norm distance 0.2 <= 0.25
+        assert dedup_points([(0.0, 0.0), (0.2, 0.2)], 0.25) == [0]
+
+    def test_empty(self):
+        assert dedup_points([]) == []
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(size=(40, 3))
+        pts = [tuple(float(v) for v in base[i] + rng.uniform(-2e-8, 2e-8, 3))
+               for i in rng.integers(0, 40, 200)]
+        kept = []
+        for i, p in enumerate(pts):
+            if all(max(abs(a - b) for a, b in zip(p, pts[j])) > 1e-8 for j in kept):
+                kept.append(i)
+        assert dedup_points(pts) == kept
+        assert 40 < len(kept) < 200
+
+    def test_one_dimensional_points(self):
+        pts = [(0.5,), (0.5 + 1e-9,), (-0.5,), (0.5 + 2e-8,)]
+        assert dedup_points(pts) == [0, 2, 3]
 
 
 class TestSupNorm:
