@@ -16,7 +16,7 @@ from .polycore import (FLOAT64, RATIONAL, DimensionMismatchError,
                        restrict_affine_last, restrict_zero)
 from .symfun import (chebyshev_t, chebyshev_t_shifted, elementary_symmetric,
                      monomial_symmetric, partitions_upto, power_sum, symmetrize)
-from .constructions import (FamilyReport, R5Constants, build_r3, build_r5,
+from .constructions import (FamilyReport, R5Constants, build_r5,
                             build_r5_repaired, build_r5_report, build_t3,
                             build_td, build_u3, build_u5, compute_rd,
                             derive_r5_constants, lift_to_ball,

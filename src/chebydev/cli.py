@@ -37,11 +37,9 @@ from .supnorm import (d5_factorized_form, dd_determinant, signed_max,
                       vandermonde_factor_report, verify_td_bound)
 
 DEFAULT_TOLERANCES = {
-    "certificate": 1e-8,
     "annihilation": 1e-8,
     "supnorm": 1e-6,
     "max_principle": 1e-8,
-    "weights": 1e-5,
 }
 
 EXIT_OK = 0
@@ -428,8 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except (PolyError, LPError) as exc:
         sys.stderr.write(f"chebydev: {exc}\n")
         return EXIT_NUMERICAL

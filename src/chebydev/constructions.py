@@ -285,13 +285,6 @@ def build_u3() -> Poly:
     return restrict_affine_last(build_t3(3))
 
 
-def build_r3() -> FamilyReport:
-    report = build_td(3)
-    return FamilyReport(
-        dimension=3, polynomial=report.polynomial, r_value=report.r_value,
-        construction_log="R_3 = T_3 in three variables; " + report.construction_log)
-
-
 def build_r5_report() -> FamilyReport:
     consts = derive_r5_constants()
     poly = build_r5(consts)

@@ -226,16 +226,10 @@ class Poly:
                 if not isinstance(v, Rational):
                     raise FieldMismatchError(
                         f"exact polynomial evaluated at non-rational coordinate {v!r}")
-            total = Fraction(0)
-            for exp, coef in self.terms.items():
-                term = coef
-                for e, v in zip(exp, pt):
-                    if e:
-                        term *= Fraction(v) ** e
-                total += term
-            return total
-        xs = [float(v) for v in pt]
-        total = 0.0
+            xs = [Fraction(v) for v in pt]
+        else:
+            xs = [float(v) for v in pt]
+        total = _coerce(self.field, 0)
         for exp, coef in self.terms.items():
             term = coef
             for e, v in zip(exp, xs):
@@ -251,21 +245,11 @@ class Poly:
         if pts.ndim != 2 or pts.shape[1] != p.nvars:
             raise DimensionMismatchError(
                 f"grid shape {pts.shape} incompatible with nvars={p.nvars}")
-        if not p.terms:
-            return np.zeros(len(pts))
-        items = list(p.terms.items())
-        exps = np.array([e for e, _ in items], dtype=np.int64)
-        coefs = np.array([c for _, c in items], dtype=float)
+        exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.nvars)
+        coefs = np.array(list(p.terms.values()), dtype=float)
         out = np.empty(len(pts))
-        maxdeg = int(exps.max()) if exps.size else 0
         for lo in range(0, len(pts), EVAL_CHUNK):
-            block = pts[lo:lo + EVAL_CHUNK]
-            # per-variable power tables, then product over variables per term
-            pows = block[:, :, None] ** np.arange(maxdeg + 1)
-            vals = np.ones((len(block), len(exps)))
-            for i in range(p.nvars):
-                vals *= pows[:, i, exps[:, i]]
-            out[lo:lo + EVAL_CHUNK] = vals @ coefs
+            out[lo:lo + EVAL_CHUNK] = monomial_table(pts[lo:lo + EVAL_CHUNK], exps) @ coefs
         return out
 
     # -- calculus and substitution -------------------------------------------
@@ -321,6 +305,42 @@ class Poly:
         if self.field == FLOAT64:
             return self
         return Poly(self.nvars, {e: float(c) for e, c in self.terms.items()}, FLOAT64)
+
+
+def monomial_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """The monomials x**e, one column per exponent row, at C-contiguous points."""
+    pows = points[:, :, None] ** np.arange(int(exps.max(initial=0)) + 1)
+    vals = np.ones((len(points), len(exps)))
+    for i in range(points.shape[1]):
+        vals *= pows[:, i, exps[:, i]]
+    return vals
+
+
+class Derivatives:
+    """Gradient and Hessian of a polynomial in float64, each batch read from one
+    monomial table; every entry equals its partial's ``eval_grid`` bit for bit."""
+
+    def __init__(self, p: Poly):
+        grads = p.to_float64().gradient()
+        self.nvars, (self.i, self.j) = p.nvars, np.triu_indices(p.nvars)
+        cols: dict[Exponent, int] = {}  # table column of each exponent
+        self.entries = [(np.array([cols.setdefault(e, len(cols)) for e in q.terms], dtype=np.intp),
+                         np.array(list(q.terms.values()), dtype=float))
+                        for q in grads + [grads[i].partial(j) for i, j in zip(self.i, self.j)]]
+        self.exps = np.array(list(cols), dtype=np.int64).reshape(len(cols), p.nvars)
+
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        return self._eval(points, self.entries[:self.nvars])
+
+    def hessian(self, points: np.ndarray) -> np.ndarray:
+        H = np.empty((len(points), self.nvars, self.nvars))
+        H[:, self.i, self.j] = H[:, self.j, self.i] = self._eval(points, self.entries[self.nvars:])
+        return H
+
+    def _eval(self, points: np.ndarray, entries) -> np.ndarray:
+        table = monomial_table(np.ascontiguousarray(points, dtype=float), self.exps)
+        # C-ordered, as in eval_grid: an F-ordered gather takes another BLAS kernel and rounding
+        return np.stack([np.ascontiguousarray(table[:, idx]) @ c for idx, c in entries], axis=1)
 
 
 # -- module-level operations ------------------------------------------------

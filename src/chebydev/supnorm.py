@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
-from .polycore import (FLOAT64, Poly, PolyError, monomial_exponents,
+from .polycore import (FLOAT64, Derivatives, Poly, PolyError, monomial_exponents,
                        restrict_affine_last, restrict_zero)
 
 DEDUP_TOL = 1e-8
@@ -155,29 +155,6 @@ def _chart_dim(zeros: tuple, sum_active: bool, d: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _grad_hess(q: Poly):
-    """The gradient and the upper triangle (j >= i) of the Hessian."""
-    grads = q.gradient()
-    hess = [{j: grads[i].partial(j) for j in range(i, q.nvars)}
-            for i in range(q.nvars)]
-    return grads, hess
-
-
-def _batch_gradient(grads, X: np.ndarray) -> np.ndarray:
-    return np.stack([g.eval_grid(X) for g in grads], axis=1)
-
-
-def _batch_hessian(hess, X: np.ndarray) -> np.ndarray:
-    k = len(hess)
-    H = np.empty((len(X), k, k))
-    for i, row in enumerate(hess):
-        for j, h in row.items():
-            v = h.eval_grid(X)
-            H[:, i, j] = v
-            H[:, j, i] = v
-    return H
-
-
 def _batched_solve(H: np.ndarray, g: np.ndarray):
     """Solve H x = -g per row; rows with (numerically) singular H are flagged."""
     n, k, _ = H.shape
@@ -203,7 +180,7 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
     k = q.nvars
     if k == 0:
         return [()]
-    grads, hess = _grad_hess(q)
+    ders = Derivatives(q)
     X = np.array(starts, dtype=float).reshape(-1, k)
     alive = np.ones(len(X), dtype=bool)
     converged = np.zeros(len(X), dtype=bool)
@@ -211,15 +188,13 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
         idx = np.where(alive & ~converged)[0]
         if idx.size == 0:
             break
-        Xa = X[idx]
-        G = _batch_gradient(grads, Xa)
+        G = ders.gradient(X[idx])
         done = np.max(np.abs(G), axis=1) <= grad_tol
         converged[idx[done]] = True
         run = idx[~done]
         if run.size == 0:
             continue
-        Xr = X[run]
-        step = _batched_solve(_batch_hessian(hess, Xr), G[~done])
+        step = _batched_solve(ders.hessian(X[run]), G[~done])
         dead = ~np.isfinite(step).all(axis=1)
         alive[run[dead]] = False
         live = run[~dead]
@@ -241,11 +216,11 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1,
     solved by Newton on the bordered system, batched over starts."""
     d = p.nvars
-    grads, hess = _grad_hess(p)
+    ders = Derivatives(p)
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
-    lam = 0.5 * np.einsum("ij,ij->i", _batch_gradient(grads, X), X)
+    lam = 0.5 * np.einsum("ij,ij->i", ders.gradient(X), X)
     alive = np.ones(len(X), dtype=bool)
     converged = np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
@@ -253,7 +228,7 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
         if idx.size == 0:
             break
         Xa, la = X[idx], lam[idx]
-        G = _batch_gradient(grads, Xa)
+        G = ders.gradient(Xa)
         F = np.concatenate([G - 2 * la[:, None] * Xa,
                             (np.einsum("ij,ij->i", Xa, Xa) - 1.0)[:, None]], axis=1)
         done = np.max(np.abs(F), axis=1) <= grad_tol
@@ -262,9 +237,8 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
         if run.size == 0:
             continue
         Xr, lr = X[run], lam[run]
-        H = _batch_hessian(hess, Xr)
         J = np.zeros((len(run), d + 1, d + 1))
-        J[:, :d, :d] = H - 2 * lr[:, None, None] * np.eye(d)
+        J[:, :d, :d] = ders.hessian(Xr) - 2 * lr[:, None, None] * np.eye(d)
         J[:, :d, d] = -2 * Xr
         J[:, d, :d] = 2 * Xr
         step = _batched_solve(J, F[~done])

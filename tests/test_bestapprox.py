@@ -94,6 +94,21 @@ class TestDiscreteMinimax:
             Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16))
         assert abs(full.deviation - sym.deviation) < 1e-8
 
+    def test_symmetric_basis_lp_invariants(self):
+        # on the symmetric basis the LP is sound: nested grids never lower
+        # the discrete value, and no grid value exceeds the continuum value
+        # (27^2 b)^-1 of the degree-6 family
+        continuum = 1.0 / (27 ** 2 * derive_r5_constants().b)
+        value = {}
+        for grid in (8, 12, 16, 24):
+            res = discrete_minimax(ApproxProblem(
+                Poly.monomial((2, 2, 2)), 5, simplex(3), "symmetric", grid=grid))
+            assert res.warning == ""
+            assert res.deviation <= continuum
+            value[grid] = res.deviation
+        assert value[16] >= value[8]
+        assert value[24] >= value[12]
+
 
 class TestRemezExchange:
     def test_simplex_product_converges(self):

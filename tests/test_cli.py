@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chebydev import cli
 
 
@@ -37,6 +39,19 @@ class TestConstruct:
     def test_td_requires_d_at_least_3(self, capsys):
         code = cli.main(["construct", "--family", "td", "--d", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["weights", "certificate", "nonsense"])
+    def test_unknown_tolerance_is_a_usage_error(self, name):
+        argv = ["construct", "--family", "td", "--d", "3", "--tol", f"{name}=1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_known_tolerance_lands_in_config(self, capsys):
+        _, out = run(["construct", "--family", "td", "--d", "3",
+                      "--tol", "supnorm=0.5"], capsys)
+        tols = json.loads(out)["config"]["tolerances"]
+        assert tols == {"annihilation": 1e-8, "max_principle": 1e-8, "supnorm": 0.5}
 
 
 class TestVerify:

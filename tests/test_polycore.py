@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from chebydev.polycore import (
-    DimensionMismatchError, FieldMismatchError, Poly, PolyError, insert_zero,
-    laplacian, max_coefficient_difference, poly_equal, poly_from_json_dict,
-    poly_to_json_dict, restrict_affine_last, restrict_zero,
+    FLOAT64, Derivatives, DimensionMismatchError, FieldMismatchError, Poly,
+    PolyError, insert_zero, laplacian, max_coefficient_difference,
+    monomial_exponents, poly_equal, poly_from_json_dict, poly_to_json_dict,
+    restrict_affine_last, restrict_zero,
 )
 from chebydev.constructions import build_t3, build_td, build_u3
 from chebydev.symfun import chebyshev_t, chebyshev_t_shifted, elementary_symmetric
@@ -43,6 +44,74 @@ class TestEval:
         vals = p.eval_grid(X)
         for i in range(0, 50, 7):
             assert vals[i] == pytest.approx(p.eval(X[i]), abs=1e-13)
+
+    def test_eval_result_type_follows_the_field(self):
+        p = build_t3(3)
+        pt = (Fraction(1, 7), Fraction(2, 5), Fraction(1, 3))
+        exact = p.eval(pt)
+        assert isinstance(exact, Fraction)
+        assert exact == sum(c * pt[0] ** e[0] * pt[1] ** e[1] * pt[2] ** e[2]
+                            for e, c in p.terms.items())
+        assert isinstance(p.eval((1, 0, 0)), Fraction) and p.eval((1, 0, 0)) == 1
+        value = p.to_float64().eval(tuple(float(v) for v in pt))
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(exact), abs=1e-14)
+        assert isinstance(Poly.zero(2).eval((1, 1)), Fraction)
+        assert isinstance(Poly.zero(2, FLOAT64).eval((1, 1)), float)
+
+
+def _random_float_poly(rng, nvars, degree):
+    exps = monomial_exponents(degree, nvars)
+    keep = rng.random(len(exps)) < 0.7
+    return Poly(nvars, {e: float(c) for e, c, k in
+                        zip(exps, rng.normal(size=len(exps)), keep) if k}, FLOAT64)
+
+
+class TestDerivatives:
+    """Derivatives reads every entry from one monomial table and must give
+    the same bits as eval_grid of the corresponding formal partial."""
+
+    def assert_matches_partials(self, p, X):
+        ders = Derivatives(p)
+        G, H = ders.gradient(X), ders.hessian(X)
+        assert G.shape == (len(X), p.nvars)
+        assert H.shape == (len(X), p.nvars, p.nvars)
+        for i in range(p.nvars):
+            assert np.array_equal(G[:, i], p.partial(i).eval_grid(X))
+            for j in range(p.nvars):
+                lo, hi = min(i, j), max(i, j)
+                assert np.array_equal(H[:, i, j], p.partial(lo).partial(hi).eval_grid(X))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_bit_identical_to_partials(self, nvars):
+        rng = np.random.default_rng(100 + nvars)
+        for degree in (2, 4, 6):
+            p = _random_float_poly(rng, nvars, degree)
+            for n in (1, 7, 64, 301):
+                self.assert_matches_partials(p, rng.uniform(-1.5, 1.5, size=(n, nvars)))
+
+    def test_constant_in_one_variable(self):
+        rng = np.random.default_rng(7)
+        p = _random_float_poly(rng, 2, 5)
+        p = Poly(3, {(a, b, 0): c for (a, b), c in p.terms.items()}, FLOAT64)
+        assert p.partial(2).is_zero()
+        X = rng.random((40, 3))
+        self.assert_matches_partials(p, X)
+        ders = Derivatives(p)
+        assert np.array_equal(ders.gradient(X)[:, 2], np.zeros(40))
+        assert np.array_equal(ders.hessian(X)[:, 2, :], np.zeros((40, 3)))
+
+    def test_zero_polynomial(self):
+        X = np.random.default_rng(3).random((9, 3))
+        self.assert_matches_partials(Poly.zero(3, FLOAT64), X)
+        ders = Derivatives(Poly.zero(3, FLOAT64))
+        assert np.array_equal(ders.hessian(X), np.zeros((9, 3, 3)))
+
+    def test_rational_polynomial_and_row_subsets(self):
+        p = build_td(4).polynomial
+        X = np.random.default_rng(5).random((50, 4)) / 4
+        self.assert_matches_partials(p, X)
+        self.assert_matches_partials(p, X[::3])
 
 
 class TestArithmetic:

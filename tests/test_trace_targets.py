@@ -1,0 +1,56 @@
+"""The benchmark's per-layer tracer wraps chebydev functions by name.
+
+A renamed or deleted target makes ``perfbench/run.py --trace 1`` crash in
+``Tracer.install``; these tests catch that from the library side.  They only
+read ``perfbench/`` and change nothing there.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import chebydev.cli  # noqa: F401  (the tracer wraps cli functions too)
+from chebydev import supnorm
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(modname, attr):
+    obj = importlib.import_module(f"chebydev.{modname}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("modname,attr", [t[:2] for t in _layertrace().TARGETS])
+def test_target_resolves(modname, attr):
+    assert callable(_resolve(modname, attr))
+
+
+@pytest.mark.parametrize("fn", [supnorm._newton_critical_points,
+                                supnorm._sphere_critical_points])
+def test_newton_starts_is_second_argument(fn):
+    # the tracer counts Newton starts as len(args[1])
+    assert list(inspect.signature(fn).parameters)[1] == "starts"
+
+
+def test_install_and_uninstall_restore_every_target():
+    layertrace = _layertrace()
+    before = {t[:2]: _resolve(*t[:2]) for t in layertrace.TARGETS}
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        assert all(_resolve(*key) is not fn for key, fn in before.items())
+    finally:
+        tracer.uninstall()
+    assert all(_resolve(*key) is fn for key, fn in before.items())
