@@ -109,14 +109,9 @@ def build_extremal_sets(d: int) -> tuple[list[Point], list[Point]]:
     For odd d the +1 ladder uses j = d, d-2, ..., 1 and the -1 ladder the even
     j; parities swap for even d.  Every point lies on the face sum x_i = 1.
     """
-    if d < 3:
-        raise PolyError(f"extremal sets are defined for d >= 3, got {d}")
-    s_plus: list[Point] = []
-    s_minus: list[Point] = []
-    for j in range(d, 0, -1):
-        target = s_plus if (d - j) % 2 == 0 else s_minus
-        target.extend(orbit(uniform_support_point(j, d)))
-    return s_plus, s_minus
+    ladders = build_l_functional(d)
+    signed = list(zip(ladders.points, ladders.signs))
+    return [pt for pt, sg in signed if sg > 0], [pt for pt, sg in signed if sg < 0]
 
 
 def build_l_functional(d: int) -> SignedPointSet:
@@ -375,7 +370,9 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     k = len(orbits)
     rational = all(isinstance(c, Rational) for rep in reps for c in rep)
 
-    def condition_rows(degree_lo: int, degree_hi: int, exact: bool):
+    num = Fraction if rational else float
+
+    def condition_rows(degree_lo: int, degree_hi: int):
         # Orbits are permutation-closed, so the condition row of a monomial
         # depends only on its exponent multiset: one row per partition.
         from .symfun import partitions_upto
@@ -384,31 +381,14 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
             if sum(part) < degree_lo:
                 continue
             mon = tuple(part) + (0,) * (d - len(part))
-            row = []
-            for (_, pts, sg) in orbits:
-                if exact:
-                    acc = Fraction(0)
-                    for p in pts:
-                        term = Fraction(1)
-                        for c, e in zip(p, mon):
-                            if e:
-                                term *= Fraction(c) ** e
-                        acc += term
-                    row.append(sg * acc)
-                else:
-                    acc = 0.0
-                    for p in pts:
-                        term = 1.0
-                        for c, e in zip(p, mon):
-                            if e:
-                                term *= float(c) ** e
-                        acc += term
-                    row.append(sg * acc)
-            rows.append(row)
+            # start=num(1): the constant row must be exact in the rational field
+            rows.append([sg * sum(math.prod((num(c) ** e for c, e in zip(p, mon) if e),
+                                            start=num(1)) for p in pts)
+                         for _, pts, sg in orbits])
         return rows
 
     if rational:
-        rows = condition_rows(0, n, exact=True)
+        rows = condition_rows(0, n)
         pivots, basis = _rational_nullspace(rows, k)
         base_dim = len(basis)
         if base_dim == 0:
@@ -418,7 +398,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
         # extend annihilation degree within the nullspace while freedom remains
         while len(basis) > 1 and ext_degree < n + MAX_EXTENSION:
             ext_degree += 1
-            ext_rows = condition_rows(ext_degree, ext_degree, exact=True)
+            ext_rows = condition_rows(ext_degree, ext_degree)
             # rows acting on nullspace coordinates
             reduced = [[sum(r[j] * vec[j] for j in range(k)) for vec in basis]
                        for r in ext_rows]
@@ -460,7 +440,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
         weights = candidate
         residual = 0.0
     else:
-        A = np.array(condition_rows(0, n, exact=False), dtype=float)
+        A = np.array(condition_rows(0, n), dtype=float)
         u, s, vt = np.linalg.svd(A, full_matrices=True)
         rank = int(np.sum(s > SV_CUTOFF * (s[0] if s.size else 1.0)))
         base_dim = k - rank
@@ -471,7 +451,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
         ext_degree = n
         while N.shape[1] > 1 and ext_degree < n + MAX_EXTENSION:
             ext_degree += 1
-            E = np.array(condition_rows(ext_degree, ext_degree, exact=False))
+            E = np.array(condition_rows(ext_degree, ext_degree))
             R = E @ N
             u2, s2, vt2 = np.linalg.svd(R, full_matrices=True)
             rank2 = int(np.sum(s2 > SV_CUTOFF * (s2[0] if s2.size and s2[0] > 0 else 1.0)))

@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
-from .polycore import (FLOAT64, Derivatives, Poly, PolyError, monomial_exponents,
+from .polycore import (Derivatives, Poly, PolyError, monomial_exponents,
                        restrict_affine_last, restrict_zero)
 
 DEDUP_TOL = 1e-8
@@ -129,8 +129,7 @@ def restrict_to_face(p: Poly, zeros: tuple, sum_active: bool) -> Poly:
     if sum_active:
         if q.nvars == 0:
             raise PolyError("sum face of a point is empty")
-        q = restrict_affine_last(q) if q.nvars >= 2 else Poly.constant(
-            0, q.eval((1.0,)) if q.field == FLOAT64 else q.eval((1,)), q.field)
+        q = restrict_affine_last(q) if q.nvars >= 2 else Poly.constant(0, q.eval((1,)), q.field)
     return q
 
 
@@ -172,88 +171,86 @@ def _batched_solve(H: np.ndarray, g: np.ndarray):
     return step
 
 
-def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
-                            grad_tol: float, max_iter: int = 60):
-    """Multi-start Newton for grad q = 0 inside a chart, run in lockstep over
-    all starts; starts with singular Jacobians are discarded.  Returns
-    deduplicated chart points."""
-    k = q.nvars
-    if k == 0:
-        return [()]
-    ders = Derivatives(q)
-    X = np.array(starts, dtype=float).reshape(-1, k)
-    alive = np.ones(len(X), dtype=bool)
-    converged = np.zeros(len(X), dtype=bool)
+def _lockstep(Z: np.ndarray, residual, advance, tol: float, max_iter: int):
+    """Iterate every row of Z in place, all rows in step, and return the mask of
+    converged rows.  A row converges when max|residual| <= tol or when advance
+    flags its step as negligible; a row that advance leaves non-finite is dead
+    and is never reported."""
+    converged = np.zeros(len(Z), dtype=bool)
     for _ in range(max_iter):
-        idx = np.where(alive & ~converged)[0]
-        if idx.size == 0:
-            break
-        G = ders.gradient(X[idx])
-        done = np.max(np.abs(G), axis=1) <= grad_tol
-        converged[idx[done]] = True
-        run = idx[~done]
+        run = np.where(~converged & np.isfinite(Z).all(axis=1))[0]
         if run.size == 0:
-            continue
-        step = _batched_solve(ders.hessian(X[run]), G[~done])
-        dead = ~np.isfinite(step).all(axis=1)
-        alive[run[dead]] = False
-        live = run[~dead]
-        s = step[~dead]
-        limit = 1.0 + np.linalg.norm(X[live], axis=1)
+            break
+        F = residual(Z[run])
+        done = np.max(np.abs(F), axis=1) <= tol
+        converged[run[done]] = True
+        run = run[~done]
+        if run.size:
+            Z[run], negligible = advance(Z[run], F[~done])
+            converged[run[negligible]] = True
+    return converged
+
+
+def _chart_newton(ders: Derivatives, X: np.ndarray, grad_tol: float, max_iter: int):
+    """Newton for grad q = 0 on every row of X in place, each step capped at
+    length 1 + |x|; rows with singular Hessians die.  Returns the converged rows."""
+    def advance(X, G):
+        s = _batched_solve(ders.hessian(X), G)
+        limit = 1.0 + np.linalg.norm(X, axis=1)
         norms = np.linalg.norm(s, axis=1)
         shrink = norms > limit
         s[shrink] *= (limit[shrink] / norms[shrink])[:, None]
-        X[live] = X[live] + s
-        tiny = norms <= 1e-15 * (1.0 + np.linalg.norm(X[live], axis=1))
-        converged[live[tiny]] = True
-    found = [tuple(float(v) for v in X[i])
-             for i in np.where(converged)[0] if feasible(X[i])]
+        X = X + s
+        return X, norms <= 1e-15 * (1.0 + np.linalg.norm(X, axis=1))
+    return _lockstep(X, ders.gradient, advance, grad_tol, max_iter)
+
+
+def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
+                            grad_tol: float, max_iter: int = 60):
+    """Multi-start Newton for grad q = 0 inside a chart; feasible maps an (n, k)
+    array of chart points to a row mask.  Returns deduplicated chart points."""
+    k = q.nvars
+    if k == 0:
+        return [()]
+    X = np.array(starts, dtype=float).reshape(-1, k)
+    ok = _chart_newton(Derivatives(q), X, grad_tol, max_iter)
+    found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
     return [found[i] for i in dedup_points(found)]
 
 
 def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
                             max_iter: int = 80):
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1,
-    solved by Newton on the bordered system, batched over starts."""
+    solved by Newton on the bordered system in the rows (x, lambda)."""
     d = p.nvars
     ders = Derivatives(p)
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
-    lam = 0.5 * np.einsum("ij,ij->i", ders.gradient(X), X)
-    alive = np.ones(len(X), dtype=bool)
-    converged = np.zeros(len(X), dtype=bool)
-    for _ in range(max_iter):
-        idx = np.where(alive & ~converged)[0]
-        if idx.size == 0:
-            break
-        Xa, la = X[idx], lam[idx]
-        G = ders.gradient(Xa)
-        F = np.concatenate([G - 2 * la[:, None] * Xa,
-                            (np.einsum("ij,ij->i", Xa, Xa) - 1.0)[:, None]], axis=1)
-        done = np.max(np.abs(F), axis=1) <= grad_tol
-        converged[idx[done]] = True
-        run = idx[~done]
-        if run.size == 0:
-            continue
-        Xr, lr = X[run], lam[run]
-        J = np.zeros((len(run), d + 1, d + 1))
-        J[:, :d, :d] = ders.hessian(Xr) - 2 * lr[:, None, None] * np.eye(d)
-        J[:, :d, d] = -2 * Xr
-        J[:, d, :d] = 2 * Xr
-        step = _batched_solve(J, F[~done])
-        dead = ~np.isfinite(step).all(axis=1)
-        alive[run[dead]] = False
-        live = run[~dead]
-        s = step[~dead]
-        X[live] = X[live] + s[:, :d]
-        lam[live] = lam[live] + s[:, d]
-        n = np.linalg.norm(X[live], axis=1)
+    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders.gradient(X), X)])
+
+    # x is sliced out contiguously: numpy may round strided rows in another order
+    def residual(Z):
+        X, lam = np.ascontiguousarray(Z[:, :d]), Z[:, d]
+        return np.concatenate([ders.gradient(X) - 2 * lam[:, None] * X,
+                               (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1)
+
+    def advance(Z, F):
+        X, lam = np.ascontiguousarray(Z[:, :d]), Z[:, d]
+        J = np.zeros((len(Z), d + 1, d + 1))
+        J[:, :d, :d] = ders.hessian(X) - 2 * lam[:, None, None] * np.eye(d)
+        J[:, :d, d] = -2 * X
+        J[:, d, :d] = 2 * X
+        s = _batched_solve(J, F)
+        Z = Z + s
+        X = np.ascontiguousarray(Z[:, :d])
+        n = np.linalg.norm(X, axis=1)
         pos = n > 0
-        X[live[pos]] = X[live[pos]] / n[pos, None]
-        tiny = np.linalg.norm(s, axis=1) <= 1e-15
-        converged[live[tiny]] = True
-    found = [tuple(float(v) for v in X[i]) for i in np.where(converged)[0]]
+        Z[pos, :d] = X[pos] / n[pos, None]
+        return Z, np.linalg.norm(s, axis=1) <= 1e-15
+
+    ok = _lockstep(Z, residual, advance, grad_tol, max_iter)
+    found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
     return [found[i] for i in dedup_points(found)]
 
 
@@ -292,6 +289,10 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         faces = simplex_faces(d)
         if interior_only:
             faces = [((), False)]
+
+        def feasible(Y):
+            return np.all(Y > 1e-9, axis=1) & (Y.sum(axis=1) < 1 - 1e-9)
+
         for zeros, sum_active in faces:
             k = _chart_dim(zeros, sum_active, d)
             q = restrict_to_face(pf, zeros, sum_active)
@@ -303,10 +304,6 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
             n_starts = max(8, (total * (k + 1)) // (d + 1))
             st = _simplex_starts(rng, k, n_starts)
             tol = 1e-11 * _grad_scale(q)
-
-            def feasible(y):
-                return np.all(y > 1e-9) and y.sum() < 1 - 1e-9
-
             for y in _newton_critical_points(q, st, feasible, tol):
                 pt = embed_from_face(y, zeros, sum_active, d)
                 results.append((pt, q.eval(np.array(y)), label))
@@ -315,7 +312,7 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         st = st[np.einsum("ij,ij->i", st, st) < 1.0]
         tol = 1e-11 * _grad_scale(pf)
         inside = _newton_critical_points(
-            pf, st, lambda x: float(x @ x) < 1 - 1e-9, tol)
+            pf, st, lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
         results.extend((tuple(x), pf.eval(np.array(x)), "interior") for x in inside)
         if not interior_only and d >= 2:
             sph = rng.normal(size=(total, d))
@@ -475,45 +472,39 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
             if abs(abs(q.eval(())) - r) <= tol / 10:
                 raw.append((embed_from_face((), zeros, sum_active, d), True))
             return
-        grads = q.gradient()
+        ders = Derivatives(q)
         vals = q.eval_grid(pts)
         band = np.abs(np.abs(vals) - r)
-        cutoff = max(10 * tol, float(np.min(band)) * 4, 0.05 * r)
-        for y0 in pts[band <= cutoff]:
-            y = np.array(y0, dtype=float)
-            sgn = 1.0 if q.eval(y) >= 0 else -1.0
-            ok = False
-            for _ in range(60):
-                h = q.eval(y) - sgn * r
-                if abs(h) <= tol / 10:
-                    ok = True
-                    break
-                gv = np.array([gr.eval(y) for gr in grads])
-                gg = float(gv @ gv)
-                if gg < 1e-30:
-                    break
-                y = y - h * gv / gg
-                if np.any(y < -1e-12) or y.sum() > 1 + 1e-12:
-                    y = np.clip(y, 0.0, None)
-                    if y.sum() > 1:
-                        y = y / y.sum()
-            if not ok:
-                continue
-            # tangency polish: if the chart gradient nearly vanishes, converge
-            # to the stationary point of q instead
-            polished = False
-            refined = _newton_critical_points(
-                q, y[None, :], lambda z: np.all(z > -1e-9) and z.sum() <= 1 + 1e-9,
-                grad_tol=1e-12 * _grad_scale(q), max_iter=40)
-            for z in refined:
-                za = np.array(z)
-                if (np.linalg.norm(za - y) <= 1e-3
-                        and abs(abs(q.eval(za)) - r) <= tol / 10):
-                    y = za
-                    polished = True
-                    break
-            raw.append((embed_from_face(tuple(y), zeros, sum_active, d),
-                        polished or k == 0))
+        near = band <= max(10 * tol, float(np.min(band)) * 4, 0.05 * r)
+        # rows (y, +-r): Gauss-Newton onto the level of the start's sign
+        Z = np.column_stack([pts[near], np.where(vals[near] >= 0, r, -r)])
+
+        def residual(Z):
+            return (q.eval_grid(Z[:, :k]) - Z[:, k])[:, None]
+
+        def advance(Z, h):
+            Y = Z[:, :k]
+            G = ders.gradient(Y)
+            gg = np.einsum("ij,ij->i", G, G)
+            gg[gg < 1e-30] = np.nan  # a flat point ends its row
+            Y = Y - h * G / gg[:, None]
+            out = np.any(Y < -1e-12, axis=1) | (Y.sum(axis=1) > 1 + 1e-12)
+            Y[out] = np.clip(Y[out], 0.0, None)
+            over = out & (Y.sum(axis=1) > 1)
+            Y[over] = Y[over] / Y[over].sum(axis=1, keepdims=True)
+            return np.column_stack([Y, Z[:, k]]), np.zeros(len(Z), dtype=bool)
+
+        Y = Z[_lockstep(Z, residual, advance, tol / 10, 60), :k]
+        # tangency polish: where the chart gradient nearly vanishes, converge
+        # to the stationary point of q instead
+        P = Y.copy()
+        polished = (_chart_newton(ders, P, 1e-12 * _grad_scale(q), 40)
+                    & np.all(P > -1e-9, axis=1) & (P.sum(axis=1) <= 1 + 1e-9)
+                    & (np.linalg.norm(P - Y, axis=1) <= 1e-3)
+                    & (np.abs(np.abs(q.eval_grid(P)) - r) <= tol / 10))
+        Y[polished] = P[polished]
+        raw.extend((embed_from_face(y, zeros, sum_active, d), bool(ok))
+                   for y, ok in zip(Y, polished))
 
     if dom.kind in (SIMPLEX, SIMPLEX_FACE):
         for zeros, sum_active in simplex_faces(d):

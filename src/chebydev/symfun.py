@@ -7,7 +7,6 @@ symmetric-group averaging.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from .polycore import RATIONAL, Poly, PolyError
@@ -72,15 +71,11 @@ def symmetrize(p: Poly) -> Poly:
     permutations of its exponent tuple), which avoids enumerating all d! maps.
     """
     out: dict[tuple[int, ...], object] = {}
-    zero = Fraction(0) if p.field == RATIONAL else 0.0
     for exp, coef in p.terms.items():
         orb = distinct_permutations(exp)
-        if p.field == RATIONAL:
-            share = coef / len(orb)
-        else:
-            share = coef / float(len(orb))
+        share = coef / len(orb)
         for e in orb:
-            out[e] = out.get(e, zero) + share
+            out[e] = out.get(e, 0) + share
     return Poly(p.nvars, out, p.field)
 
 

@@ -8,7 +8,8 @@ import pytest
 from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
                                     build_u5, derive_r5_constants)
 from chebydev.domains import ball, simplex, simplex_face, sphere
-from chebydev.polycore import Poly, restrict_zero
+from chebydev import polycore, supnorm
+from chebydev.polycore import Poly, restrict_affine_last, restrict_zero
 from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
                               dedup_points, level_set, sample_domain, signed_max,
                               sup_norm, vandermonde_factor_report, verify_td_bound)
@@ -221,6 +222,110 @@ class TestLevelSet:
         g = (f - p)
         for q in pts:
             assert abs(abs(g.eval(q)) - 1 / 72) <= tol / 10
+
+
+def _scalar_level_set(f, p, r, dom, tol, resolution):
+    """level_set's earlier point-by-point algorithm, kept as a reference:
+    Gauss-Newton through Poly.eval and gradient Polys, then one Newton polish
+    per projected point."""
+    g = (f - p).to_float64()
+    if dom.kind == "simplex_face":
+        g, d = restrict_affine_last(g), dom.dimension - 1
+    else:
+        d = dom.nvars
+    raw = []
+    for zeros, sum_active in supnorm.simplex_faces(d):
+        k = supnorm._chart_dim(zeros, sum_active, d)
+        q = supnorm.restrict_to_face(g, zeros, sum_active)
+        if k == 0:
+            if abs(abs(q.eval(())) - r) <= tol / 10:
+                raw.append((supnorm.embed_from_face((), zeros, sum_active, d), True))
+            continue
+        pts = supnorm._simplex_lattice(k, max(4, resolution // (1 + len(zeros))))
+        grads = q.gradient()
+        band = np.abs(np.abs(q.eval_grid(pts)) - r)
+        cutoff = max(10 * tol, float(np.min(band)) * 4, 0.05 * r)
+        for y in pts[band <= cutoff]:
+            sgn = 1.0 if q.eval(y) >= 0 else -1.0
+            for _ in range(60):
+                h = q.eval(y) - sgn * r
+                if abs(h) <= tol / 10:
+                    break
+                gv = np.array([gr.eval(y) for gr in grads])
+                if gv @ gv < 1e-30:
+                    break
+                y = y - h * gv / (gv @ gv)
+                if np.any(y < -1e-12) or y.sum() > 1 + 1e-12:
+                    y = np.clip(y, 0.0, None)
+                    if y.sum() > 1:
+                        y = y / y.sum()
+            if abs(h) > tol / 10:
+                continue
+            polished = False
+            for z in supnorm._newton_critical_points(
+                    q, y[None, :],
+                    lambda Z: np.all(Z > -1e-9, axis=1) & (Z.sum(axis=1) <= 1 + 1e-9),
+                    1e-12 * supnorm._grad_scale(q), 40):
+                if (np.linalg.norm(np.array(z) - y) <= 1e-3
+                        and abs(abs(q.eval(z)) - r) <= tol / 10):
+                    y, polished = np.array(z), True
+            raw.append((supnorm.embed_from_face(tuple(y), zeros, sum_active, d), polished))
+    ordered = [pt for pt, _ in sorted(raw, key=lambda item: (not item[1], item[0]))
+               if abs(abs(g.eval(pt)) - r) <= tol / 10]
+    merged = sorted(ordered[i] for i in dedup_points(ordered, 1e-4))
+    out = [merged[i] for i in dedup_points(merged)]
+    if dom.kind == "simplex_face":
+        out = [tuple(list(pt) + [1.0 - sum(pt)]) for pt in out]
+    return out
+
+
+def _r5_level_inputs(consts):
+    f = Poly.monomial((2, 2, 2)).to_float64()
+    return f, f - (1.0 / consts.leading) * build_r5(consts), 1.0 / consts.leading
+
+
+class TestBatchedLevelSet:
+    def test_one_derivatives_build_per_chart(self, consts, monkeypatch):
+        # the criterion-05 inputs: the 2-simplex chart of sum x_i = 1 has four
+        # faces of positive dimension (interior and three edges)
+        built = []
+        init = polycore.Derivatives.__init__
+
+        def counting_init(self, q):
+            built.append(q)
+            init(self, q)
+
+        monkeypatch.setattr(polycore.Derivatives, "__init__", counting_init)
+        f, p, r = _r5_level_inputs(consts)
+        level_set(f, p, r, simplex_face(3), tol=1e-9, resolution=48, seed=0)
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("case", ["r5_face", "t3_simplex"])
+    def test_matches_scalar_reference(self, consts, case):
+        if case == "r5_face":
+            (f, p, r), dom, res = _r5_level_inputs(consts), simplex_face(3), 48
+        else:
+            f, r, dom, res = Poly.monomial((1, 1, 1)).to_float64(), 1 / 72, simplex(3), 24
+            p = f - (1.0 / 72.0) * build_t3(3).to_float64()
+        got = level_set(f, p, r, dom, tol=1e-9, resolution=res, seed=0)
+        want = _scalar_level_set(f, p, r, dom, tol=1e-9, resolution=res)
+        assert len(got) == len(want) > 0
+        assert max(max(abs(a - b) for a, b in zip(u, v)) for u, v in zip(got, want)) <= 1e-12
+
+    def test_feasible_is_a_row_mask(self):
+        q = Poly(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -0.6, (0, 1): -0.8}, "float64")
+        starts = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.05]])
+        shapes = []
+
+        def keep_all(Y):
+            shapes.append(Y.shape)
+            return np.ones(len(Y), dtype=bool)
+
+        found = supnorm._newton_critical_points(q, starts, keep_all, 1e-12)
+        assert shapes == [(3, 2)]
+        assert np.allclose(found, [(0.3, 0.4)])
+        assert supnorm._newton_critical_points(
+            q, starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12) == []
 
 
 class TestDeterminant:
