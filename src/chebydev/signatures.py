@@ -118,7 +118,7 @@ def build_l_functional(d: int) -> SignedPointSet:
     """The annihilating functional of the T_d signature: weight j^{d-1} and
     sign (-1)^{d-j} on every point of the a_j orbit, j = d down to 1."""
     if d < 3:
-        raise PolyError(f"the functional is defined for d >= 3, got {d}")
+        raise PolyError(f"T_d extremal data is defined for d >= 3, got {d}")
     points: list[Point] = []
     signs: list[int] = []
     weights: list[Fraction] = []

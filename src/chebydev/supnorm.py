@@ -205,21 +205,19 @@ def _chart_newton(ders: Derivatives, X: np.ndarray, grad_tol: float, max_iter: i
     return _lockstep(X, ders.gradient, advance, grad_tol, max_iter)
 
 
-def _newton_critical_points(q: Poly, starts: np.ndarray, feasible,
-                            grad_tol: float, max_iter: int = 60):
+def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: float):
     """Multi-start Newton for grad q = 0 inside a chart; feasible maps an (n, k)
     array of chart points to a row mask.  Returns deduplicated chart points."""
     k = q.nvars
     if k == 0:
         return [()]
     X = np.array(starts, dtype=float).reshape(-1, k)
-    ok = _chart_newton(Derivatives(q), X, grad_tol, max_iter)
+    ok = _chart_newton(Derivatives(q), X, grad_tol, 60)
     found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
     return [found[i] for i in dedup_points(found)]
 
 
-def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
-                            max_iter: int = 80):
+def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float):
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1,
     solved by Newton on the bordered system in the rows (x, lambda)."""
     d = p.nvars
@@ -229,27 +227,25 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float,
     X = X[nrm > 0] / nrm[nrm > 0, None]
     Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders.gradient(X), X)])
 
-    # x is sliced out contiguously: numpy may round strided rows in another order
     def residual(Z):
-        X, lam = np.ascontiguousarray(Z[:, :d]), Z[:, d]
+        X, lam = Z[:, :d], Z[:, d]
         return np.concatenate([ders.gradient(X) - 2 * lam[:, None] * X,
                                (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1)
 
     def advance(Z, F):
-        X, lam = np.ascontiguousarray(Z[:, :d]), Z[:, d]
+        X, lam = Z[:, :d], Z[:, d]
         J = np.zeros((len(Z), d + 1, d + 1))
         J[:, :d, :d] = ders.hessian(X) - 2 * lam[:, None, None] * np.eye(d)
         J[:, :d, d] = -2 * X
         J[:, d, :d] = 2 * X
         s = _batched_solve(J, F)
         Z = Z + s
-        X = np.ascontiguousarray(Z[:, :d])
-        n = np.linalg.norm(X, axis=1)
+        n = np.linalg.norm(Z[:, :d], axis=1)
         pos = n > 0
-        Z[pos, :d] = X[pos] / n[pos, None]
+        Z[pos, :d] /= n[pos, None]
         return Z, np.linalg.norm(s, axis=1) <= 1e-15
 
-    ok = _lockstep(Z, residual, advance, grad_tol, max_iter)
+    ok = _lockstep(Z, residual, advance, grad_tol, 80)
     found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
     return [found[i] for i in dedup_points(found)]
 

@@ -224,10 +224,34 @@ class TestLevelSet:
             assert abs(abs(g.eval(q)) - 1 / 72) <= tol / 10
 
 
+def _scalar_newton(q, y, grad_tol):
+    """The level-set polish from one start, written out with Poly.eval: damped
+    Newton for grad q = 0, at most 40 steps; None where it fails."""
+    grads = q.gradient()
+    hess = [[g.partial(j) for j in range(q.nvars)] for g in grads]
+    x = np.array(y, dtype=float)
+    for _ in range(40):
+        g = np.array([gr.eval(x) for gr in grads])
+        if np.max(np.abs(g)) <= grad_tol:
+            return x
+        H = np.array([[h.eval(x) for h in row] for row in hess])
+        scale = max(float(np.abs(H).max()), 1e-30) ** q.nvars
+        if not np.isfinite(H).all() or abs(np.linalg.det(H)) <= 1e-14 * scale:
+            return None
+        s = np.linalg.solve(H, -g)
+        limit, norm = 1.0 + np.linalg.norm(x), np.linalg.norm(s)
+        if norm > limit:
+            s *= limit / norm
+        x = x + s
+        if norm <= 1e-15 * (1.0 + np.linalg.norm(x)):
+            return x
+    return None
+
+
 def _scalar_level_set(f, p, r, dom, tol, resolution):
     """level_set's earlier point-by-point algorithm, kept as a reference:
     Gauss-Newton through Poly.eval and gradient Polys, then one Newton polish
-    per projected point."""
+    per projected point, none of it through supnorm's lockstep solvers."""
     g = (f - p).to_float64()
     if dom.kind == "simplex_face":
         g, d = restrict_affine_last(g), dom.dimension - 1
@@ -261,14 +285,12 @@ def _scalar_level_set(f, p, r, dom, tol, resolution):
                         y = y / y.sum()
             if abs(h) > tol / 10:
                 continue
-            polished = False
-            for z in supnorm._newton_critical_points(
-                    q, y[None, :],
-                    lambda Z: np.all(Z > -1e-9, axis=1) & (Z.sum(axis=1) <= 1 + 1e-9),
-                    1e-12 * supnorm._grad_scale(q), 40):
-                if (np.linalg.norm(np.array(z) - y) <= 1e-3
-                        and abs(abs(q.eval(z)) - r) <= tol / 10):
-                    y, polished = np.array(z), True
+            z = _scalar_newton(q, y, 1e-12 * supnorm._grad_scale(q))
+            polished = (z is not None and np.all(z > -1e-9) and z.sum() <= 1 + 1e-9
+                        and np.linalg.norm(z - y) <= 1e-3
+                        and abs(abs(q.eval(z)) - r) <= tol / 10)
+            if polished:
+                y = z
             raw.append((supnorm.embed_from_face(tuple(y), zeros, sum_active, d), polished))
     ordered = [pt for pt, _ in sorted(raw, key=lambda item: (not item[1], item[0]))
                if abs(abs(g.eval(pt)) - r) <= tol / 10]
