@@ -6,7 +6,8 @@ construct   build a family member (r3, r5, td) and emit a JSON report
 verify      run verification suites (signature, supnorm, laplacian, cubature,
             determinant, combi, all) over a dimension range
 approx      best-approximation oracle for a monomial target
-rd-table    CSV table of the scale constants r_d with prime factorizations
+rd-table    CSV table of the scale constants r_d with prime factorizations (a
+            factor marked "?" is >= 3.3e24 and only a Miller-Rabin probable prime)
 surface     CSV samples of U_3 / U_5 over a triangular grid
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
@@ -24,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .constructions import (build_r5_repaired, build_r5_report, build_td,
-                            compute_rd, prime_factorization, r5_face_defect)
+from .constructions import (MR_PROVEN_BOUND, build_r5_repaired, build_r5_report,
+                            build_td, compute_rd, prime_factorization, r5_face_defect)
 from .domains import ball, simplex, sphere
 from .lp import LPError
 from .polycore import PolyError, laplacian, poly_to_json_dict
@@ -90,11 +91,7 @@ def _parse_tols(pairs: list[str]) -> dict:
 
 
 def _config_block(args, tols) -> dict:
-    return {
-        "version": __version__,
-        "seed": getattr(args, "seed", 0),
-        "tolerances": tols,
-    }
+    return {"version": __version__, "seed": args.seed, "tolerances": tols}
 
 
 # --------------------------------------------------------------------------
@@ -342,8 +339,8 @@ def cmd_rd_table(args) -> int:
             sys.stderr.write(f"rd-table: method disagreement at d={d}\n")
             return EXIT_NUMERICAL
         fact = prime_factorization(rd)
-        fact_str = "*".join(f"{p}^{e}" if e > 1 else str(p)
-                            for p, e in sorted(fact.items()))
+        fact_str = "*".join(str(p) + "?" * (p >= MR_PROVEN_BOUND) + (f"^{e}" if e > 1 else "")
+                            for p, e in fact.items())
         lines.append(f"{d},{rd},{fact_str}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -410,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rd-table", help="emit the r_d table as CSV")
     p.add_argument("--max-d", type=int, required=True)
-    common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_rd_table)
 
     p = sub.add_parser("surface", help="triangular-grid samples of U_3 / U_5")
     p.add_argument("--poly", choices=["u3", "u5"], required=True)
     p.add_argument("--grid", type=int, default=32)
-    common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_surface)
     return parser
 

@@ -34,6 +34,11 @@ R5_ROOT_BRACKET = (-1.3, -1.1)
 R5_SCAN_STEP = 0.01
 R5_SCAN_RANGE = (-10.0, 10.0)
 
+# Miller-Rabin bases (the first 13 primes) and the bound below which they
+# decide primality (Sorenson & Webster 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
+
 
 # --------------------------------------------------------------------------
 # the exact family T_d and its scale r_d
@@ -80,24 +85,73 @@ def compute_rd(d: int, method: str = "closed_form") -> int:
     raise PolyError(f"unknown method {method!r}; use 'closed_form' or 'recursive'")
 
 
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases MR_BASES, for n > 1 with no prime factor in
+    MR_BASES; a proof of primality below MR_PROVEN_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    cycle search, products of 128 differences per gcd."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:   # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise PolyError(f"no factor of {n} found")
+
+
 def prime_factorization(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (fine for the r_d table sizes)."""
+    """Prime factorization: the primes in MR_BASES by division, the rest by
+    Pollard-Brent rho.  A factor at or above MR_PROVEN_BOUND is only a
+    probable prime (it passed the Miller-Rabin test)."""
     if n <= 0:
         raise PolyError(f"expected a positive integer, got {n}")
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in MR_BASES:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    q = 7
-    while q * q <= n:
-        while n % q == 0:
-            factors[q] = factors.get(q, 0) + 1
-            n //= q
-        q += 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            g = _rho_factor(m)
+            pending += [g, m // g]
+    return dict(sorted(factors.items()))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .polycore import (RATIONAL, Poly, PolyError,
                        monomial_exponents,  # re-exported: signatures' public API
                        poly_from_json_dict, poly_to_json_dict)
 from .constructions import R5Constants
+from .symfun import distinct_permutations, partitions_upto
 
 Point = tuple
 
@@ -94,8 +95,7 @@ class Certificate:
 
 def orbit(base: Sequence) -> list[Point]:
     """All distinct coordinate permutations of a point, canonically ordered."""
-    from itertools import permutations
-    return sorted(set(permutations(tuple(base))))
+    return sorted(distinct_permutations(tuple(base)))
 
 
 def uniform_support_point(j: int, d: int) -> Point:
@@ -109,8 +109,11 @@ def build_extremal_sets(d: int) -> tuple[list[Point], list[Point]]:
     For odd d the +1 ladder uses j = d, d-2, ..., 1 and the -1 ladder the even
     j; parities swap for even d.  Every point lies on the face sum x_i = 1.
     """
-    ladders = build_l_functional(d)
-    signed = list(zip(ladders.points, ladders.signs))
+    return _split_by_sign(build_l_functional(d))
+
+
+def _split_by_sign(sps: SignedPointSet) -> tuple[list[Point], list[Point]]:
+    signed = list(zip(sps.points, sps.signs))
     return [pt for pt, sg in signed if sg > 0], [pt for pt, sg in signed if sg < 0]
 
 
@@ -186,13 +189,7 @@ def r5_diagonal_parameters(consts: R5Constants) -> tuple[float, float]:
 def r5_extremal_sets(consts: R5Constants) -> tuple[list[Point], list[Point]]:
     """S_plus and S_minus of the R_5 family on the face sum x_i = 1
     (the origin, where R_5 = 1 as well, is excluded from signature supports)."""
-    t_plus, t_minus = r5_diagonal_parameters(consts)
-    s = math.sqrt(2.0)
-    s_plus = ([(1 / 3, 1 / 3, 1 / 3)] + orbit((1.0, 0.0, 0.0))
-              + orbit((0.5, 0.5, 0.0)) + orbit((t_plus, t_plus, 1 - 2 * t_plus)))
-    s_minus = (orbit(((2 - s) / 4, (2 + s) / 4, 0.0))
-               + orbit((t_minus, t_minus, 1 - 2 * t_minus)))
-    return s_plus, s_minus
+    return _split_by_sign(r5_signature(consts))
 
 
 def r5_signature(consts: R5Constants) -> SignedPointSet:
@@ -234,49 +231,37 @@ def _integer_scaled(sps: SignedPointSet):
 def annihilation_residual(sps: SignedPointSet, n: int, d: int):
     """Max over monomials of degree <= n of |sum_v lambda_v sigma(v) v^alpha|.
 
-    Exact (Fraction 0 or not) for rational data; float otherwise.  The sweep
-    runs over every monomial, sharing the partial products of exponent
-    prefixes so the work is one multiply per (monomial, point).
+    Exact (Fraction 0 or not) for rational data, which is scaled to integers
+    in object arrays; float otherwise.  The sweep runs over every monomial,
+    sharing the partial products of exponent prefixes so the work is one
+    multiply per (monomial, point).
     """
     if sps.weights is None:
         raise PolyError("annihilation check needs weights")
     if any(len(p) != d for p in sps.points):
         raise PolyError(f"support points are not {d}-dimensional")
     rational = sps.is_rational()
-    if rational:
-        pts, wts = _integer_scaled(sps)
-        cols = [[p[j] for p in pts] for j in range(d)]
-        sw = [sg * w for sg, w in zip(sps.signs, wts)]
-        worst = 0
-        ones = [1] * len(pts)
-    else:
-        X = np.array([[float(c) for c in p] for p in sps.points])
-        cols = [np.ascontiguousarray(X[:, j]) for j in range(d)]
-        sw = np.array([float(w) for w in sps.weights]) * np.array(sps.signs, dtype=float)
-        worst = 0.0
-        ones = np.ones(len(sps.points))
+    pts, wts = _integer_scaled(sps) if rational else (sps.points, sps.weights)
+    dtype = object if rational else float
+    X = np.array(pts, dtype=dtype).reshape(len(pts), d)
+    cols = [np.ascontiguousarray(X[:, j]) for j in range(d)]
+    sw = np.array(wts, dtype=dtype) * np.array(sps.signs, dtype=dtype)
+    worst = 0
 
     def rec(pos: int, rem: int, prod):
         nonlocal worst
         if pos == d:
-            if rational:
-                acc = sum(p * w for p, w in zip(prod, sw))
-                worst = max(worst, abs(acc))
-            else:
-                worst = max(worst, abs(float(prod @ sw)))
+            worst = max(worst, abs(prod @ sw))
             return
         rec(pos + 1, rem, prod)
         v = prod
         for _ in range(rem):
             rem -= 1
-            if rational:
-                v = [a * b for a, b in zip(v, cols[pos])]
-            else:
-                v = v * cols[pos]
+            v = v * cols[pos]
             rec(pos + 1, rem, v)
 
-    rec(0, n, ones)
-    return Fraction(worst) if rational else worst
+    rec(0, n, np.ones(len(pts), dtype=dtype))
+    return Fraction(worst) if rational else float(worst)
 
 
 def check_annihilation(sps: SignedPointSet, n: int, d: int,
@@ -320,9 +305,11 @@ def _group_orbits(points: list[Point], sign: int):
     return [(rep, pts, sign) for rep, pts in sorted(groups.items(), key=lambda kv: str(kv[0]))]
 
 
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int):
-    """Row-reduce an exact matrix; return (pivot column list, nullspace basis)."""
-    mat = [row[:] for row in rows]
+def _rational_nullspace(A: np.ndarray) -> np.ndarray:
+    """Row-reduce an exact object matrix; its nullspace basis as the columns
+    of a (k, r) object array."""
+    ncols = A.shape[1]
+    mat = [list(row) for row in A]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -341,14 +328,20 @@ def _rational_nullspace(rows: list[list[Fraction]], ncols: int):
         if r == len(mat):
             break
     free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    N = np.full((ncols, len(free)), Fraction(0), dtype=object)
+    for col, fc in enumerate(free):
+        N[fc, col] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            vec[pc] = -mat[ri][fc]
-        basis.append(vec)
-    return pivots, basis
+            N[pc, col] = -mat[ri][fc]
+    return N
+
+
+def _float_nullspace(A: np.ndarray) -> np.ndarray:
+    """Right singular vectors of A below SV_CUTOFF relative to the largest
+    singular value, as the columns of a (k, r) array."""
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > SV_CUTOFF * (s[0] if s.size else 1.0)))
+    return vt[rank:].T
 
 
 def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
@@ -360,22 +353,22 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     annihilation system leaves more than one degree of freedom, annihilation
     conditions of degree n+1, n+2, ... are imposed inside the remaining
     freedom (most-annihilating selection); this tie-break is what makes the
-    returned weights canonical.  Rational inputs are solved by exact Gaussian
-    elimination, float inputs by SVD least squares with singular-value cutoff.
+    returned weights canonical.  Rational inputs are solved exactly in object
+    arrays by Gaussian elimination, float inputs by SVD with a singular-value
+    cutoff; the steps are the same in both fields.
     """
     orbits = _group_orbits(s_plus, 1) + _group_orbits(s_minus, -1)
     reps = [rep for rep, _, _ in orbits]
     sizes = [len(pts) for _, pts, _ in orbits]
     signs = [sg for _, _, sg in orbits]
-    k = len(orbits)
     rational = all(isinstance(c, Rational) for rep in reps for c in rep)
+    num, dtype = (Fraction, object) if rational else (float, float)
+    nullspace = _rational_nullspace if rational else _float_nullspace
+    mass_floor = 0 if rational else 1e-14
 
-    num = Fraction if rational else float
-
-    def condition_rows(degree_lo: int, degree_hi: int):
+    def condition_rows(degree_lo: int, degree_hi: int) -> np.ndarray:
         # Orbits are permutation-closed, so the condition row of a monomial
         # depends only on its exponent multiset: one row per partition.
-        from .symfun import partitions_upto
         rows = []
         for part in partitions_upto(degree_hi, d):
             if sum(part) < degree_lo:
@@ -385,92 +378,40 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
             rows.append([sg * sum(math.prod((num(c) ** e for c, e in zip(p, mon) if e),
                                             start=num(1)) for p in pts)
                          for _, pts, sg in orbits])
-        return rows
+        return np.array(rows, dtype=dtype)
 
-    if rational:
-        rows = condition_rows(0, n)
-        pivots, basis = _rational_nullspace(rows, k)
-        base_dim = len(basis)
-        if base_dim == 0:
-            return SignatureSolution(False, "annihilation system admits only the zero functional",
-                                     base_nullspace_dim=0)
-        ext_degree = n
-        # extend annihilation degree within the nullspace while freedom remains
-        while len(basis) > 1 and ext_degree < n + MAX_EXTENSION:
-            ext_degree += 1
-            ext_rows = condition_rows(ext_degree, ext_degree)
-            # rows acting on nullspace coordinates
-            reduced = [[sum(r[j] * vec[j] for j in range(k)) for vec in basis]
-                       for r in ext_rows]
-            piv2, basis2 = _rational_nullspace(reduced, len(basis))
-            if not basis2:
-                break  # extension would force zero; stop extending
-            basis = [[sum(b2[i] * basis[i][j] for i in range(len(basis)))
-                      for j in range(k)] for b2 in basis2]
-        # normalize total mass 1 over a positive element of the solution space
-        candidate = None
-        for vec in basis:
-            mass = sum(v * s for v, s in zip(vec, sizes))
-            if mass == 0:
-                continue
-            scaled = [v / mass for v in vec]
-            if all(v > 0 for v in scaled):
-                candidate = scaled
-                break
-            if all(v < 0 for v in scaled):
-                candidate = [-v for v in scaled]
-                break
-        if candidate is None and len(basis) == 1:
-            vec = basis[0]
-            mass = sum(v * s for v, s in zip(vec, sizes))
-            if mass != 0:
-                scaled = [v / mass for v in vec]
-                bad = [i for i, v in enumerate(scaled) if not v > 0]
-                return SignatureSolution(
-                    False, f"unique ray has non-positive weight on orbits {bad}",
-                    base_nullspace_dim=base_dim, extension_degree=ext_degree)
-            return SignatureSolution(False, "solution ray cannot be normalized",
-                                     base_nullspace_dim=base_dim,
-                                     extension_degree=ext_degree)
-        if candidate is None:
-            return SignatureSolution(
-                False, f"no positive ray found in a {len(basis)}-dimensional "
-                       "solution space (selection is deterministic, not exhaustive)",
-                base_nullspace_dim=base_dim, extension_degree=ext_degree)
-        weights = candidate
-        residual = 0.0
+    A = condition_rows(0, n)
+    N = nullspace(A)
+    base_dim = N.shape[1]
+    if base_dim == 0:
+        return SignatureSolution(False, "annihilation system admits only the zero functional",
+                                 base_nullspace_dim=0)
+    ext_degree = n
+    # extend annihilation degree within the nullspace while freedom remains
+    while N.shape[1] > 1 and ext_degree < n + MAX_EXTENSION:
+        ext_degree += 1
+        N2 = nullspace(condition_rows(ext_degree, ext_degree) @ N)
+        if N2.shape[1] == 0:
+            break  # extension would force zero; stop extending
+        N = N @ N2
+    # normalize total mass 1 over the first positive column of the solution space
+    reason = "solution ray cannot be normalized"
+    for vec in N.T:
+        mass = vec @ np.array(sizes, dtype=dtype)
+        if mass == 0 or abs(mass) < mass_floor:
+            continue
+        weights = vec / mass
+        bad = [i for i, v in enumerate(weights) if not v > 0]
+        if not bad:
+            break
+        reason = f"solution ray has non-positive weight on orbits {bad}"
     else:
-        A = np.array(condition_rows(0, n), dtype=float)
-        u, s, vt = np.linalg.svd(A, full_matrices=True)
-        rank = int(np.sum(s > SV_CUTOFF * (s[0] if s.size else 1.0)))
-        base_dim = k - rank
-        if base_dim == 0:
-            return SignatureSolution(False, "annihilation system admits only the zero functional",
-                                     base_nullspace_dim=0)
-        N = vt[rank:].T  # k x base_dim
-        ext_degree = n
-        while N.shape[1] > 1 and ext_degree < n + MAX_EXTENSION:
-            ext_degree += 1
-            E = np.array(condition_rows(ext_degree, ext_degree))
-            R = E @ N
-            u2, s2, vt2 = np.linalg.svd(R, full_matrices=True)
-            rank2 = int(np.sum(s2 > SV_CUTOFF * (s2[0] if s2.size and s2[0] > 0 else 1.0)))
-            if rank2 == R.shape[1]:
-                break
-            N = N @ vt2[rank2:].T
-        vec = N[:, 0]
-        mass = float(vec @ np.array(sizes, dtype=float))
-        if abs(mass) < 1e-14:
-            return SignatureSolution(False, "solution ray cannot be normalized",
-                                     base_nullspace_dim=base_dim,
-                                     extension_degree=ext_degree)
-        weights = list(vec / mass)
-        if not all(w > 0 for w in weights):
-            bad = [i for i, w in enumerate(weights) if not w > 0]
-            return SignatureSolution(
-                False, f"selected ray has non-positive weight on orbits {bad}",
-                base_nullspace_dim=base_dim, extension_degree=ext_degree)
-        residual = float(np.max(np.abs(A @ np.array(weights))))
+        if N.shape[1] > 1:
+            reason = (f"no positive ray found in a {N.shape[1]}-dimensional solution "
+                      "space (selection is deterministic, not exhaustive)")
+        return SignatureSolution(False, reason, base_nullspace_dim=base_dim,
+                                 extension_degree=ext_degree)
+    residual = float(np.max(np.abs(A @ weights)))
 
     points, point_signs, point_weights = [], [], []
     for (rep, pts, sg), w in zip(orbits, weights):

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from chebydev import cli
+from chebydev.constructions import compute_rd
 
 
 def run(args, capsys):
@@ -122,6 +124,27 @@ class TestTables:
 
     def test_rd_table_bad_flag(self, capsys):
         assert cli.main(["rd-table", "--max-d", "2"]) == 2
+
+    def test_rd_table_to_d30_multiplies_back(self, capsys):
+        code, out = run(["rd-table", "--max-d", "30"], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(3, 31))
+        for row in rows:
+            d, rd, fact = row.split(",")
+            factors = [f.partition("^") for f in fact.split("*")]
+            assert math.prod(int(b.rstrip("?")) ** int(e or 1) for b, _, e in factors) \
+                == int(rd) == compute_rd(int(d))
+        # r_30's 30-digit cofactor lies past the proven Miller-Rabin range
+        assert rows[-1].endswith("*141394687279295136642440200829?")
+
+    @pytest.mark.parametrize("argv", [["rd-table", "--max-d", "3", "--seed", "1"],
+                                      ["rd-table", "--max-d", "3", "--tol", "supnorm=1"],
+                                      ["surface", "--poly", "u3", "--seed", "1"]])
+    def test_table_commands_reject_inert_flags(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     def test_surface_u5_grid3(self, capsys):
         code, out = run(["surface", "--poly", "u5", "--grid", "3"], capsys)

@@ -37,6 +37,10 @@ class TestScaleConstants:
         assert prime_factorization(value) == factors
         assert math.prod(p ** e for p, e in factors.items()) == value
 
+    def test_strong_pseudoprime_is_split(self):
+        # 3215031751 passes Miller-Rabin to the bases 2, 3, 5 and 7
+        assert prime_factorization(3215031751) == {151: 1, 751: 1, 28351: 1}
+
     @pytest.mark.parametrize("d", range(3, 15))
     def test_closed_form_agrees_with_recursion(self, d):
         assert compute_rd(d, "closed_form") == compute_rd(d, "recursive")

@@ -23,6 +23,10 @@ def consts():
     return derive_r5_constants()
 
 
+def _float_points(points):
+    return [tuple(float(c) for c in p) for p in points]
+
+
 class TestOrbit:
     def test_sizes(self):
         assert len(orbit((1, 0, 0))) == 3
@@ -101,6 +105,14 @@ class TestAnnihilatingFunctional:
                                 [L.signs[i] for i in keep],
                                 [L.weights[i] for i in keep])
         assert not check_annihilation(broken, 2, 3)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_residual_in_both_fields(self, d):
+        L = build_l_functional(d)
+        exact = annihilation_residual(L, d - 1, d)
+        assert isinstance(exact, Fraction) and exact == 0
+        Lf = SignedPointSet(_float_points(L.points), L.signs, [float(w) for w in L.weights])
+        assert annihilation_residual(Lf, d - 1, d) <= 1e-12 * sum(Lf.weights)
 
     def test_r5_functional_annihilates_degree_5(self, consts):
         sig = r5_signature(consts)
@@ -206,6 +218,36 @@ class TestSolveWeights:
         assert sol.feasible
         for rep, w in zip(sol.orbit_reps, sol.orbit_weights):
             assert w == expect[tuple(sorted(rep))]
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_float_ladders_match_the_exact_weights(self, d):
+        s_plus, s_minus = build_extremal_sets(d)
+        exact = solve_signature_weights(s_plus, s_minus, d - 1, d)
+        approx = solve_signature_weights(_float_points(s_plus), _float_points(s_minus),
+                                         d - 1, d)
+        assert approx.feasible
+        assert approx.base_nullspace_dim == exact.base_nullspace_dim
+        assert approx.extension_degree == exact.extension_degree
+        want = {rep: float(w) for rep, w in
+                zip(_float_points(exact.orbit_reps), exact.orbit_weights)}
+        got = dict(zip(approx.orbit_reps, approx.orbit_weights))
+        assert got.keys() == want.keys()
+        assert max(abs(got[rep] - want[rep]) for rep in want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_failures_read_the_same_in_both_fields(self, n):
+        s_plus, s_minus = build_extremal_sets(3)
+        vertices = set(orbit((1, 0, 0)))
+        # the vertex orbit on the minus side: the one ray has a negative weight there
+        moved = ([p for p in s_plus if p not in vertices],
+                 [p for p in s_plus if p in vertices] + s_minus)
+        for (plus, minus), reason in ((moved, "non-positive weight on orbits [1]"),
+                                      ((s_plus + s_minus, []), "cannot be normalized")):
+            exact = solve_signature_weights(plus, minus, n, 3)
+            approx = solve_signature_weights(_float_points(plus), _float_points(minus), n, 3)
+            assert exact.feasible is False and approx.feasible is False
+            assert reason in exact.reason
+            assert approx.reason == exact.reason
 
 
 def _td_certificate(d):
