@@ -184,7 +184,8 @@ def _scaled_basis(basis: list[Poly], domain: Domain):
         recon = Poly.zero(d)
         for i, key in enumerate(keys):
             M[i][j] = Fraction(s.coefficient(key))
-            recon = recon + M[i][j] * basis[i]
+            if M[i][j]:
+                recon = recon + M[i][j] * basis[i]
         if recon != s:
             raise PolyError("affine rescaling left the basis span")
     return scaled, np.array([[float(v) for v in row] for row in M])
@@ -304,7 +305,7 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
     result.equioscillation_count = int(np.sum(near))
     result.equioscillation_ok = result.equioscillation_count >= len(pb.basis) + 1
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
-        result.warning = f"dual objective {obj} differs from recovered t {t}"
+        raise LPError(f"dual objective {obj} differs from recovered t {t}")
     return result
 
 
@@ -464,7 +465,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         final.coefficients = result.coefficients
         result = final
-    result.warning = "; ".join(w for w in (result.warning, unclosed) if w)
+    result.warning = unclosed
     result.deviation_lower = result.deviation
     result.deviation_upper = gap_log[-1][1]
     result.exchange_iterations = len(gap_log)

@@ -307,7 +307,7 @@ def cmd_approx(args) -> int:
     except (LPError, PolyError) as exc:
         sys.stderr.write(f"approx: solver failed: {exc}\n")
         return EXIT_NUMERICAL
-    if "did not close the gap" in res.warning:
+    if res.warning:
         sys.stderr.write(f"approx: {res.warning}\n")
         return EXIT_NUMERICAL
     payload = {

@@ -11,6 +11,7 @@ from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  remez_exchange, verify_correspondence)
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import ball, simplex, sphere
+from chebydev.lp import LPError
 from chebydev.polycore import Poly, PolyError
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
@@ -108,6 +109,18 @@ class TestDiscreteMinimax:
             value[grid] = res.deviation
         assert value[16] >= value[8]
         assert value[24] >= value[12]
+
+    def test_full_basis_value_closes_or_raises(self):
+        # a dual objective that differs from the recovered level is a solver
+        # failure, never a value with a warning attached
+        prob = ApproxProblem(Poly.monomial((2, 2, 2)), 5, simplex(3), "full", grid=8)
+        try:
+            res = discrete_minimax(prob)
+        except LPError:
+            return
+        pts = bestapprox.approx_grid(prob.domain, prob.grid)
+        closure = np.max(np.abs(res.residual_poly(prob.target).eval_grid(pts)))
+        assert closure == pytest.approx(res.deviation, rel=1e-8)
 
 
 class TestRemezExchange:

@@ -174,6 +174,52 @@ class TestTdBound:
                    for q in chart_extremals)
         assert dist < 1e-7
 
+    def test_each_face_searched_once(self, monkeypatch):
+        # only the charts' interiors are searched at every level; the one full
+        # search is each face x_i = 0 of T_3, where the origin lies
+        searches, sup_norms = [], []
+        crit, sup = supnorm.critical_points, supnorm.sup_norm
+
+        def recorded_crit(p, dom, seed=0, interior_only=False):
+            searches.append((p, dom, interior_only))
+            return crit(p, dom, seed=seed, interior_only=interior_only)
+
+        def recorded_sup(p, dom, *args, **kwargs):
+            sup_norms.append((p, dom))
+            return sup(p, dom, *args, **kwargs)
+
+        monkeypatch.setattr(supnorm, "critical_points", recorded_crit)
+        monkeypatch.setattr(supnorm, "sup_norm", recorded_sup)
+        verify_td_bound(6, resolution=8, seed=0)
+        t3 = build_td(3).polynomial
+        t3_faces = [(restrict_zero(t3, i).to_float64(), simplex(2)) for i in range(3)]
+        interior = [dom for _, dom, only in searches if only]
+        assert sorted(interior, key=lambda dom: dom.dimension) == [
+            simplex(k) for k in (2, 3, 3, 4, 4, 5, 5, 6)]
+        full = [(q.to_float64(), dom) for q, dom, only in searches if not only]
+        assert full == t3_faces
+        assert [(q.to_float64(), dom) for q, dom in sup_norms] == t3_faces
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_each_td_built_once(self, monkeypatch, d):
+        from chebydev import constructions
+        built = []
+        original = constructions.build_td
+
+        def counted(k):
+            built.append(k)
+            return original(k)
+
+        monkeypatch.setattr(constructions, "build_td", counted)
+        verify_td_bound(d, resolution=6, seed=0)
+        assert sorted(built) == list(range(3, d + 1))
+
+    @pytest.mark.parametrize("d,res", [(3, 16), (4, 12), (5, 10)])
+    def test_matches_full_search_of_every_face(self, d, res):
+        full = sup_norm(build_td(d).polynomial, simplex(d), res, seed=0)
+        rep = verify_td_bound(d, resolution=res, seed=0)
+        assert abs(rep["max_abs_estimate"] - full.value) <= 1e-12
+
 
 class TestSubharmonicity:
     @pytest.mark.parametrize("d", [3, 4, 5])
@@ -183,6 +229,13 @@ class TestSubharmonicity:
         boundary = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0,
                               boundary_only=True)
         assert abs(total - boundary) <= 1e-8
+
+    def test_ball_boundary_skips_interior_grid(self):
+        p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
+        assert signed_max(p, ball(2), 6, seed=0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(signed_max(p, ball(2), 6, seed=0, boundary_only=True)) <= 1e-12
+        with pytest.raises(polycore.PolyError):
+            signed_max(p, sphere(2), 6, seed=0, boundary_only=True)
 
 
 class TestLevelSet:
