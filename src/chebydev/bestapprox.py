@@ -313,9 +313,9 @@ def _face_tangent_vectors(point: np.ndarray, domain: Domain) -> list[np.ndarray]
     """Basis of the tangent space of the face of the domain containing the
     point in its relative interior (empty at vertices)."""
     d = len(point)
-    if domain.kind in (SIMPLEX, SIMPLEX_FACE):
+    if domain.kind == SIMPLEX:
         free = [i for i in range(d) if point[i] > FACE_ACTIVE_TOL]
-        sum_active = point.sum() > 1 - FACE_ACTIVE_TOL or domain.kind == SIMPLEX_FACE
+        sum_active = point.sum() > 1 - FACE_ACTIVE_TOL
         if not free:
             return []
         if sum_active:
@@ -411,10 +411,15 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)
     search_res = max(8, prob.grid // 2)
 
+    searched = {}   # coefficient bytes -> (resid, rep): search each vector once
+
     def search(coeffs):
-        resid = pb.target_f - _combination(coeffs, pb.basis_f)
-        return resid, sup_norm(resid, search_domain, resolution=search_res,
-                               seed=seed)
+        key = np.asarray(coeffs, dtype=float).tobytes()
+        if key not in searched:
+            resid = pb.target_f - _combination(coeffs, pb.basis_f)
+            searched[key] = resid, sup_norm(resid, search_domain,
+                                            resolution=search_res, seed=seed)
+        return searched[key]
 
     grid0 = approx_grid(prob.domain, prob.grid)
     points = grid0

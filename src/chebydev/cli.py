@@ -30,7 +30,7 @@ from .constructions import (MR_PROVEN_BOUND, build_r5_repaired, build_r5_report,
 from .domains import ball, simplex, sphere
 from .lp import LPError
 from .polycore import PolyError, laplacian, poly_to_json_dict
-from .signatures import (Certificate, annihilation_residual, build_extremal_sets,
+from .signatures import (Certificate, _split_by_sign, annihilation_residual,
                          build_l_functional, certify_lower_bound, combi_identity,
                          cubature_check, r5_signature, SignedPointSet,
                          solve_signature_weights)
@@ -158,7 +158,7 @@ def _suite_signature(ds, tols, seed):
         res = certify_lower_bound(cert, tol=0)
         checks.append({"name": f"certificate_td_exact_d{d}", "d": d,
                        "passed": res.certified, "failures": res.failures})
-        s_plus, s_minus = build_extremal_sets(d)
+        s_plus, s_minus = _split_by_sign(support)
         sol = solve_signature_weights(s_plus, s_minus, d - 1, d)
         ok = sol.feasible and all(w > 0 for w in sol.orbit_weights)
         checks.append({"name": f"signature_weights_positive_d{d}", "d": d,

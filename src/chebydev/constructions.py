@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .polycore import FLOAT64, RATIONAL, Poly, PolyError, restrict_affine_last
+from .polycore import (FLOAT64, RATIONAL, Poly, PolyError, real_roots,
+                       restrict_affine_last, restrict_zero)
 from .symfun import elementary_symmetric
 
 # Integer coefficients (ascending degree) of the polynomial whose root in
@@ -30,9 +31,6 @@ R5_ROOT_POLY = (
 )
 
 R5_ROOT_BRACKET = (-1.3, -1.1)
-# the sign-change scan for its real roots: step and range
-R5_SCAN_STEP = 0.01
-R5_SCAN_RANGE = (-10.0, 10.0)
 
 # Miller-Rabin bases (the first 13 primes) and the bound below which they
 # decide primality (Sorenson & Webster 2017)
@@ -220,91 +218,44 @@ class R5Constants:
     """
 
     d_root: float
-    a: float
-    b: float
-    c: float
-    leading: float  # 27^2 * b
+
+    @property
+    def a(self) -> float:
+        return 16 * (3 - 4 * self.d_root) / (3 * self.d_root ** 2)
+
+    @property
+    def b(self) -> float:
+        return 32 / self.d_root ** 2
+
+    @property
+    def c(self) -> float:
+        return 32 / 9 + self.a + self.b
+
+    @property
+    def leading(self) -> float:
+        """27^2 b"""
+        return 729 * self.b
 
     def validate(self) -> None:
         if not (R5_ROOT_BRACKET[0] < self.d_root < R5_ROOT_BRACKET[1]):
             raise PolyError(f"d_root {self.d_root} outside {R5_ROOT_BRACKET}")
-        for name, got, want in (
-            ("b", self.b, 32 / self.d_root ** 2),
-            ("a", self.a, 16 * (3 - 4 * self.d_root) / (3 * self.d_root ** 2)),
-            ("c", self.c, 32 / 9 + self.a + self.b),
-            ("leading", self.leading, 729 * self.b),
-        ):
-            if not math.isfinite(got) or abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise PolyError(f"inconsistent R5 constant {name}: {got} vs {want}")
-
-
-def _eval_root_poly(t: float) -> float:
-    acc = 0.0
-    for c in reversed(R5_ROOT_POLY):
-        acc = acc * t + c
-    return acc
-
-
-def _eval_root_poly_deriv(t: float) -> float:
-    acc = 0.0
-    for i in range(len(R5_ROOT_POLY) - 1, 0, -1):
-        acc = acc * t + i * R5_ROOT_POLY[i]
-    return acc
 
 
 def real_roots_of_r5_poly() -> list[float]:
-    """All real roots in R5_SCAN_RANGE of the degree-8 polynomial found by
-    sign-change scan, bisection, and Newton polish."""
-    lo, hi = R5_SCAN_RANGE
-    n = int(round((hi - lo) / R5_SCAN_STEP))
-    roots = []
-    prev_t, prev_v = lo, _eval_root_poly(lo)
-    for i in range(1, n + 1):
-        t = lo + i * R5_SCAN_STEP
-        v = _eval_root_poly(t)
-        if prev_v == 0.0:
-            roots.append(prev_t)
-        elif prev_v * v < 0:
-            a, b = prev_t, t
-            fa = prev_v
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = _eval_root_poly(m)
-                if fm == 0.0 or (b - a) < 1e-14:
-                    break
-                if fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            x = 0.5 * (a + b)
-            for _ in range(50):
-                f = _eval_root_poly(x)
-                df = _eval_root_poly_deriv(x)
-                if df == 0.0:
-                    break
-                step = f / df
-                x -= step
-                if abs(step) < 1e-15 * max(1.0, abs(x)):
-                    break
-            roots.append(x)
-        prev_t, prev_v = t, v
-    return roots
+    """All real roots in (-10, 10) of the degree-8 polynomial R5_ROOT_POLY."""
+    return real_roots(Poly(1, {(k,): c for k, c in enumerate(R5_ROOT_POLY)}),
+                      -10.0, 10.0)
 
 
 def derive_r5_constants() -> R5Constants:
-    """Find the defining root in (-1.3, -1.1) and derive a, b, c, 27^2 b."""
+    """Find the defining root in (-1.3, -1.1); a, b, c and 27^2 b follow."""
     roots = real_roots_of_r5_poly()
     inside = [r for r in roots if R5_ROOT_BRACKET[0] < r < R5_ROOT_BRACKET[1]]
     if not inside:
         raise PolyError(
             f"no real root of the degree-8 polynomial in {R5_ROOT_BRACKET}; "
             f"found roots {roots} (transcription error?)")
-    d_root = inside[0]
-    a = 16 * (3 - 4 * d_root) / (3 * d_root ** 2)
-    b = 32 / d_root ** 2
-    consts = R5Constants(d_root=d_root, a=a, b=b, c=32 / 9 + a + b, leading=729 * b)
-    consts.validate()
-    return consts
+    return R5Constants(d_root=inside[0])
 
 
 def build_r5(consts: R5Constants) -> Poly:
@@ -368,24 +319,13 @@ def r5_face_defect(consts: R5Constants) -> dict:
     critical point (a root of 128x^3 - 192x^2 + 76x - 7) with g > 1, so the
     displayed polynomial is not bounded by 1 on the full simplex even though
     it is on the face sum x_i = 1."""
-    import numpy as np
-
-    from .polycore import restrict_zero
-    face = restrict_zero(build_r5(consts), 2)
     x = Poly.variable(1, 0, FLOAT64)
-    diag = face.compose([x, x])
-    dcoef = diag.partial(0)
-    degree = int(dcoef.degree())
-    coeffs = [float(dcoef.coefficient((k,))) for k in range(degree, -1, -1)]
-    roots = np.roots(coeffs)
-    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < 0.5]
-    best_x, best_v = 0.0, 0.0
-    for rt in real:
-        v = diag.eval((rt,))
-        if abs(v) > abs(best_v):
-            best_x, best_v = rt, v
-    return {"diagonal_parameter": best_x, "value": best_v,
-            "exceeds_one": abs(best_v) > 1}
+    diag = restrict_zero(build_r5(consts), 2).compose([x, x])
+    best = max(real_roots(diag.partial(0), 0.0, 0.5),
+               key=lambda t: abs(diag.eval((t,))), default=0.0)
+    value = diag.eval((best,))
+    return {"diagonal_parameter": best, "value": value,
+            "exceeds_one": abs(value) > 1}
 
 
 def build_r5_repaired(consts: R5Constants) -> Poly:

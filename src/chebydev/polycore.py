@@ -24,6 +24,8 @@ RATIONAL = "rational"
 FLOAT64 = "float64"
 # eval_grid works through at most this many points at a time
 EVAL_CHUNK = 65536
+# real_roots scans its interval in this many equal steps for sign changes
+ROOT_SCAN_STEPS = 2000
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, float, Fraction]
@@ -352,6 +354,58 @@ def laplacian(p: Poly) -> Poly:
     for i in range(p.nvars):
         total = total + p.partial(i).partial(i)
     return total
+
+
+def real_roots(p: Poly, lo: float, hi: float) -> list[float]:
+    """Real roots of the univariate ``p`` in [lo, hi), in increasing order.
+
+    A scan in ROOT_SCAN_STEPS equal steps finds the sign changes (a scan point
+    where p is exactly zero is a root as it stands); each bracket is bisected
+    to 1e-14 and then polished by Newton on the exact derivative.  p and p'
+    are evaluated by Horner on their dense float coefficients."""
+    if p.nvars != 1:
+        raise DimensionMismatchError(f"real_roots needs 1 variable, got {p.nvars}")
+    coeffs = [float(p.coefficient((k,)))
+              for k in range(max((e for (e,) in p.terms), default=0) + 1)]
+    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+
+    def horner(cs: list[float], t: float) -> float:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * t + c
+        return acc
+
+    step = (hi - lo) / ROOT_SCAN_STEPS
+    roots = []
+    prev_t, prev_v = lo, horner(coeffs, lo)
+    for i in range(1, ROOT_SCAN_STEPS + 1):
+        t = lo + i * step
+        v = horner(coeffs, t)
+        if prev_v == 0.0:
+            roots.append(prev_t)
+        elif prev_v * v < 0:
+            a, b, fa = prev_t, t, prev_v
+            for _ in range(200):
+                m = 0.5 * (a + b)
+                fm = horner(coeffs, m)
+                if fm == 0.0 or (b - a) < 1e-14:
+                    break
+                if fa * fm < 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            x = 0.5 * (a + b)
+            for _ in range(50):
+                df = horner(dcoeffs, x)
+                if df == 0.0:
+                    break
+                dx = horner(coeffs, x) / df
+                x -= dx
+                if abs(dx) < 1e-15 * max(1.0, abs(x)):
+                    break
+            roots.append(x)
+        prev_t, prev_v = t, v
+    return roots
 
 
 def restrict_zero(p: Poly, index: int) -> Poly:

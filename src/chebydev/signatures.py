@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .domains import Domain, domain_from_label
-from .polycore import (RATIONAL, Poly, PolyError,
+from .polycore import (FLOAT64, RATIONAL, Poly, PolyError,
                        monomial_exponents,  # re-exported: signatures' public API
-                       poly_from_json_dict, poly_to_json_dict)
+                       poly_from_json_dict, poly_to_json_dict, real_roots)
 from .constructions import R5Constants
 from .symfun import distinct_permutations, partitions_upto
 
@@ -164,26 +164,16 @@ def r5_diagonal_parameters(consts: R5Constants) -> tuple[float, float]:
     (9x + d)^2, so U_5 touches +1 at t_plus = -d/9 and dips to -1 at the
     interior maximizer t_minus of that product, where it equals 2.
     """
-    b, droot = consts.b, consts.d_root
-
-    def prod(x: float) -> float:
-        return 2 * b * x * (1 - 2 * x) * (1 - 3 * x) ** 2 * (9 * x + droot) ** 2
-
-    def dprod(x: float, h: float = 1e-7) -> float:
-        return (prod(x + h) - prod(x - h)) / (2 * h)
-
-    t_plus = -droot / 9
-    x = 0.46
-    for _ in range(100):
-        d1 = dprod(x)
-        d2 = (dprod(x + 1e-7) - dprod(x - 1e-7)) / 2e-7
-        step = d1 / d2
-        x -= step
-        if abs(step) < 1e-14:
-            break
-    if abs(prod(x) - 2.0) > 1e-9:
-        raise PolyError(f"diagonal -1 touch point not found: prod({x}) = {prod(x)}")
-    return t_plus, x
+    x = Poly.variable(1, 0, FLOAT64)
+    prod = (2 * consts.b * x * (1 - 2 * x) * (1 - 3 * x) ** 2
+            * (9 * x + consts.d_root) ** 2)
+    # 1/3 is a double root of prod, so the scan can return it as well
+    t_minus = max(real_roots(prod.partial(0), 1 / 3, 1 / 2),
+                  key=lambda t: prod.eval((t,)), default=math.nan)
+    peak = prod.eval((t_minus,))
+    if not abs(peak - 2.0) <= 1e-9:
+        raise PolyError(f"diagonal -1 touch point not found: prod({t_minus}) = {peak}")
+    return -consts.d_root / 9, t_minus
 
 
 def r5_extremal_sets(consts: R5Constants) -> tuple[list[Point], list[Point]]:

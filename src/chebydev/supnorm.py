@@ -32,7 +32,6 @@ class SupNormReport:
     critical_points: list       # (point, value, location) triples
     grid_resolution: int
     grid_value: float
-    refinement_failures: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -355,8 +354,7 @@ def _refine_grid(pf: Poly, dom: Domain, resolution: int, crits: list) -> SupNorm
             best_val, best_pt, best_loc = val, pt, loc
     return SupNormReport(value=abs(best_val), argmax=best_pt, location=best_loc,
                          critical_points=crits, grid_resolution=resolution,
-                         grid_value=abs(float(vals[gi])),
-                         refinement_failures=0 if crits else 1)
+                         grid_value=abs(float(vals[gi])))
 
 
 def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0,

@@ -161,6 +161,20 @@ class TestRemezExchange:
         assert all(a != b for a, b in zip(searched, searched[1:]))
         assert res.deviation_upper == res.gap_log[-1][1]
 
+    def test_each_residual_is_searched_once(self, monkeypatch):
+        searched = []
+        original = bestapprox.sup_norm
+
+        def recorded(resid, *args, **kwargs):
+            searched.append(resid)
+            return original(resid, *args, **kwargs)
+
+        monkeypatch.setattr(bestapprox, "sup_norm", recorded)
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
+        assert res.exchange_iterations > 1
+        assert all(a != b for i, a in enumerate(searched) for b in searched[:i])
+
     def test_unconverged_exchange_keeps_warning(self):
         res = remez_exchange(ApproxProblem(
             Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8),

@@ -113,6 +113,13 @@ class TestR5Constants:
         assert c.c == pytest.approx(32 / 9 + c.a + c.b, abs=1e-12)
         c.validate()
 
+    def test_constants_are_pinned_bit_for_bit(self):
+        c = derive_r5_constants()
+        assert {k: getattr(c, k).hex() for k in ("d_root", "a", "b", "c", "leading")} == {
+            "d_root": "-0x1.357f3f6213324p+0", "a": "0x1.c97b63a8e4876p+4",
+            "b": "0x1.5e4c1e2588193p+4", "c": "0x1.b0558803a8176p+5",
+            "leading": "0x1.f2c360ec7047ep+13"}
+
 
 @pytest.fixture(scope="module")
 def consts():
@@ -186,6 +193,20 @@ class TestR5FaceDefect:
         t = defect["diagonal_parameter"]
         assert abs(r5.eval((t, t, 0.0))) > 1.1
         assert defect["value"] == pytest.approx(1.1008269060311372, abs=1e-9)
+
+    def test_defect_point_is_the_root_of_the_cubic(self, consts):
+        # the larger root in (0, 0.5) of 128x^3 - 192x^2 + 76x - 7, the one
+        # where the diagonal restriction exceeds 1, by exact bisection
+        def cubic(x):
+            return 128 * x ** 3 - 192 * x ** 2 + 76 * x - 7
+
+        lo, hi = Fraction(2, 5), Fraction(1, 2)
+        assert cubic(lo) > 0 > cubic(hi)
+        while hi - lo > Fraction(1, 2 ** 60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if cubic(mid) > 0 else (lo, mid)
+        t = r5_face_defect(consts)["diagonal_parameter"]
+        assert abs(t - float(lo)) < 1e-14
 
     def test_repaired_polynomial_is_bounded(self, consts):
         from chebydev.domains import simplex

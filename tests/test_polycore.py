@@ -9,7 +9,7 @@ from chebydev.polycore import (
     FLOAT64, Derivatives, DimensionMismatchError, FieldMismatchError, Poly,
     PolyError, insert_zero, laplacian, max_coefficient_difference,
     monomial_exponents, poly_equal, poly_from_json_dict, poly_to_json_dict,
-    restrict_affine_last, restrict_zero,
+    real_roots, restrict_affine_last, restrict_zero,
 )
 from chebydev.constructions import build_t3, build_td, build_u3
 from chebydev.symfun import chebyshev_t, chebyshev_t_shifted, elementary_symmetric
@@ -209,6 +209,23 @@ class TestCalculus:
                 fd = (p.eval(x + step) - p.eval(x - step)) / (2 * h)
                 exact = p.partial(i).eval(x)
                 assert fd == pytest.approx(exact, rel=1e-6, abs=1e-7)
+
+
+class TestRealRoots:
+    def test_chebyshev_roots_in_closed_form(self):
+        # T_5 vanishes at cos((2k+1) pi / 10), k = 0..4
+        got = real_roots(chebyshev_t(5), -1.5, 1.5)
+        want = sorted(math.cos((2 * k + 1) * math.pi / 10) for k in range(5))
+        assert len(got) == 5
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-15
+
+    def test_zero_at_a_scan_point_is_a_root(self):
+        x = Poly.variable(1, 0, FLOAT64)
+        assert real_roots(x * (x - 1), 0.0, 0.5) == [0.0]
+
+    def test_needs_one_variable(self):
+        with pytest.raises(DimensionMismatchError):
+            real_roots(Poly.variable(2, 0), 0.0, 1.0)
 
 
 class TestRestriction:

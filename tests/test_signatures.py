@@ -173,6 +173,21 @@ class TestSolveWeights:
         assert got[(0, half, half)] == Fraction(1, 6)
         assert sum(w * s for w, s in zip(sol.orbit_weights, sol.orbit_sizes)) == 1
 
+    def test_r5_touch_point_is_the_exact_critical_point(self, consts):
+        # t_minus is the root in (0.4, 0.5) of the derivative of
+        # 2b x (1-2x)(1-3x)^2 (9x+d)^2, with b and d taken exactly as floats
+        x = Poly.variable(1, 0)
+        b, droot = Fraction(consts.b), Fraction(consts.d_root)
+        dprod = (2 * b * x * (1 - 2 * x) * (1 - 3 * x) ** 2
+                 * (9 * x + droot) ** 2).partial(0)
+        lo, hi = Fraction(2, 5), Fraction(1, 2)
+        assert dprod.eval((lo,)) > 0 > dprod.eval((hi,))
+        while hi - lo > Fraction(1, 2 ** 60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if dprod.eval((mid,)) > 0 else (lo, mid)
+        _, t_minus = r5_diagonal_parameters(consts)
+        assert abs(t_minus - float(lo)) < 1e-14
+
     def test_r5_recovers_published_constants(self, consts):
         published = {
             "center": 0.0997251873, "vertex": 0.0097228135, "half": 0.0621246411,
