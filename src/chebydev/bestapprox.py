@@ -27,7 +27,7 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import LPError, simplex_solve
-from .polycore import FLOAT64, Poly, PolyError, monomial_exponents
+from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
 from .supnorm import _unique_rows, sample_domain, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
@@ -139,8 +139,7 @@ def invariant_basis(n: int, d: int, kind: str = "full",
         extra = rng.normal(size=(4 * len(basis) + 8, d))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         sample = np.vstack([sample, extra])
-        keep = _independent_columns(
-            np.column_stack([b.eval_grid(sample) for b in basis]))
+        keep = _independent_columns(PolyBatch(basis)(sample))
         basis = [basis[i] for i in keep]
     return basis
 
@@ -227,20 +226,53 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _solve_on_points(target_f: Poly, scaled_basis_f: list[Poly],
-                     points: np.ndarray, names: list[str]):
-    """Assemble and solve the dual LP on the given points.  Returns
-    (t, scaled coefficients, active (index, sign) list, iterations)."""
-    N = len(points)
-    k = len(scaled_basis_f)
-    Phi = np.column_stack([b.eval_grid(points) for b in scaled_basis_f])
-    keep = _independent_columns(Phi)
-    if len(keep) != k:
-        dropped = next(j for j in range(k) if j not in keep)
+@dataclass
+class _ProblemBasis:
+    """What stays fixed while one problem is solved on growing point sets."""
+    target_f: Poly
+    basis: list[Poly]            # original coordinates
+    basis_f: list[Poly]
+    scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
+    M: np.ndarray                # original coefficients = M @ scaled ones
+    grid: np.ndarray             # every point set the problem is solved on contains it
+    columns: PolyBatch           # the LP columns: scaled_f at a point set
+
+
+def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
+    """Basis, grid and LP columns; the rank check on the grid decides every
+    point set of the problem, since each one contains the grid."""
+    basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
+                            for_sphere=prob.domain.kind == SPHERE)
+    scaled, M = _scaled_basis(basis, prob.domain)
+    scaled_f = [b.to_float64() for b in scaled]
+    grid = approx_grid(prob.domain, prob.grid)
+    columns = PolyBatch(scaled_f)
+    keep = _independent_columns(columns(grid))
+    if len(keep) != len(basis):
+        dropped = next(j for j in range(len(basis)) if j not in keep)
         raise PolyError(
-            f"basis is rank-deficient on the grid: {names[dropped]} is "
+            f"basis is rank-deficient on the grid: {basis[dropped]!r} is "
             "dependent on the preceding functions")
-    f = target_f.eval_grid(points)
+    return _ProblemBasis(
+        target_f=prob.target.to_float64(), basis=basis,
+        basis_f=[b.to_float64() for b in basis],
+        scaled_f=scaled_f, M=M, grid=grid, columns=columns)
+
+
+def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
+    """Solve the discrete minimax problem on the domain grid by the dual LP."""
+    pb = _problem_basis(prob)
+    return _minimax_on(pb, pb.grid)
+
+
+def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
+    """Solve the dual LP on points that contain pb.grid.  The multipliers of
+    the optimal basis are the coefficients and the level; its positive
+    columns are the residual extrema."""
+    N = len(points)
+    k = len(pb.basis)
+    Phi = pb.columns(points)
+    f = pb.target_f.eval_grid(points)
     # dual: maximize f.(u - v) s.t. Phi^T (u - v) = 0, sum(u + v) = 1, u, v >= 0
     A = np.zeros((k + 1, 2 * N))
     A[:k, :N] = Phi.T
@@ -252,58 +284,17 @@ def _solve_on_points(target_f: Poly, scaled_basis_f: list[Poly],
     res = simplex_solve(A, b, c)
     if res.status != "optimal":
         raise LPError(f"dual minimax LP returned status {res.status}")
-    coeffs_scaled = res.multipliers[:k]
-    t = res.multipliers[k]
-    active = []
-    for col in res.basis:
-        weight = res.x[col]
-        if weight > 1e-14:
-            idx = col if col < N else col - N
-            sign = 1 if col < N else -1
-            active.append((idx, sign, weight))
-    return float(t), coeffs_scaled, active, res.iterations, float(res.objective)
-
-
-@dataclass
-class _ProblemBasis:
-    """What stays fixed while one problem is solved on growing point sets."""
-    target_f: Poly
-    basis: list[Poly]            # original coordinates
-    basis_f: list[Poly]
-    scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
-    M: np.ndarray                # original coefficients = M @ scaled ones
-    names: list[str]
-
-
-def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
-    basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
-                            for_sphere=prob.domain.kind == SPHERE)
-    scaled, M = _scaled_basis(basis, prob.domain)
-    return _ProblemBasis(
-        target_f=prob.target.to_float64(), basis=basis,
-        basis_f=[b.to_float64() for b in basis],
-        scaled_f=[b.to_float64() for b in scaled], M=M,
-        names=[repr(b) for b in basis])
-
-
-def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
-    """Solve the discrete minimax problem on the domain grid by the dual LP."""
-    points = approx_grid(prob.domain, prob.grid)
-    return _minimax_on(_problem_basis(prob), points)
-
-
-def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
-    t, coeffs_scaled, active, iters, obj = _solve_on_points(
-        pb.target_f, pb.scaled_f, points, pb.names)
-    coeffs = pb.M @ coeffs_scaled
-    result = ApproxResult(
-        deviation=t, coefficients=coeffs, basis_polys=pb.basis,
-        residual_extrema=[(tuple(points[i]), s) for i, s, _ in active],
-        iterations=iters)
+    t = float(res.multipliers[k])
+    coeffs = pb.M @ res.multipliers[:k]
+    extrema = [(tuple(points[col % N]), 1 if col < N else -1)
+               for col in res.basis if res.x[col] > 1e-14]
+    result = ApproxResult(deviation=t, coefficients=coeffs, basis_polys=pb.basis,
+                          residual_extrema=extrema, iterations=res.iterations)
     resid = (pb.target_f - _combination(coeffs, pb.basis_f)).eval_grid(points)
     near = np.abs(np.abs(resid) - t) <= 1e-8 * max(1.0, t)
     result.equioscillation_count = int(np.sum(near))
     result.equioscillation_ok = result.equioscillation_count >= len(pb.basis) + 1
+    obj = float(res.objective)
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
         raise LPError(f"dual objective {obj} differs from recovered t {t}")
     return result
@@ -344,39 +335,35 @@ def _face_tangent_vectors(point: np.ndarray, domain: Domain) -> list[np.ndarray]
     return basis
 
 
-def _equioscillation_fit(target_f: Poly, basis_f: list[Poly], M: np.ndarray,
-                         points: np.ndarray, signs: np.ndarray,
-                         domain: Domain | None = None):
+def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray,
+                         signs: np.ndarray, domain: Domain):
     """Least-squares fit of (coefficients, level) to the confluent extremal
-    system: value rows f(x_e) = sum_k c_k phi_k(x_e) + sigma_e t, plus, when a
-    domain is given, tangency rows grad(f - sum c phi) . u = 0 for every
-    tangent direction u of the face carrying x_e.
+    system: value rows f(x_e) = sum_k c_k phi_k(x_e) + sigma_e t over the
+    conditioned basis, plus tangency rows grad(f - sum c phi) . u = 0 for
+    every tangent direction u of the face carrying x_e.  ``grads`` holds the
+    gradient of f, then of each phi_k.
 
     The tangency rows matter: extremal configurations can sit inside an
     algebraic hypersurface (for the simplex families, the face sum x_i = 1),
     where value interpolation alone leaves the approximant undetermined."""
-    Phi = np.column_stack([b.eval_grid(points) for b in basis_f])
-    A_rows = [np.hstack([Phi, signs[:, None].astype(float)])]
-    rhs_parts = [target_f.eval_grid(points)]
-    if domain is not None:
-        tgrad = [g.eval_grid(points) for g in target_f.gradient()]
-        bgrad = [[g.eval_grid(points) for g in b.gradient()] for b in basis_f]
-        extra_rows, extra_rhs = [], []
-        for e, pt in enumerate(points):
-            for u in _face_tangent_vectors(np.asarray(pt, dtype=float), domain):
-                row = np.array([sum(u[i] * bgrad[k][i][e] for i in range(len(u)))
-                                for k in range(len(basis_f))] + [0.0])
-                extra_rows.append(row)
-                extra_rhs.append(sum(u[i] * tgrad[i][e] for i in range(len(u))))
-        if extra_rows:
-            A_rows.append(np.array(extra_rows))
-            rhs_parts.append(np.array(extra_rhs))
+    A_rows = [np.hstack([pb.columns(points), signs[:, None].astype(float)])]
+    rhs_parts = [pb.target_f.eval_grid(points)]
+    G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
+    extra_rows, extra_rhs = [], []
+    for e, pt in enumerate(points):
+        for u in _face_tangent_vectors(np.asarray(pt, dtype=float), domain):
+            slopes = [sum(u[i] * g[i] for i in range(len(u))) for g in G[e]]
+            extra_rows.append(np.array(slopes[1:] + [0.0]))
+            extra_rhs.append(slopes[0])
+    if extra_rows:
+        A_rows.append(np.array(extra_rows))
+        rhs_parts.append(np.array(extra_rhs))
     A = np.vstack(A_rows)
     rhs = np.concatenate(rhs_parts)
     # row equilibration: value and tangency rows live on different scales
     norms = np.maximum(np.linalg.norm(A, axis=1), 1e-300)
     sol, *_ = np.linalg.lstsq(A / norms[:, None], rhs / norms, rcond=None)
-    return M @ sol[:-1], float(sol[-1])
+    return pb.M @ sol[:-1], float(sol[-1])
 
 
 def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
@@ -406,6 +393,8 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     reported upper bound.
     """
     pb = _problem_basis(prob)
+    # the fit's gradients: the target's, then each conditioned basis function's
+    grads = PolyBatch([g for p in [pb.target_f] + pb.scaled_f for g in p.gradient()])
     search_domain = prob.domain
     if prob.domain.kind == SIMPLEX_FACE:
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)
@@ -421,8 +410,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
                                             resolution=search_res, seed=seed)
         return searched[key]
 
-    grid0 = approx_grid(prob.domain, prob.grid)
-    points = grid0
+    points = pb.grid
     gap_log = []
     unclosed = ""
     for _ in range(max_iter):
@@ -434,8 +422,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             E = np.array([pt for pt, _ in extremal], dtype=float)
             sg = np.sign([val for _, val in extremal])
             try:
-                c2, _ = _equioscillation_fit(pb.target_f, pb.scaled_f, pb.M,
-                                             E, sg, search_domain)
+                c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
                 resid2, rep2 = search(c2)
                 if rep2.value < rep.value:
                     result.coefficients = np.asarray(c2)
@@ -465,7 +452,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     # conditioning noise of the accumulated exchange columns.  (resid, rep)
     # is the last iteration's search of result.coefficients.
     extremal = _near_extremal(rep, resid, result.deviation, 1e-3)
-    clean = np.vstack([grid0] + [np.asarray(pt, dtype=float) for pt, _ in extremal])
+    clean = np.vstack([pb.grid] + [np.asarray(pt, dtype=float) for pt, _ in extremal])
     final = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         final.coefficients = result.coefficients

@@ -10,8 +10,9 @@ rd-table    CSV table of the scale constants r_d with prime factorizations (a
             factor marked "?" is >= 3.3e24 and only a Miller-Rabin probable prime)
 surface     CSV samples of U_3 / U_5 over a triangular grid
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Identical flags and seed produce byte-identical output.
+Exit codes: 0 success, 1 failed or empty verification, 2 usage error, 3
+numerical failure.  JSON reports embed the version and the seed and
+tolerances the command reads; identical flags and seed give identical bytes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def _json_default(obj):
 def _parse_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
+        if int(lo) > int(hi):
+            sys.stderr.write(f"verify: --d range {spec} is descending\n")
+            raise SystemExit(EXIT_USAGE)
         return list(range(int(lo), int(hi) + 1))
     return [int(spec)]
 
@@ -90,17 +94,12 @@ def _parse_tols(pairs: list[str]) -> dict:
     return tols
 
 
-def _config_block(args, tols) -> dict:
-    return {"version": __version__, "seed": args.seed, "tolerances": tols}
-
-
 # --------------------------------------------------------------------------
 # construct
 # --------------------------------------------------------------------------
 
 
 def cmd_construct(args) -> int:
-    tols = _parse_tols(args.tol)
     if args.family in ("td", "r3"):
         d = 3 if args.family == "r3" else args.d
         if d is None or d < 3:
@@ -114,7 +113,7 @@ def cmd_construct(args) -> int:
             "r_value": report.r_value,
             "polynomial": poly_to_json_dict(report.polynomial),
             "construction_log": report.construction_log,
-            "config": _config_block(args, tols),
+            "config": {"version": __version__},
         }
     else:
         report = build_r5_report()
@@ -133,7 +132,7 @@ def cmd_construct(args) -> int:
             "construction_log": report.construction_log,
             "face_defect": defect,
             "repaired_polynomial": poly_to_json_dict(build_r5_repaired(consts)),
-            "config": _config_block(args, tols),
+            "config": {"version": __version__},
         }
     _emit(_json(payload), args.out)
     return EXIT_OK
@@ -269,13 +268,14 @@ def cmd_verify(args) -> int:
     checks = []
     for name in names:
         checks.extend(SUITES[name](ds, tols, args.seed))
-    all_passed = all(c["passed"] for c in checks)
+    # a run that checked nothing (say, d beyond every suite's range) passes nothing
+    all_passed = bool(checks) and all(c["passed"] for c in checks)
     payload = {
         "suite": args.suite,
         "d_range": ds,
         "checks": checks,
         "all_passed": all_passed,
-        "config": _config_block(args, tols),
+        "config": {"version": __version__, "seed": args.seed, "tolerances": tols},
     }
     _emit(_json(payload), args.out)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
@@ -289,7 +289,6 @@ def cmd_verify(args) -> int:
 def cmd_approx(args) -> int:
     from .bestapprox import ApproxProblem, remez_exchange
     from .polycore import Poly
-    tols = _parse_tols(args.tol)
     try:
         exponents = tuple(int(v) for v in args.monomial.split(","))
     except ValueError:
@@ -322,7 +321,7 @@ def cmd_approx(args) -> int:
         "extrema": [{"point": list(p), "sign": s} for p, s in res.residual_extrema],
         "iterations": res.exchange_iterations,
         "equioscillation_count": res.equioscillation_count,
-        "config": _config_block(args, tols),
+        "config": {"version": __version__, "seed": args.seed},
     }
     _emit(_json(payload), args.out)
     return EXIT_OK
@@ -376,22 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def out(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="NAME=VALUE", help="tolerance override")
 
     p = sub.add_parser("construct", help="build a family member")
     p.add_argument("--family", choices=["r3", "r5", "td"], required=True)
     p.add_argument("--d", type=int, default=None)
-    common(p)
+    out(p)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=list(SUITES) + ["all"], required=True)
-    p.add_argument("--d", default="3..5", help="dimension or range, e.g. 3..5")
-    common(p)
+    p.add_argument("--d", default="3..5", help="dimension or ascending range, e.g. 3..5")
+    p.add_argument("--tol", action="append", default=[],
+                   metavar="NAME=VALUE", help="tolerance override")
+    p.add_argument("--seed", type=int, default=0)
+    out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("approx", help="best approximation of a monomial")
@@ -402,18 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=16)
     p.add_argument("--basis", default="auto",
                    choices=["auto", "full", "symmetric", "even", "even-symmetric"])
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    out(p)
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("rd-table", help="emit the r_d table as CSV")
     p.add_argument("--max-d", type=int, required=True)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    out(p)
     p.set_defaults(func=cmd_rd_table)
 
     p = sub.add_parser("surface", help="triangular-grid samples of U_3 / U_5")
     p.add_argument("--poly", choices=["u3", "u5"], required=True)
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    out(p)
     p.set_defaults(func=cmd_surface)
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Mapping, Sequence, Union
 
@@ -22,7 +23,7 @@ import numpy as np
 
 RATIONAL = "rational"
 FLOAT64 = "float64"
-# eval_grid works through at most this many points at a time
+# PolyBatch builds its monomial table for at most this many points at a time
 EVAL_CHUNK = 65536
 # real_roots scans its interval in this many equal steps for sign changes
 ROOT_SCAN_STEPS = 2000
@@ -242,17 +243,7 @@ class Poly:
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (N, nvars) array of points."""
-        p = self if self.field == FLOAT64 else self.to_float64()
-        pts = np.ascontiguousarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != p.nvars:
-            raise DimensionMismatchError(
-                f"grid shape {pts.shape} incompatible with nvars={p.nvars}")
-        exps = np.array(list(p.terms), dtype=np.int64).reshape(len(p.terms), p.nvars)
-        coefs = np.array(list(p.terms.values()), dtype=float)
-        out = np.empty(len(pts))
-        for lo in range(0, len(pts), EVAL_CHUNK):
-            out[lo:lo + EVAL_CHUNK] = monomial_table(pts[lo:lo + EVAL_CHUNK], exps) @ coefs
-        return out
+        return PolyBatch([self])(points)[:, 0]
 
     # -- calculus and substitution -------------------------------------------
 
@@ -309,40 +300,60 @@ class Poly:
         return Poly(self.nvars, {e: float(c) for e, c in self.terms.items()}, FLOAT64)
 
 
-def monomial_table(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """The monomials x**e, one column per exponent row, at C-contiguous points."""
-    pows = points[:, :, None] ** np.arange(int(exps.max(initial=0)) + 1)
-    vals = np.ones((len(points), len(exps)))
-    for i in range(points.shape[1]):
-        vals *= pows[:, i, exps[:, i]]
-    return vals
+class PolyBatch:
+    """Float64 values of several polynomials in the same variables, read from
+    one monomial table per EVAL_CHUNK points.  Column k equals the k-th
+    polynomial's ``eval_grid`` bit for bit: its term columns are gathered
+    C-contiguous (an F-ordered gather takes another BLAS kernel and rounding)
+    and summed by one matrix-vector product; a batch of one reads the table."""
+
+    def __init__(self, polys: Sequence[Poly]):
+        polys = [p.to_float64() for p in polys]
+        self.nvars = polys[0].nvars
+        self.coefs = [np.array(list(p.terms.values()), dtype=float) for p in polys]
+        cols: dict[Exponent, int] = {}  # table column of each exponent
+        self.index = [np.array([cols.setdefault(e, len(cols)) for e in p.terms], dtype=np.intp)
+                      for p in polys] if len(polys) > 1 else [slice(None)]
+        exps = cols or polys[0].terms
+        # row i: the exponent of variable i in each table column
+        self.exps = np.fromiter(chain.from_iterable(exps), np.int64,
+                                len(exps) * self.nvars).reshape(len(exps), self.nvars).T.copy()
+        self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        pts = np.ascontiguousarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise DimensionMismatchError(
+                f"grid shape {pts.shape} incompatible with nvars={self.nvars}")
+        out = np.empty((len(pts), len(self.coefs)))
+        for lo in range(0, len(pts), EVAL_CHUNK):
+            chunk = pts[lo:lo + EVAL_CHUNK]
+            pows = chunk[:, :, None] ** self.powers
+            # copy the first factor in rather than multiply it into ones: same bits, one pass less
+            table = np.empty((len(chunk), self.exps.shape[1]))
+            table[...] = pows[:, 0, self.exps[0]] if self.nvars else 1.0
+            for i in range(1, self.nvars):
+                table *= pows[:, i, self.exps[i]]
+            for k, (idx, coefs) in enumerate(zip(self.index, self.coefs)):
+                out[lo:lo + EVAL_CHUNK, k] = np.ascontiguousarray(table[:, idx]) @ coefs
+        return out
 
 
 class Derivatives:
-    """Gradient and Hessian of a polynomial in float64, each batch read from one
-    monomial table; every entry equals its partial's ``eval_grid`` bit for bit."""
+    """Gradient and Hessian of a polynomial in float64: two batches, the
+    gradient entries and the upper-triangle Hessian entries, so every entry
+    equals its partial's ``eval_grid`` bit for bit."""
 
     def __init__(self, p: Poly):
         grads = p.to_float64().gradient()
         self.nvars, (self.i, self.j) = p.nvars, np.triu_indices(p.nvars)
-        cols: dict[Exponent, int] = {}  # table column of each exponent
-        self.entries = [(np.array([cols.setdefault(e, len(cols)) for e in q.terms], dtype=np.intp),
-                         np.array(list(q.terms.values()), dtype=float))
-                        for q in grads + [grads[i].partial(j) for i, j in zip(self.i, self.j)]]
-        self.exps = np.array(list(cols), dtype=np.int64).reshape(len(cols), p.nvars)
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        return self._eval(points, self.entries[:self.nvars])
+        self.gradient = PolyBatch(grads)
+        self.upper = PolyBatch([grads[i].partial(j) for i, j in zip(self.i, self.j)])
 
     def hessian(self, points: np.ndarray) -> np.ndarray:
         H = np.empty((len(points), self.nvars, self.nvars))
-        H[:, self.i, self.j] = H[:, self.j, self.i] = self._eval(points, self.entries[self.nvars:])
+        H[:, self.i, self.j] = H[:, self.j, self.i] = self.upper(points)
         return H
-
-    def _eval(self, points: np.ndarray, entries) -> np.ndarray:
-        table = monomial_table(np.ascontiguousarray(points, dtype=float), self.exps)
-        # C-ordered, as in eval_grid: an F-ordered gather takes another BLAS kernel and rounding
-        return np.stack([np.ascontiguousarray(table[:, idx]) @ c for idx, c in entries], axis=1)
 
 
 # -- module-level operations ------------------------------------------------

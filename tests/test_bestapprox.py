@@ -88,6 +88,16 @@ class TestDiscreteMinimax:
         with pytest.raises(PolyError, match="rank-deficient"):
             discrete_minimax(prob)
 
+    @pytest.mark.parametrize("domain,basis,grid", [(simplex(3), "full", 16),
+                                                   (ball(3), "even", 12)])
+    def test_lp_columns_match_eval_grid(self, domain, basis, grid):
+        # the LP input stays byte for byte what per-function eval_grid gives
+        pb = bestapprox._problem_basis(ApproxProblem(
+            Poly.monomial((2, 2, 2)), 5, domain, basis, grid))
+        want = np.column_stack([b.eval_grid(pb.grid) for b in pb.scaled_f])
+        got = pb.columns(pb.grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_full_and_symmetric_agree_for_symmetric_target(self):
         full = discrete_minimax(ApproxProblem(
             Poly.monomial((1, 1, 1)), 2, simplex(3), "full", grid=16))
@@ -145,6 +155,38 @@ class TestRemezExchange:
             Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
         assert res.exchange_iterations > 1
         assert len(calls) == 1
+
+    def test_rank_check_runs_once(self, monkeypatch):
+        # every point set of the exchange contains the grid, so the grid's
+        # rank check decides them all
+        calls = []
+        original = bestapprox._independent_columns
+
+        def counted(Phi):
+            calls.append(Phi.shape)
+            return original(Phi)
+
+        monkeypatch.setattr(bestapprox, "_independent_columns", counted)
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
+        assert res.exchange_iterations > 1
+        assert len(calls) == 1
+
+    def test_fit_gradients_are_built_once(self, monkeypatch):
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
+        pb = bestapprox._problem_basis(prob)
+        fixed = [pb.target_f] + pb.scaled_f
+        built = []
+        original = Poly.gradient
+
+        def recorded(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Poly, "gradient", recorded)
+        res = remez_exchange(prob, seed=0)
+        assert res.exchange_iterations > 1
+        assert sum(any(q == p for p in fixed) for q in built) == len(fixed)
 
     def test_closing_solve_reuses_last_search(self, monkeypatch):
         searched = []

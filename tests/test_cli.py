@@ -42,21 +42,39 @@ class TestConstruct:
         code = cli.main(["construct", "--family", "td", "--d", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol", "supnorm=1"]])
+    def test_rejects_inert_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["construct", "--family", "td", "--d", "3"] + flag)
+        assert exc.value.code == 2
+
+
+class TestVerify:
     @pytest.mark.parametrize("name", ["weights", "certificate", "nonsense"])
     def test_unknown_tolerance_is_a_usage_error(self, name):
-        argv = ["construct", "--family", "td", "--d", "3", "--tol", f"{name}=1"]
+        argv = ["verify", "--suite", "combi", "--d", "3", "--tol", f"{name}=1"]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
 
     def test_known_tolerance_lands_in_config(self, capsys):
-        _, out = run(["construct", "--family", "td", "--d", "3",
+        _, out = run(["verify", "--suite", "combi", "--d", "3",
                       "--tol", "supnorm=0.5"], capsys)
         tols = json.loads(out)["config"]["tolerances"]
         assert tols == {"annihilation": 1e-8, "max_principle": 1e-8, "supnorm": 0.5}
 
+    def test_descending_range_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "combi", "--d", "5..3"])
+        assert exc.value.code == 2
 
-class TestVerify:
+    def test_run_without_checks_fails(self, capsys):
+        # the determinant suite stops at d = 6
+        code, out = run(["verify", "--suite", "determinant", "--d", "7..8"], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["checks"] == [] and payload["all_passed"] is False
+
     def test_combi_suite_wide_range(self, capsys):
         code, out = run(["verify", "--suite", "combi", "--d", "3..15"], capsys)
         assert code == 0
@@ -94,6 +112,11 @@ class TestApprox:
         payload = json.loads(out)
         assert abs(payload["deviation"] - 0.0138888888) < 5e-4
         assert payload["problem"]["basis"] == "symmetric"
+
+    def test_rejects_tolerance_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["approx", "--monomial", "1,1", "--degree", "1", "--tol", "supnorm=1"])
+        assert exc.value.code == 2
 
     def test_bad_monomial_flag(self, capsys):
         code = cli.main(["approx", "--monomial", "a,b", "--degree", "2"])

@@ -11,6 +11,8 @@ from chebydev.polycore import (
     monomial_exponents, poly_equal, poly_from_json_dict, poly_to_json_dict,
     real_roots, restrict_affine_last, restrict_zero,
 )
+from chebydev import polycore
+from chebydev.polycore import PolyBatch
 from chebydev.constructions import build_t3, build_td, build_u3
 from chebydev.symfun import chebyshev_t, chebyshev_t_shifted, elementary_symmetric
 
@@ -112,6 +114,48 @@ class TestDerivatives:
         X = np.random.default_rng(5).random((50, 4)) / 4
         self.assert_matches_partials(p, X)
         self.assert_matches_partials(p, X[::3])
+
+
+class TestPolyBatch:
+    """Each column of a batch is bit-identical to its polynomial's eval_grid,
+    whatever else shares the monomial table."""
+
+    def assert_columns_match(self, polys, X):
+        V = PolyBatch(polys)(X)
+        assert V.shape == (len(X), len(polys))
+        for k, p in enumerate(polys):
+            assert np.array_equal(V[:, k], p.eval_grid(X))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_random_float_polys(self, nvars):
+        rng = np.random.default_rng(200 + nvars)
+        polys = [_random_float_poly(rng, nvars, degree) for degree in (0, 2, 4, 6)]
+        for n in (1, 7, 64, 301):
+            X = rng.uniform(-1.5, 1.5, size=(n, nvars))
+            self.assert_columns_match(polys, X)
+            self.assert_columns_match(polys[2:3], X)
+
+    def test_zero_polynomial_and_rational_t4(self):
+        t4 = chebyshev_t(4)
+        X = np.random.default_rng(11).uniform(-1, 1, size=(50, 1))
+        self.assert_columns_match([t4, Poly.zero(1, FLOAT64), t4.partial(0)], X)
+        self.assert_columns_match([Poly.zero(1)], X)
+        assert np.array_equal(PolyBatch([Poly.zero(1)])(X), np.zeros((50, 1)))
+
+    def test_chunk_boundary(self, monkeypatch):
+        # 30 points in chunks of 7: four full tables and a tail of two
+        monkeypatch.setattr(polycore, "EVAL_CHUNK", 7)
+        rng = np.random.default_rng(12)
+        polys = [_random_float_poly(rng, 3, degree) for degree in (3, 5)]
+        X = rng.uniform(-1, 1, size=(30, 3))
+        self.assert_columns_match(polys, X)
+        self.assert_columns_match(polys[1:], X[:14])
+        for k, p in enumerate(polys):
+            assert PolyBatch(polys)(X)[:, k] == pytest.approx([p.eval(x) for x in X], abs=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            PolyBatch([Poly.variable(2, 0)])(np.zeros((4, 3)))
 
 
 class TestArithmetic:

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import chebydev.cli  # noqa: F401  (the tracer wraps cli functions too)
-from chebydev import supnorm
+from chebydev import bestapprox, lp, supnorm
+from chebydev.domains import simplex
+from chebydev.polycore import Poly
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -42,6 +44,31 @@ def test_target_resolves(modname, attr):
 def test_newton_starts_is_second_argument(fn):
     # the tracer counts Newton starts as len(args[1])
     assert list(inspect.signature(fn).parameters)[1] == "starts"
+
+
+def test_minimax_points_is_second_argument():
+    # the tracer counts minimax points as len(args[1])
+    assert list(inspect.signature(bestapprox._minimax_on).parameters)[1] == "points"
+
+
+def test_lp_rows_and_columns_read_the_constraint_matrix():
+    # the tracer counts lp rows and columns as args[0].shape
+    assert list(inspect.signature(lp.simplex_solve).parameters)[0] == "A"
+
+
+def test_argument_counts_on_a_traced_solve():
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    prob = bestapprox.ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", 8)
+    npoints = len(bestapprox.approx_grid(prob.domain, prob.grid))
+    try:
+        tracer.install()
+        res = bestapprox.discrete_minimax(prob)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["bestapprox.minimax.points"] == npoints
+    assert tracer.counts["lp.simplex_solve.rows"] == len(res.basis_polys) + 1
+    assert tracer.counts["lp.simplex_solve.columns"] == 2 * npoints
 
 
 def test_install_and_uninstall_restore_every_target():
