@@ -369,7 +369,7 @@ def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray
 def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
     """(point, value) pairs: the residual's critical points with |value| >=
     (1 - rel) * level, then the argmax of its sup-norm search."""
-    near = [(pt, val) for pt, val, _ in rep.critical_points
+    near = [(pt, val) for pt, val in rep.critical_points
             if abs(val) >= level * (1 - rel)]
     near.append((rep.argmax, resid.eval(rep.argmax)))
     return near

@@ -334,6 +334,17 @@ def _float_nullspace(A: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
+def _cone_interior(N: np.ndarray, floor) -> list:
+    """For a two-column N, [N r] with r the sum of the extreme rays of the cone
+    {r : N r >= 0}: the directions +-(-b, a), orthogonal to a row (a, b) of N,
+    with N r >= 0 and N r != 0."""
+    if N.shape[1] != 2:
+        return []
+    rays = [r for a, b in N for r in (np.array([-b, a]), np.array([b, -a]))
+            if min(N @ r) >= -floor and any(N @ r != 0)]
+    return [N @ np.sum(rays, axis=0)] if rays else []
+
+
 def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
                             n: int, d: int) -> SignatureSolution:
     """Find per-point weights lambda_v > 0 with sum lambda_v = 1 making the
@@ -384,9 +395,10 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
         if N2.shape[1] == 0:
             break  # extension would force zero; stop extending
         N = N @ N2
-    # normalize total mass 1 over the first positive column of the solution space
+    # normalize total mass 1 over the first positive column of the solution
+    # space, else over the interior of its cone of nonnegative weights
     reason = "solution ray cannot be normalized"
-    for vec in N.T:
+    for vec in [*N.T, *_cone_interior(N, mass_floor)]:
         mass = vec @ np.array(sizes, dtype=dtype)
         if mass == 0 or abs(mass) < mass_floor:
             continue

@@ -28,9 +28,7 @@ STARTS_PER_DIMENSION = 50
 class SupNormReport:
     value: float
     argmax: tuple
-    location: str               # 'interior' or a face id such as 'zeros=(2,),sum=1'
-    critical_points: list       # (point, value, location) triples
-    grid_resolution: int
+    critical_points: list       # (point, value) pairs
     grid_value: float
 
 
@@ -108,15 +106,6 @@ def simplex_faces(d: int):
                     faces.append((zeros, sum_active))
     faces.sort(key=lambda f: (len(f[0]) + f[1], f))
     return faces
-
-
-def face_label(zeros: tuple, sum_active: bool) -> str:
-    if not zeros and not sum_active:
-        return "interior"
-    bits = [f"x{i + 1}=0" for i in zeros]
-    if sum_active:
-        bits.append("sum=1")
-    return ",".join(bits)
 
 
 def restrict_to_face(p: Poly, zeros: tuple, sum_active: bool) -> Poly:
@@ -269,8 +258,8 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
 
     Interior criticals solve grad p = 0; each face of the simplex is searched
     through its affine chart; the ball boundary and the sphere use Lagrange
-    stationarity.  Returns (point, value, location) triples deduplicated at
-    1e-8 in coordinates, values attached after a final Newton polish.
+    stationarity.  Returns (point, value) pairs deduplicated at 1e-8 in
+    coordinates, values attached after a final Newton polish.
     """
     pf = p.to_float64()
     d = dom.nvars
@@ -291,43 +280,42 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         for zeros, sum_active in faces:
             k = _chart_dim(zeros, sum_active, d)
             q = restrict_to_face(pf, zeros, sum_active)
-            label = face_label(zeros, sum_active)
             if k == 0:
                 pt = embed_from_face((), zeros, sum_active, d)
-                results.append((pt, pf.eval(pt), label))
+                results.append((pt, pf.eval(pt)))
                 continue
             n_starts = max(8, (total * (k + 1)) // (d + 1))
             st = _simplex_starts(rng, k, n_starts)
             tol = 1e-11 * _grad_scale(q)
             for y in _newton_critical_points(q, st, feasible, tol):
                 pt = embed_from_face(y, zeros, sum_active, d)
-                results.append((pt, q.eval(np.array(y)), label))
+                results.append((pt, q.eval(np.array(y))))
     elif dom.kind == BALL:
         st = rng.uniform(-1, 1, size=(total, d))
         st = st[np.einsum("ij,ij->i", st, st) < 1.0]
         tol = 1e-11 * _grad_scale(pf)
         inside = _newton_critical_points(
             pf, st, lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
-        results.extend((tuple(x), pf.eval(np.array(x)), "interior") for x in inside)
+        results.extend((tuple(x), pf.eval(np.array(x))) for x in inside)
         if not interior_only and d >= 2:
             sph = rng.normal(size=(total, d))
             sph = np.vstack([sph, np.eye(d), -np.eye(d)])
             for x in _sphere_critical_points(pf, sph, tol):
-                results.append((tuple(x), pf.eval(np.array(x)), "boundary"))
+                results.append((tuple(x), pf.eval(np.array(x))))
         elif not interior_only and d == 1:
             for e in (-1.0, 1.0):
-                results.append(((e,), pf.eval((e,)), "boundary"))
+                results.append(((e,), pf.eval((e,))))
     elif dom.kind == SPHERE:
         sph = rng.normal(size=(total, d))
         sph = np.vstack([sph, np.eye(d), -np.eye(d),
                          np.array(list(product([1.0, -1.0], repeat=d))) / math.sqrt(d)])
         tol = 1e-11 * _grad_scale(pf)
         for x in _sphere_critical_points(pf, sph, tol):
-            results.append((tuple(x), pf.eval(np.array(x)), "sphere"))
+            results.append((tuple(x), pf.eval(np.array(x))))
     else:
         raise PolyError(f"unsupported domain {dom.kind}")
 
-    return [results[i] for i in dedup_points([pt for pt, _, _ in results])]
+    return [results[i] for i in dedup_points([pt for pt, _ in results])]
 
 
 # --------------------------------------------------------------------------
@@ -343,38 +331,37 @@ def sup_norm(p: Poly, dom: Domain, resolution: int,
                         critical_points(p, dom, seed=seed))
 
 
+def _candidates(pf: Poly, dom: Domain, resolution: int, crits: list):
+    """The grid rows followed by the critical points, the value of pf at each,
+    and the number of grid rows."""
+    grid = sample_domain(dom, resolution)
+    pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
+    vals = np.concatenate([pf.eval_grid(grid), [val for _, val in crits]])
+    return np.vstack([grid, pts]), vals, len(grid)
+
+
 def _refine_grid(pf: Poly, dom: Domain, resolution: int, crits: list) -> SupNormReport:
-    """The grid maximum of |pf|, replaced by each critical value that beats it."""
-    grid = sample_domain(dom, resolution)
-    vals = pf.eval_grid(grid)
-    gi = int(np.argmax(np.abs(vals)))
-    best_val, best_pt, best_loc = float(vals[gi]), tuple(float(v) for v in grid[gi]), "grid"
-    for pt, val, loc in crits:
-        if abs(val) > abs(best_val):
-            best_val, best_pt, best_loc = val, pt, loc
-    return SupNormReport(value=abs(best_val), argmax=best_pt, location=best_loc,
-                         critical_points=crits, grid_resolution=resolution,
-                         grid_value=abs(float(vals[gi])))
+    """The first maximum of |pf| over the grid rows, then the critical points."""
+    pts, vals, n_grid = _candidates(pf, dom, resolution, crits)
+    mags = np.abs(vals)
+    i = int(np.argmax(mags))
+    return SupNormReport(value=float(mags[i]), argmax=tuple(float(v) for v in pts[i]),
+                         critical_points=crits, grid_value=float(np.max(mags[:n_grid])))
 
 
-def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0,
-               boundary_only: bool = False) -> float:
-    """Maximum of p (not |p|) over the domain or, on a simplex or a ball, over
-    its boundary."""
-    pf = p.to_float64()
-    grid = sample_domain(dom, resolution)
-    if boundary_only and dom.kind == SIMPLEX:
-        grid = grid[np.any(grid <= 1e-12, axis=1) | (grid.sum(axis=1) >= 1 - 1e-12)]
-    elif boundary_only and dom.kind == BALL:
-        grid = grid[np.einsum("ij,ij->i", grid, grid) >= 1 - 1e-12]
-    elif boundary_only:
-        raise PolyError(f"boundary_only needs a simplex or a ball, not {dom.kind}")
-    best = float(np.max(pf.eval_grid(grid))) if len(grid) else -math.inf
-    for pt, val, loc in critical_points(p, dom, seed=seed):
-        if boundary_only and loc == "interior":
-            continue
-        best = max(best, val)
-    return best
+def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0) -> tuple:
+    """Maximum of p (not |p|) over a simplex or a ball, and over its boundary:
+    some x_i <= 1e-12 or sum x >= 1 - 1e-12 on the simplex, |x|^2 >= 1 - 1e-12
+    on the ball."""
+    if dom.kind not in (SIMPLEX, BALL):
+        raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
+    pts, vals, _ = _candidates(p.to_float64(), dom, resolution,
+                               critical_points(p, dom, seed=seed))
+    if dom.kind == SIMPLEX:
+        rim = np.any(pts <= 1e-12, axis=1) | (pts.sum(axis=1) >= 1 - 1e-12)
+    else:
+        rim = np.einsum("ij,ij->i", pts, pts) >= 1 - 1e-12
+    return float(np.max(vals)), float(np.max(vals[rim], initial=-math.inf))
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +388,7 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
     for k in range(d, 2, -1):
         tdf = td.to_float64()
         interior = critical_points(tdf, Domain(SIMPLEX, k), seed=seed, interior_only=True)
-        interior_max = max((abs(v) for _, v, _ in interior), default=0.0)
+        interior_max = max((abs(v) for _, v in interior), default=0.0)
         chart, chart_dom = restrict_affine_last(tdf), Domain(SIMPLEX, k - 1)
         face = _refine_grid(chart, chart_dom, resolution, critical_points(
             chart, chart_dom, seed=seed, interior_only=True))

@@ -5,6 +5,7 @@ import pytest
 
 from chebydev import cli
 from chebydev.constructions import compute_rd
+from chebydev.domains import simplex
 
 
 def run(args, capsys):
@@ -67,6 +68,27 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "combi", "--d", "5..3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("spec", ["3..x", "x"])
+    def test_non_integer_range_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "combi", "--d", spec])
+        assert exc.value.code == 2
+        assert "--d expects an integer or an ascending range" in capsys.readouterr().err
+
+    def test_laplacian_suite_searches_once_per_d(self, capsys, monkeypatch):
+        from chebydev import supnorm
+        searches = []
+        original = supnorm.critical_points
+
+        def counted(*args, **kwargs):
+            searches.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(supnorm, "critical_points", counted)
+        code, _ = run(["verify", "--suite", "laplacian", "--d", "3..5"], capsys)
+        assert code == 0
+        assert searches == [simplex(d) for d in (3, 4, 5)]
 
     def test_run_without_checks_fails(self, capsys):
         # the determinant suite stops at d = 6

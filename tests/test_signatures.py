@@ -249,6 +249,17 @@ class TestSolveWeights:
         assert got.keys() == want.keys()
         assert max(abs(got[rep] - want[rep]) for rep in want) <= 1e-12
 
+    def test_positive_ray_inside_a_two_dimensional_cone(self):
+        # at n = 1 the exact T_6 ladders leave a 2-dimensional solution space
+        # in which neither basis column is positive, but the cone they span
+        # holds positive weights
+        s_plus, s_minus = build_extremal_sets(6)
+        sol = solve_signature_weights(s_plus, s_minus, 1, 6)
+        assert sol.feasible, sol.reason
+        assert all(w > 0 for w in sol.orbit_weights)
+        assert sum(w * size for w, size in zip(sol.orbit_weights, sol.orbit_sizes)) == 1
+        assert sol.residual == 0
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_failures_read_the_same_in_both_fields(self, n):
         s_plus, s_minus = build_extremal_sets(3)

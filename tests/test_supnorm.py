@@ -128,15 +128,15 @@ class TestCriticalPoints:
         cps = critical_points(build_t3(3).to_float64(), simplex(3), seed=0,
                               interior_only=True)
         assert len(cps) == 4
-        assert all(abs(v) < 1 for _, v, _ in cps)
-        reps = {tuple(np.round(sorted(pt), 6)) for pt, _, _ in cps}
+        assert all(abs(v) < 1 for _, v in cps)
+        reps = {tuple(np.round(sorted(pt), 6)) for pt, _ in cps}
         assert tuple(np.round(sorted((1/9, 1/9, 7/18)), 6)) in reps
 
     def test_u3_face_critical_points(self):
         u3 = build_u3().to_float64()
         cps = critical_points(u3, simplex(2), seed=0, interior_only=True)
         assert len(cps) == 4
-        maxima = [(pt, v) for pt, v, _ in cps if v == pytest.approx(1.0, abs=1e-10)]
+        maxima = [(pt, v) for pt, v in cps if v == pytest.approx(1.0, abs=1e-10)]
         assert len(maxima) == 1
         assert maxima[0][0] == pytest.approx((1/3, 1/3), abs=1e-10)
 
@@ -145,7 +145,7 @@ class TestCriticalPoints:
         x = Poly.variable(1, 0, "float64")
         diag = u5.compose([x, x])
         cps = critical_points(diag, ball(1), seed=0, interior_only=True)
-        touch = [pt for pt, v, _ in cps
+        touch = [pt for pt, v in cps
                  if v == pytest.approx(-1.0, abs=1e-8) and 0 < pt[0] < 0.5]
         assert touch
         assert touch[0][0] == pytest.approx(0.4588164122, abs=1e-8)
@@ -225,17 +225,43 @@ class TestSubharmonicity:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_max_attained_on_boundary(self, d):
         p = ((-1) ** (d - 1) * build_td(d).polynomial).to_float64()
-        total = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
-        boundary = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0,
-                              boundary_only=True)
+        total, boundary = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert abs(total - boundary) <= 1e-8
 
     def test_ball_boundary_skips_interior_grid(self):
         p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
-        assert signed_max(p, ball(2), 6, seed=0) == pytest.approx(1.0, abs=1e-12)
-        assert abs(signed_max(p, ball(2), 6, seed=0, boundary_only=True)) <= 1e-12
+        total, boundary = signed_max(p, ball(2), 6, seed=0)
+        assert total == pytest.approx(1.0, abs=1e-12)
+        assert abs(boundary) <= 1e-12
         with pytest.raises(polycore.PolyError):
-            signed_max(p, sphere(2), 6, seed=0, boundary_only=True)
+            signed_max(p, sphere(2), 6, seed=0)
+
+
+    @pytest.mark.parametrize("d,sign,total,boundary", [
+        (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (4, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+        (4, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+        (5, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+        (5, -1, "0x1.0000000000010p+0", "0x1.0000000000010p+0"),
+    ])
+    def test_signed_max_bits(self, d, sign, total, boundary):
+        p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
+        got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
+        assert [v.hex() for v in got] == [total, boundary]
+
+    def test_ball_signed_max_bits(self):
+        p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
+        got = signed_max(p, ball(2), 6, seed=0)
+        assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.0000000000000p-52"]
+
+
+def test_sup_norm_bits():
+    rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
+    assert rep.value.hex() == "0x1.0000000000004p+0"
+    assert [v.hex() for v in rep.argmax] == [
+        "0x1.5555555559cf2p-2", "0x1.5555555557ea0p-2", "0x0.0p+0", "0x1.555555554e46ep-2"]
+    assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
 class TestLevelSet:
@@ -419,7 +445,7 @@ class TestDeterminant:
         cps = critical_points(td, simplex(5), seed=0, interior_only=True)
         assert cps
         scale = max(abs(c) for c in det.terms.values())
-        for pt, _, _ in cps:
+        for pt, _ in cps:
             assert abs(det.eval(pt)) <= 1e-6 * scale
 
     @pytest.mark.parametrize("d", [3, 4, 6])

@@ -71,6 +71,19 @@ def test_argument_counts_on_a_traced_solve():
     assert tracer.counts["lp.simplex_solve.columns"] == 2 * npoints
 
 
+def test_critical_points_count_the_returned_points():
+    # the tracer counts critical_points.points_out as len(result)
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        rep = supnorm.sup_norm(Poly.monomial((1, 1, 1)), simplex(3), 6)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["supnorm.critical_points.calls"] == 1
+    assert tracer.counts["supnorm.critical_points.points_out"] == len(rep.critical_points) > 0
+
+
 def test_install_and_uninstall_restore_every_target():
     layertrace = _layertrace()
     before = {t[:2]: _resolve(*t[:2]) for t in layertrace.TARGETS}
