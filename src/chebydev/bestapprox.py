@@ -28,7 +28,7 @@ import numpy as np
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import LPError, simplex_solve
 from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
-from .supnorm import _unique_rows, sample_domain, sup_norm
+from .supnorm import _lattice, _unique_rows, sample_domain, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -211,8 +211,7 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
     if domain.kind != SPHERE:
         return sample_domain(domain, resolution)
     d = domain.dimension
-    from itertools import product as iproduct
-    diag = np.array(list(iproduct([1.0, -1.0], repeat=d))) / math.sqrt(d)
+    diag = _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)
     axes = np.vstack([np.eye(d), -np.eye(d)])
     if d == 3:
         base = _sphere_spiral(max(8, 2 * resolution * resolution))

@@ -326,11 +326,13 @@ def _rational_nullspace(A: np.ndarray) -> np.ndarray:
     return N
 
 
-def _float_nullspace(A: np.ndarray) -> np.ndarray:
-    """Right singular vectors of A below SV_CUTOFF relative to the largest
-    singular value, as the columns of a (k, r) array."""
+def _float_nullspace(A: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Right singular vectors of A below SV_CUTOFF relative to scale (by
+    default the largest singular value), as the columns of a (k, r) array."""
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > SV_CUTOFF * (s[0] if s.size else 1.0)))
+    if scale is None:
+        scale = s[0] if s.size else 1.0
+    rank = int(np.sum(s > SV_CUTOFF * scale))
     return vt[rank:].T
 
 
@@ -364,7 +366,6 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     signs = [sg for _, _, sg in orbits]
     rational = all(isinstance(c, Rational) for rep in reps for c in rep)
     num, dtype = (Fraction, object) if rational else (float, float)
-    nullspace = _rational_nullspace if rational else _float_nullspace
     mass_floor = 0 if rational else 1e-14
 
     def condition_rows(degree_lo: int, degree_hi: int) -> np.ndarray:
@@ -382,7 +383,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
         return np.array(rows, dtype=dtype)
 
     A = condition_rows(0, n)
-    N = nullspace(A)
+    N = _rational_nullspace(A) if rational else _float_nullspace(A)
     base_dim = N.shape[1]
     if base_dim == 0:
         return SignatureSolution(False, "annihilation system admits only the zero functional",
@@ -391,7 +392,11 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     # extend annihilation degree within the nullspace while freedom remains
     while N.shape[1] > 1 and ext_degree < n + MAX_EXTENSION:
         ext_degree += 1
-        N2 = nullspace(condition_rows(ext_degree, ext_degree) @ N)
+        E = condition_rows(ext_degree, ext_degree)
+        # float N has orthonormal columns, so the cutoff is relative to E: an
+        # E @ N that is zero up to rounding has no rank, as in exact arithmetic
+        N2 = (_rational_nullspace(E @ N) if rational
+              else _float_nullspace(E @ N, np.linalg.norm(E, 2)))
         if N2.shape[1] == 0:
             break  # extension would force zero; stop extending
         N = N @ N2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -53,24 +53,33 @@ def sample_domain(dom: Domain, resolution: int) -> np.ndarray:
         return _simplex_lattice(dom.dimension, m)
     if dom.kind == SIMPLEX_FACE:
         return _simplex_lattice(dom.dimension - 1, m)
-    if dom.kind == BALL:
-        axes = [np.arange(-m, m + 1) / m] * dom.dimension
-        pts = np.array(list(product(*axes)), dtype=float)
-        return pts[np.einsum("ij,ij->i", pts, pts) <= 1.0 + 1e-12]
-    # sphere: normalized nonzero lattice directions, deduplicated, plus axes
     d = dom.dimension
-    axes = [np.arange(-m, m + 1) / m] * d
-    pts = np.array(list(product(*axes)), dtype=float)
-    pts = pts[np.einsum("ij,ij->i", pts, pts) > 0]
+    pts = _lattice(np.arange(-m, m + 1) / m, d)
+    sq = np.einsum("ij,ij->i", pts, pts)
+    if dom.kind == BALL:
+        return pts[sq <= 1.0 + 1e-12]
+    # sphere: normalized nonzero lattice directions, deduplicated, plus axes
+    pts = pts[sq > 0]
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     return _unique_rows(np.vstack([pts, np.eye(d), -np.eye(d)]))
 
 
+def _lattice(axis: np.ndarray, d: int) -> np.ndarray:
+    """Every d-tuple of axis values as the rows of a (len(axis)**d, d) array,
+    in itertools.product order: the last coordinate varies fastest."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
 def _unique_rows(pts: np.ndarray) -> np.ndarray:
-    """The rows of pts that differ after rounding to 1e-12, in first-seen order."""
+    """The rows of pts that differ after rounding to 1e-12, in first-seen order.
+    A stable sort keeps each run of equal rows in index order, so the run's
+    first row is the first seen; float != merges -0.0 with 0.0."""
     rounded = np.round(pts / 1e-12) * 1e-12
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return pts[np.sort(idx)]
+    order = np.lexsort(rounded.T)
+    rows = rounded[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return pts[np.sort(order[first])]
 
 
 def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
@@ -308,7 +317,7 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
     elif dom.kind == SPHERE:
         sph = rng.normal(size=(total, d))
         sph = np.vstack([sph, np.eye(d), -np.eye(d),
-                         np.array(list(product([1.0, -1.0], repeat=d))) / math.sqrt(d)])
+                         _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)])
         tol = 1e-11 * _grad_scale(pf)
         for x in _sphere_critical_points(pf, sph, tol):
             results.append((tuple(x), pf.eval(np.array(x))))

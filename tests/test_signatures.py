@@ -260,7 +260,7 @@ class TestSolveWeights:
         assert sum(w * size for w, size in zip(sol.orbit_weights, sol.orbit_sizes)) == 1
         assert sol.residual == 0
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_failures_read_the_same_in_both_fields(self, n):
         s_plus, s_minus = build_extremal_sets(3)
         vertices = set(orbit((1, 0, 0)))
@@ -274,6 +274,9 @@ class TestSolveWeights:
             assert exact.feasible is False and approx.feasible is False
             assert reason in exact.reason
             assert approx.reason == exact.reason
+            # at n = 0 the degree-1 rows are proportional to the constant row,
+            # so the float extension must not keep rounding noise as rank
+            assert approx.extension_degree == exact.extension_degree
 
 
 def _td_certificate(d):

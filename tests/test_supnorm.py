@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from math import comb
@@ -7,8 +8,8 @@ import pytest
 
 from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
                                     build_u5, derive_r5_constants)
-from chebydev.domains import ball, simplex, simplex_face, sphere
-from chebydev import polycore, supnorm
+from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
+from chebydev import bestapprox, polycore, supnorm
 from chebydev.polycore import Poly, restrict_affine_last, restrict_zero
 from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
                               dedup_points, level_set, sample_domain, signed_max,
@@ -46,6 +47,66 @@ class TestSamplers:
         small = {tuple(np.round(p, 12)) for p in sample_domain(dom, 4)}
         large = {tuple(np.round(p, 12)) for p in sample_domain(dom, 8)}
         assert small <= large
+
+
+def _reference_unique_rows(pts):
+    # reference: the row dedup of np.unique(axis=0)
+    rounded = np.round(pts / 1e-12) * 1e-12
+    _, idx = np.unique(rounded, axis=0, return_index=True)
+    return pts[np.sort(idx)]
+
+
+def _reference_sample_domain(dom, m):
+    # reference: the ball and sphere grids from itertools.product tuples
+    d = dom.dimension
+    axes = [np.arange(-m, m + 1) / m] * d
+    pts = np.array(list(itertools.product(*axes)), dtype=float)
+    if dom.kind == BALL:
+        return pts[np.einsum("ij,ij->i", pts, pts) <= 1.0 + 1e-12]
+    pts = pts[np.einsum("ij,ij->i", pts, pts) > 0]
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    return _reference_unique_rows(np.vstack([pts, np.eye(d), -np.eye(d)]))
+
+
+def _reference_approx_grid(dom, r):
+    d = dom.dimension
+    diag = np.array(list(itertools.product([1.0, -1.0], repeat=d))) / math.sqrt(d)
+    axes = np.vstack([np.eye(d), -np.eye(d)])
+    base = (bestapprox._sphere_spiral(max(8, 2 * r * r)) if d == 3
+            else _reference_sample_domain(dom, r))
+    return _reference_unique_rows(np.vstack([base, axes, diag]))
+
+
+# the largest resolution checked per ambient dimension; it covers the grids the
+# benchmark samples: sphere(6)@3, sphere(5)@3, sphere(3)@20 and ball(3)@6, 8, 12
+MAX_RESOLUTION = {1: 40, 2: 40, 3: 24, 4: 8, 5: 5, 6: 3}
+
+
+class TestLatticeBits:
+    @pytest.mark.parametrize("dom", [ball(d) for d in range(1, 7)]
+                             + [sphere(d) for d in range(2, 7)],
+                             ids=lambda dom: f"{dom.kind}{dom.dimension}")
+    def test_sample_domain_matches_product_lattice(self, dom):
+        for m in range(1, MAX_RESOLUTION[dom.dimension] + 1):
+            got, want = sample_domain(dom, m), _reference_sample_domain(dom, m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("d,resolutions", [(3, range(1, 50)), (4, range(1, 9)),
+                                               (5, range(1, 6))])
+    def test_approx_grid_matches_product_lattice(self, d, resolutions):
+        for r in resolutions:
+            got, want = bestapprox.approx_grid(sphere(d), r), _reference_approx_grid(sphere(d), r)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
+
+    def test_unique_rows_semantics(self):
+        pts = np.array([[0.5, 0.25],
+                        [-0.0, 1.0],
+                        [0.5 + 3e-13, 0.25],   # equal to row 0 after rounding
+                        [0.0, 1.0],            # equal to row 1: -0.0 == 0.0
+                        [0.5 + 2e-12, 0.25],   # two rounding steps from row 0
+                        [0.125, 0.0]])         # sorts first, was seen last
+        # by bytes, so the kept row 1 is the first-seen -0.0, not row 3's 0.0
+        assert supnorm._unique_rows(pts).tobytes() == pts[[0, 1, 4, 5]].tobytes()
 
 
 class TestDedupPoints:
