@@ -80,8 +80,9 @@ def _parse_range(spec: str) -> list[int]:
         ds = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         ds = []
-    if not ds:
-        sys.stderr.write("verify: --d expects an integer or an ascending range lo..hi\n")
+    if not ds or ds[0] < 3:
+        sys.stderr.write("verify: --d expects an integer or an ascending range lo..hi, "
+                         "from 3 up (T_d is defined for d >= 3)\n")
         raise SystemExit(EXIT_USAGE)
     return ds
 
@@ -293,6 +294,9 @@ def cmd_approx(args) -> int:
         exponents = tuple(int(v) for v in args.monomial.split(","))
     except ValueError:
         sys.stderr.write("approx: --monomial expects comma-separated integers\n")
+        return EXIT_USAGE
+    if min(exponents) < 0 or args.degree < 0 or args.grid < 1:
+        sys.stderr.write("approx: --monomial and --degree must be >= 0, --grid >= 1\n")
         return EXIT_USAGE
     d = len(exponents)
     domain = {"simplex": simplex(d), "ball": ball(d), "sphere": sphere(d)}[args.domain]

@@ -6,8 +6,9 @@ ties) with an automatic switch to Bland's anti-cycling rule after a run of
 degenerate pivots, which guarantees termination.  No external solver is used,
 so runs are bit-reproducible.
 
-Problem sizes here are small-by-wide (tens of rows, up to ~10^5 columns from
-discrete minimax duals), which a dense tableau handles comfortably.
+Problem sizes here are small-by-wide: tens of rows and up to ~10^4 columns
+from discrete minimax duals.  The widest ones can be slow or fragile in a
+dense tableau; a 36 x 9,690 dual has taken minutes before its perturbed retry.
 """
 
 from __future__ import annotations

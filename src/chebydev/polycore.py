@@ -77,18 +77,21 @@ class Poly:
             raise PolyError(f"unknown coefficient field {field!r}")
         clean: dict[Exponent, Scalar] = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            ints = tuple(int(e) for e in exp)
+            if ints != tuple(exp):
+                raise PolyError(f"non-integral exponent in {exp}")
+            exp = ints
             if len(exp) != nvars:
                 raise DimensionMismatchError(
                     f"exponent {exp} has length {len(exp)}, expected {nvars}")
             if any(e < 0 for e in exp):
                 raise PolyError(f"negative exponent in {exp}")
             c = _coerce(field, coef)
-            if c != 0:
-                clean[exp] = clean.get(exp, _coerce(field, 0)) + c
+            if c != 0:  # numerically equal keys are one key, so no two exps collide
+                clean[exp] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -376,6 +379,8 @@ def real_roots(p: Poly, lo: float, hi: float) -> list[float]:
     are evaluated by Horner on their dense float coefficients."""
     if p.nvars != 1:
         raise DimensionMismatchError(f"real_roots needs 1 variable, got {p.nvars}")
+    if p.is_zero():
+        raise PolyError("real_roots of the zero polynomial: every point is a root")
     coeffs = [float(p.coefficient((k,)))
               for k in range(max((e for (e,) in p.terms), default=0) + 1)]
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]

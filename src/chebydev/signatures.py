@@ -81,6 +81,8 @@ class Certificate:
     def __post_init__(self):
         if not self.level > 0:
             raise PolyError("certificate level must be positive")
+        if not self.support.points:
+            raise PolyError("certificate support is empty")
         if self.support.weights is None:
             raise PolyError("certificate support needs weights")
         for p in self.support.points:

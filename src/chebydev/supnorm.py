@@ -188,9 +188,16 @@ def _lockstep(Z: np.ndarray, residual, advance, tol: float, max_iter: int):
     return converged
 
 
-def _chart_newton(ders: Derivatives, X: np.ndarray, grad_tol: float, max_iter: int):
-    """Newton for grad q = 0 on every row of X in place, each step capped at
-    length 1 + |x|; rows with singular Hessians die.  Returns the converged rows."""
+def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: float):
+    """Multi-start Newton for grad q = 0 inside a chart, each step capped at
+    length 1 + |x|; rows with singular Hessians die.  feasible maps an (n, k)
+    array of chart points to a row mask.  Returns deduplicated chart points."""
+    k = q.nvars
+    if k == 0:
+        return [()]
+    ders = Derivatives(q)
+    X = np.array(starts, dtype=float).reshape(-1, k)
+
     def advance(X, G):
         s = _batched_solve(ders.hessian(X), G)
         limit = 1.0 + np.linalg.norm(X, axis=1)
@@ -199,17 +206,8 @@ def _chart_newton(ders: Derivatives, X: np.ndarray, grad_tol: float, max_iter: i
         s[shrink] *= (limit[shrink] / norms[shrink])[:, None]
         X = X + s
         return X, norms <= 1e-15 * (1.0 + np.linalg.norm(X, axis=1))
-    return _lockstep(X, ders.gradient, advance, grad_tol, max_iter)
 
-
-def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: float):
-    """Multi-start Newton for grad q = 0 inside a chart; feasible maps an (n, k)
-    array of chart points to a row mask.  Returns deduplicated chart points."""
-    k = q.nvars
-    if k == 0:
-        return [()]
-    X = np.array(starts, dtype=float).reshape(-1, k)
-    ok = _chart_newton(Derivatives(q), X, grad_tol, 60)
+    ok = _lockstep(X, ders.gradient, advance, grad_tol, 60)
     found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
     return [found[i] for i in dedup_points(found)]
 
@@ -426,88 +424,47 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
 
 def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
               resolution: int = 48, seed: int = 0):
-    """Points of the domain where | |f - p| - r | <= tol, found by a grid scan
-    of every face followed by Gauss-Newton projection onto the level set.
+    """Points of a simplex-type domain where |f - p| reaches its maximum r.
 
-    Tangency points (where the residual touches +-r with vanishing chart
-    gradient) get an extra stationary-point polish, since Gauss-Newton alone
-    only locates them to square-root precision in coordinates.  For
-    simplex_face domains, f and p are given in ambient coordinates and the
-    returned points are ambient (last coordinate 1 - sum of the others).
+    r must be max |f - p| over the domain: a face lattice value above r + tol
+    raises PolyError, since a lower level would come back as a partial set.
+    Every point of the set is a stationary point of f - p on the face that
+    holds it in its relative interior, so each face chart is searched by
+    Newton from its lattice points with |f - p| near r, and the stationary
+    points whose |f - p| is within tol / 10 of r are kept.  For simplex_face
+    domains, f and p are given in ambient coordinates and the returned points
+    are ambient (last coordinate 1 - sum of the others).  seed is unused.
     """
     if not r > 0:
         raise PolyError("level r must be positive")
-    g = (f - p).to_float64()
-    face_mode = dom.kind == SIMPLEX_FACE
-    if face_mode:
-        if g.nvars != dom.dimension:
-            raise PolyError("simplex_face level set expects ambient polynomials")
-        g = restrict_affine_last(g)
-        d = dom.dimension - 1
-    else:
-        d = dom.nvars
-        if g.nvars != d:
-            raise PolyError(f"residual has {g.nvars} variables, domain needs {d}")
-    raw: list[tuple] = []
-
-    def capture(q: Poly, pts: np.ndarray, zeros, sum_active):
-        k = q.nvars
-        if k == 0:
-            if abs(abs(q.eval(())) - r) <= tol / 10:
-                raw.append((embed_from_face((), zeros, sum_active, d), True))
-            return
-        ders = Derivatives(q)
-        vals = q.eval_grid(pts)
-        band = np.abs(np.abs(vals) - r)
-        near = band <= max(10 * tol, float(np.min(band)) * 4, 0.05 * r)
-        # rows (y, +-r): Gauss-Newton onto the level of the start's sign
-        Z = np.column_stack([pts[near], np.where(vals[near] >= 0, r, -r)])
-
-        def residual(Z):
-            return (q.eval_grid(Z[:, :k]) - Z[:, k])[:, None]
-
-        def advance(Z, h):
-            Y = Z[:, :k]
-            G = ders.gradient(Y)
-            gg = np.einsum("ij,ij->i", G, G)
-            gg[gg < 1e-30] = np.nan  # a flat point ends its row
-            Y = Y - h * G / gg[:, None]
-            out = np.any(Y < -1e-12, axis=1) | (Y.sum(axis=1) > 1 + 1e-12)
-            Y[out] = np.clip(Y[out], 0.0, None)
-            over = out & (Y.sum(axis=1) > 1)
-            Y[over] = Y[over] / Y[over].sum(axis=1, keepdims=True)
-            return np.column_stack([Y, Z[:, k]]), np.zeros(len(Z), dtype=bool)
-
-        Y = Z[_lockstep(Z, residual, advance, tol / 10, 60), :k]
-        # tangency polish: where the chart gradient nearly vanishes, converge
-        # to the stationary point of q instead
-        P = Y.copy()
-        polished = (_chart_newton(ders, P, 1e-12 * _grad_scale(q), 40)
-                    & np.all(P > -1e-9, axis=1) & (P.sum(axis=1) <= 1 + 1e-9)
-                    & (np.linalg.norm(P - Y, axis=1) <= 1e-3)
-                    & (np.abs(np.abs(q.eval_grid(P)) - r) <= tol / 10))
-        Y[polished] = P[polished]
-        raw.extend((embed_from_face(y, zeros, sum_active, d), bool(ok))
-                   for y, ok in zip(Y, polished))
-
-    if dom.kind in (SIMPLEX, SIMPLEX_FACE):
-        for zeros, sum_active in simplex_faces(d):
-            k = _chart_dim(zeros, sum_active, d)
-            q = restrict_to_face(g, zeros, sum_active)
-            pts = _simplex_lattice(k, max(4, resolution // (1 + len(zeros))))
-            capture(q, pts, zeros, sum_active)
-    else:
+    if dom.kind not in (SIMPLEX, SIMPLEX_FACE):
         raise PolyError("level_set currently supports simplex-type domains")
-
-    # verify at 10x tighter tolerance, cluster coarsely (merges Gauss-Newton
-    # square-root scatter around tangency points, preferring polished
-    # representatives), then dedup in sorted order
-    ordered = [pt for pt, _polished in sorted(raw, key=lambda item: (not item[1], item[0]))
-               if abs(abs(g.eval(pt)) - r) <= tol / 10]
-    merged = sorted(ordered[i] for i in dedup_points(ordered, 1e-4))
-    out = [merged[i] for i in dedup_points(merged)]
+    g = (f - p).to_float64()
+    if g.nvars != dom.dimension:
+        raise PolyError(f"residual has {g.nvars} variables, {dom.label()} needs {dom.dimension}")
+    face_mode, d = dom.kind == SIMPLEX_FACE, dom.nvars
     if face_mode:
-        out = [tuple(list(pt) + [1.0 - sum(pt)]) for pt in out]
+        g = restrict_affine_last(g)
+
+    def closed(Y):
+        return np.all(Y > -1e-9, axis=1) & (Y.sum(axis=1) <= 1 + 1e-9)
+
+    found = []
+    for zeros, sum_active in simplex_faces(d):
+        q = restrict_to_face(g, zeros, sum_active)
+        lattice = _simplex_lattice(q.nvars, max(4, resolution // (1 + len(zeros))))
+        mags = np.abs(q.eval_grid(lattice))
+        if mags.max() > r + tol:
+            raise PolyError(f"|f - p| reaches {float(mags.max())!r} > r = {r!r} on the lattice")
+        band = np.abs(mags - r)
+        near = band <= max(10 * tol, 4 * float(np.min(band)), 0.05 * r)
+        for y in _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(q)):
+            if abs(abs(q.eval(y)) - r) <= tol / 10:
+                found.append(embed_from_face(y, zeros, sum_active, d))
+    found.sort()
+    out = [found[i] for i in dedup_points(found)]
+    if face_mode:
+        out = [pt + (1.0 - sum(pt),) for pt in out]
     return out
 
 

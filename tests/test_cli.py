@@ -76,6 +76,12 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--d expects an integer or an ascending range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["2", "1..4"])
+    def test_d_below_3_is_a_usage_error(self, spec):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "supnorm", "--d", spec])
+        assert exc.value.code == 2
+
     def test_laplacian_suite_searches_once_per_d(self, capsys, monkeypatch):
         from chebydev import supnorm
         searches = []
@@ -143,6 +149,14 @@ class TestApprox:
     def test_bad_monomial_flag(self, capsys):
         code = cli.main(["approx", "--monomial", "a,b", "--degree", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--monomial", "1,1,1", "--degree", "-1"],
+        ["--monomial", "1,1,1", "--degree", "2", "--grid", "0"],
+        ["--monomial", "1,-1,1", "--degree", "2"],
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, flags, capsys):
+        assert cli.main(["approx"] + flags) == 2
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         import chebydev.bestapprox as ba

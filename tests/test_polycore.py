@@ -271,6 +271,11 @@ class TestRealRoots:
         with pytest.raises(DimensionMismatchError):
             real_roots(Poly.variable(2, 0), 0.0, 1.0)
 
+    def test_zero_polynomial_raises(self):
+        # every point is a root: no finite list answers
+        with pytest.raises(PolyError, match="zero polynomial"):
+            real_roots(Poly.zero(1, FLOAT64), 0.0, 1.0)
+
 
 class TestRestriction:
     @pytest.mark.parametrize("d", range(4, 9))
@@ -309,6 +314,15 @@ class TestRestriction:
 class TestEquality:
     def test_exponent_key_canonical(self):
         assert Poly(2, {(1, 1): 1}) == Poly(2, {(1, 1): Fraction(2, 2)})
+
+    @pytest.mark.parametrize("terms", [{(1.5,): 1}, {(1.5,): 1, (1,): 2}, {(Fraction(1, 2),): 1}])
+    def test_non_integral_exponent_raises(self, terms):
+        with pytest.raises(PolyError, match="non-integral"):
+            Poly(1, terms)
+
+    def test_integral_float_exponent_is_an_int(self):
+        p = Poly(2, {(1.0, 2.0): 3, (0, 0): 0})
+        assert p.terms == {(1, 2): 3} and all(type(e) is int for e in next(iter(p.terms)))
 
     def test_shifted_chebyshev_expansion(self):
         t2 = chebyshev_t(2)

@@ -7,7 +7,7 @@ import pytest
 
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import simplex
-from chebydev.polycore import Poly
+from chebydev.polycore import Poly, PolyError
 from chebydev.signatures import (
     Certificate, SignedPointSet, annihilation_residual, build_extremal_sets,
     build_l_functional, certificate_from_json_dict, certificate_to_json_dict,
@@ -318,6 +318,13 @@ class TestCertificates:
         res = certify_lower_bound(bad, tol=0)
         assert not res.certified
         assert any("sign mismatch" in f for f in res.failures)
+
+    def test_empty_support_raises(self):
+        base = _td_certificate(3)
+        with pytest.raises(PolyError, match="support is empty"):
+            Certificate(target=base.target, candidate=base.candidate, level=base.level,
+                        degree=base.degree, support=SignedPointSet([], [], []),
+                        domain=base.domain)
 
     def test_monotone_in_level(self):
         # certified at r implies failure at every r' > r on the same support

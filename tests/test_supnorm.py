@@ -10,7 +10,8 @@ from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
                                     build_u5, derive_r5_constants)
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev import bestapprox, polycore, supnorm
-from chebydev.polycore import Poly, restrict_affine_last, restrict_zero
+from chebydev.polycore import Poly, restrict_zero
+from chebydev.signatures import r5_diagonal_parameters
 from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
                               dedup_points, level_set, sample_domain, signed_max,
                               sup_norm, vandermonde_factor_report, verify_td_bound)
@@ -364,83 +365,6 @@ class TestLevelSet:
             assert abs(abs(g.eval(q)) - 1 / 72) <= tol / 10
 
 
-def _scalar_newton(q, y, grad_tol):
-    """The level-set polish from one start, written out with Poly.eval: damped
-    Newton for grad q = 0, at most 40 steps; None where it fails."""
-    grads = q.gradient()
-    hess = [[g.partial(j) for j in range(q.nvars)] for g in grads]
-    x = np.array(y, dtype=float)
-    for _ in range(40):
-        g = np.array([gr.eval(x) for gr in grads])
-        if np.max(np.abs(g)) <= grad_tol:
-            return x
-        H = np.array([[h.eval(x) for h in row] for row in hess])
-        scale = max(float(np.abs(H).max()), 1e-30) ** q.nvars
-        if not np.isfinite(H).all() or abs(np.linalg.det(H)) <= 1e-14 * scale:
-            return None
-        s = np.linalg.solve(H, -g)
-        limit, norm = 1.0 + np.linalg.norm(x), np.linalg.norm(s)
-        if norm > limit:
-            s *= limit / norm
-        x = x + s
-        if norm <= 1e-15 * (1.0 + np.linalg.norm(x)):
-            return x
-    return None
-
-
-def _scalar_level_set(f, p, r, dom, tol, resolution):
-    """level_set's earlier point-by-point algorithm, kept as a reference:
-    Gauss-Newton through Poly.eval and gradient Polys, then one Newton polish
-    per projected point, none of it through supnorm's lockstep solvers."""
-    g = (f - p).to_float64()
-    if dom.kind == "simplex_face":
-        g, d = restrict_affine_last(g), dom.dimension - 1
-    else:
-        d = dom.nvars
-    raw = []
-    for zeros, sum_active in supnorm.simplex_faces(d):
-        k = supnorm._chart_dim(zeros, sum_active, d)
-        q = supnorm.restrict_to_face(g, zeros, sum_active)
-        if k == 0:
-            if abs(abs(q.eval(())) - r) <= tol / 10:
-                raw.append((supnorm.embed_from_face((), zeros, sum_active, d), True))
-            continue
-        pts = supnorm._simplex_lattice(k, max(4, resolution // (1 + len(zeros))))
-        grads = q.gradient()
-        band = np.abs(np.abs(q.eval_grid(pts)) - r)
-        cutoff = max(10 * tol, float(np.min(band)) * 4, 0.05 * r)
-        for y in pts[band <= cutoff]:
-            sgn = 1.0 if q.eval(y) >= 0 else -1.0
-            for _ in range(60):
-                h = q.eval(y) - sgn * r
-                if abs(h) <= tol / 10:
-                    break
-                gv = np.array([gr.eval(y) for gr in grads])
-                if gv @ gv < 1e-30:
-                    break
-                y = y - h * gv / (gv @ gv)
-                if np.any(y < -1e-12) or y.sum() > 1 + 1e-12:
-                    y = np.clip(y, 0.0, None)
-                    if y.sum() > 1:
-                        y = y / y.sum()
-            if abs(h) > tol / 10:
-                continue
-            z = _scalar_newton(q, y, 1e-12 * supnorm._grad_scale(q))
-            polished = (z is not None and np.all(z > -1e-9) and z.sum() <= 1 + 1e-9
-                        and np.linalg.norm(z - y) <= 1e-3
-                        and abs(abs(q.eval(z)) - r) <= tol / 10)
-            if polished:
-                y = z
-            raw.append((supnorm.embed_from_face(tuple(y), zeros, sum_active, d), polished))
-    ordered = [pt for pt, _ in sorted(raw, key=lambda item: (not item[1], item[0]))
-               if abs(abs(g.eval(pt)) - r) <= tol / 10]
-    merged = sorted(ordered[i] for i in dedup_points(ordered, 1e-4))
-    out = [merged[i] for i in dedup_points(merged)]
-    if dom.kind == "simplex_face":
-        out = [tuple(list(pt) + [1.0 - sum(pt)]) for pt in out]
-    return out
-
-
 def _r5_level_inputs(consts):
     f = Poly.monomial((2, 2, 2)).to_float64()
     return f, f - (1.0 / consts.leading) * build_r5(consts), 1.0 / consts.leading
@@ -463,16 +387,32 @@ class TestBatchedLevelSet:
         assert len(built) == 4
 
     @pytest.mark.parametrize("case", ["r5_face", "t3_simplex"])
-    def test_matches_scalar_reference(self, consts, case):
+    def test_matches_the_exact_extremal_points(self, consts, case):
+        # each exact point has exactly one level-set point near it, and no
+        # level-set point is left over
         if case == "r5_face":
-            (f, p, r), dom, res = _r5_level_inputs(consts), simplex_face(3), 48
+            (f, p, r), dom, res, tol = _r5_level_inputs(consts), simplex_face(3), 48, 1e-10
+            t_plus, t_minus = r5_diagonal_parameters(consts)
+            e = (2 - math.sqrt(2)) / 4
+            seeds = [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (e, 1 - e, 0.0), (1 / 3, 1 / 3, 1 / 3),
+                     (t_plus, t_plus, 1 - 2 * t_plus), (t_minus, t_minus, 1 - 2 * t_minus)]
         else:
-            f, r, dom, res = Poly.monomial((1, 1, 1)).to_float64(), 1 / 72, simplex(3), 24
+            f, r, dom, res, tol = Poly.monomial((1, 1, 1)).to_float64(), 1 / 72, simplex(3), 24, 1e-12
             p = f - (1.0 / 72.0) * build_t3(3).to_float64()
+            seeds = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (1 / 3, 1 / 3, 1 / 3)]
+        want = sorted({perm for s in seeds for perm in itertools.permutations(s)})
         got = level_set(f, p, r, dom, tol=1e-9, resolution=res, seed=0)
-        want = _scalar_level_set(f, p, r, dom, tol=1e-9, resolution=res)
-        assert len(got) == len(want) > 0
-        assert max(max(abs(a - b) for a, b in zip(u, v)) for u, v in zip(got, want)) <= 1e-12
+        assert len(want) == (19 if case == "r5_face" else 8)
+        dist = np.max(np.abs(np.array(want)[:, None, :] - np.array(got)[None, :, :]), axis=2)
+        assert len(got) == len(want)
+        assert sorted(np.argmin(dist, axis=1)) == list(range(len(got)))
+        assert np.max(np.min(dist, axis=1)) <= tol
+
+    def test_a_level_below_the_maximum_raises(self):
+        f = Poly.monomial((1, 1, 1)).to_float64()
+        p = f - (1.0 / 72.0) * build_t3(3).to_float64()
+        with pytest.raises(polycore.PolyError, match="reaches"):
+            level_set(f, p, 1 / 144, simplex(3), tol=1e-9, resolution=24, seed=0)
 
     def test_feasible_is_a_row_mask(self):
         q = Poly(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -0.6, (0, 1): -0.8}, "float64")
