@@ -28,7 +28,7 @@ import numpy as np
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import LPError, simplex_solve
 from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
-from .supnorm import _lattice, _unique_rows, sample_domain, sup_norm
+from .supnorm import _lattice, _search_grid, _unique_rows, sample_domain, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -365,6 +365,11 @@ def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray
     return pb.M @ sol[:-1], float(sol[-1])
 
 
+def _grid_max(p: Poly, domain: Domain, resolution: int) -> float:
+    """max |p| on the grid that sup_norm(p, domain, resolution) samples."""
+    return float(np.max(np.abs(p.eval_grid(_search_grid(p, domain, resolution)))))
+
+
 def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
     """(point, value) pairs: the residual's critical points with |value| >=
     (1 - rel) * level, then the argmax of its sup-norm search."""
@@ -382,14 +387,15 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     Each iteration also re-fits the coefficients on the refined extremal
     candidates by least squares (the LP picks the active set; the fit removes
     the coordinate noise a degenerate vertex basis leaves in the multipliers)
-    and keeps the fit when its continuum sup is smaller.  Stops when the
-    sandwich gap reaches rounding level, when the deviation has stabilized
-    (change below ``DEV_CHANGE_TOL``) and the gap stops improving, when
-    refinement yields no new points, or at ``max_iter``.  A closing solve on
-    the initial grid plus the final extremal points gives the reported
-    deviation (a LOWER bound for the continuum problem, since the point set is
-    a subset of the domain); the continuum sup of the achieved residual is the
-    reported upper bound.
+    and keeps the fit when its continuum sup is smaller; a fit whose maximum
+    on the search grid already reaches the current sup is not searched.
+    Stops when the sandwich gap reaches rounding level, when the deviation
+    has stabilized (change below ``DEV_CHANGE_TOL``) and the gap stops
+    improving, when refinement yields no new points, or at ``max_iter``.
+    A closing solve on the initial grid plus the final extremal points gives
+    the reported deviation (a LOWER bound for the continuum problem, since the
+    point set is a subset of the domain); the continuum sup of the achieved
+    residual is the reported upper bound.
     """
     pb = _problem_basis(prob)
     # the fit's gradients: the target's, then each conditioned basis function's
@@ -422,10 +428,13 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             sg = np.sign([val for _, val in extremal])
             try:
                 c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
-                resid2, rep2 = search(c2)
-                if rep2.value < rep.value:
-                    result.coefficients = np.asarray(c2)
-                    resid, rep = resid2, rep2
+                # a search never comes out below the maximum on its own grid
+                if _grid_max(pb.target_f - _combination(c2, pb.basis_f),
+                             search_domain, search_res) < rep.value:
+                    resid2, rep2 = search(c2)
+                    if rep2.value < rep.value:
+                        result.coefficients = np.asarray(c2)
+                        resid, rep = resid2, rep2
             except np.linalg.LinAlgError:
                 pass
         gap = rep.value - dev

@@ -3,21 +3,26 @@
 The search strategy is face decomposition: every local maximum of |p| over a
 compact polytope/ball domain is a stationary point of p restricted to the
 affine chart of some face, so each face is searched by multi-start Newton on
-the chart gradient and the results are merged.  Bounds are heuristic-numeric
-(multi-start), not certified enclosures.
+the chart gradient and the results are merged.  A symmetric polynomial
+(``_symmetric``: invariant under every permutation of its variables) is
+searched on one Weyl chamber, the points with non-increasing coordinates:
+every domain here is permutation-invariant, so each S_n orbit of grid points
+and stationary points is represented there once.  Bounds are
+heuristic-numeric (multi-start), not certified enclosures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (Derivatives, Poly, PolyError, monomial_exponents,
                        restrict_affine_last, restrict_zero)
+from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
 # Newton starts per domain dimension, spread over the faces of a simplex
@@ -44,24 +49,48 @@ def _simplex_lattice(d: int, m: int) -> np.ndarray:
 
 def sample_domain(dom: Domain, resolution: int) -> np.ndarray:
     """Deterministic point grids: barycentric lattice on the simplex, filtered
-    product lattice on the ball, normalized lattice directions plus axis
-    points on the sphere.  Grids are nested: resolution 2m contains m."""
+    product lattice on the ball, normalized lattice directions (the axis
+    points among them) on the sphere.  Grids are nested: resolution 2m
+    contains m."""
     if resolution < 1:
         raise PolyError(f"resolution must be >= 1, got {resolution}")
     m = resolution
-    if dom.kind == SIMPLEX:
-        return _simplex_lattice(dom.dimension, m)
-    if dom.kind == SIMPLEX_FACE:
-        return _simplex_lattice(dom.dimension - 1, m)
-    d = dom.dimension
-    pts = _lattice(np.arange(-m, m + 1) / m, d)
+    if dom.kind in (SIMPLEX, SIMPLEX_FACE):
+        return _simplex_lattice(dom.nvars, m)
+    return _box_to_domain(dom, _lattice(np.arange(-m, m + 1) / m, dom.dimension))
+
+
+def _box_to_domain(dom: Domain, pts: np.ndarray) -> np.ndarray:
+    """The rows of a box lattice in the ball, or its nonzero rows normalized
+    onto the sphere and deduplicated."""
     sq = np.einsum("ij,ij->i", pts, pts)
     if dom.kind == BALL:
         return pts[sq <= 1.0 + 1e-12]
-    # sphere: normalized nonzero lattice directions, deduplicated, plus axes
     pts = pts[sq > 0]
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return _unique_rows(np.vstack([pts, np.eye(d), -np.eye(d)]))
+    return _unique_rows(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def _chamber_grid(dom: Domain, resolution: int) -> np.ndarray:
+    """The rows of sample_domain(dom, resolution) with non-increasing
+    coordinates, bit for bit and in the same order, built without the rest:
+    the padded partitions on the simplex, the non-increasing tuples of the
+    axis on the ball and sphere (reversed into product order)."""
+    if resolution < 1:
+        raise PolyError(f"resolution must be >= 1, got {resolution}")
+    m, d = resolution, dom.nvars
+    if dom.kind in (SIMPLEX, SIMPLEX_FACE):
+        rows = sorted(part + (0,) * (d - len(part)) for part in partitions_upto(m, d))
+        return np.array(rows, dtype=float).reshape(-1, d) / m
+    idx = np.fromiter(chain.from_iterable(combinations_with_replacement(range(2 * m + 1), d)),
+                      dtype=np.intp).reshape(-1, d)
+    return _box_to_domain(dom, (np.arange(m, -m - 1, -1) / m)[idx[::-1]])
+
+
+def _search_grid(pf: Poly, dom: Domain, resolution: int) -> np.ndarray:
+    """The grid sup_norm samples pf on: its chamber when pf is symmetric."""
+    if _symmetric(pf):
+        return _chamber_grid(dom, resolution)
+    return sample_domain(dom, resolution)
 
 
 def _lattice(axis: np.ndarray, d: int) -> np.ndarray:
@@ -80,6 +109,18 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     return pts[np.sort(order[first])]
+
+
+def _symmetric(p: Poly) -> bool:
+    """Whether p, in at least 2 variables, is invariant under every
+    permutation of them: each coefficient equals (==, no arithmetic) that of
+    its image under the transposition (x1 x2) and under the cycle
+    (x1 ... xn), which generate S_n."""
+    if p.nvars < 2:
+        return False
+    terms = p.terms
+    return all(terms.get(e[1::-1] + e[2:]) == c and terms.get(e[1:] + e[:1]) == c
+               for e, c in terms.items())
 
 
 def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
@@ -266,20 +307,34 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
     Interior criticals solve grad p = 0; each face of the simplex is searched
     through its affine chart; the ball boundary and the sphere use Lagrange
     stationarity.  Returns (point, value) pairs deduplicated at 1e-8 in
-    coordinates, values attached after a final Newton polish.
+    coordinates, each value that of the chart (or p) at the converged point.
+
+    A symmetric p gives one representative per S_n orbit, its coordinates
+    non-increasing: the simplex is searched on one face per orbit (the zeros
+    trailing), and every start is sorted into the chamber (duplicates
+    dropped).  Newton commutes with the permutations up to rounding, so a
+    sorted start finds the sorted point its unsorted self would: the starts
+    are not thinned, and each orbit is found as often as in the full search.
     """
     pf = p.to_float64()
     d = dom.nvars
     if pf.nvars != d:
         raise PolyError(f"polynomial has {pf.nvars} variables, domain needs {d}")
+    symmetric = _symmetric(pf)
     total = STARTS_PER_DIMENSION * max(1, dom.dimension)
     rng = np.random.default_rng(seed)
     results = []
+
+    def starts(X):   # sorted into the chamber, rows non-increasing
+        return _unique_rows(np.sort(X, axis=1)[:, ::-1]) if symmetric else X
 
     if dom.kind in (SIMPLEX, SIMPLEX_FACE):
         faces = simplex_faces(d)
         if interior_only:
             faces = [((), False)]
+        elif symmetric:
+            faces = [(zeros, s) for zeros, s in faces
+                     if zeros == tuple(range(d - len(zeros), d))]
 
         def feasible(Y):
             return np.all(Y > 1e-9, axis=1) & (Y.sum(axis=1) < 1 - 1e-9)
@@ -291,10 +346,9 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
                 pt = embed_from_face((), zeros, sum_active, d)
                 results.append((pt, pf.eval(pt)))
                 continue
-            n_starts = max(8, (total * (k + 1)) // (d + 1))
-            st = _simplex_starts(rng, k, n_starts)
+            st = _simplex_starts(rng, k, max(8, (total * (k + 1)) // (d + 1)))
             tol = 1e-11 * _grad_scale(q)
-            for y in _newton_critical_points(q, st, feasible, tol):
+            for y in _newton_critical_points(q, starts(st), feasible, tol):
                 pt = embed_from_face(y, zeros, sum_active, d)
                 results.append((pt, q.eval(np.array(y))))
     elif dom.kind == BALL:
@@ -302,12 +356,12 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         st = st[np.einsum("ij,ij->i", st, st) < 1.0]
         tol = 1e-11 * _grad_scale(pf)
         inside = _newton_critical_points(
-            pf, st, lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
+            pf, starts(st), lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
         results.extend((tuple(x), pf.eval(np.array(x))) for x in inside)
         if not interior_only and d >= 2:
             sph = rng.normal(size=(total, d))
             sph = np.vstack([sph, np.eye(d), -np.eye(d)])
-            for x in _sphere_critical_points(pf, sph, tol):
+            for x in _sphere_critical_points(pf, starts(sph), tol):
                 results.append((tuple(x), pf.eval(np.array(x))))
         elif not interior_only and d == 1:
             for e in (-1.0, 1.0):
@@ -317,11 +371,13 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         sph = np.vstack([sph, np.eye(d), -np.eye(d),
                          _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)])
         tol = 1e-11 * _grad_scale(pf)
-        for x in _sphere_critical_points(pf, sph, tol):
+        for x in _sphere_critical_points(pf, starts(sph), tol):
             results.append((tuple(x), pf.eval(np.array(x))))
     else:
         raise PolyError(f"unsupported domain {dom.kind}")
 
+    if symmetric:
+        results = [(tuple(sorted(pt, reverse=True)), v) for pt, v in results]
     return [results[i] for i in dedup_points([pt for pt, _ in results])]
 
 
@@ -333,7 +389,9 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
 def sup_norm(p: Poly, dom: Domain, resolution: int,
              seed: int = 0) -> SupNormReport:
     """Coarse grid maximum of |p| refined by stationary-point search on every
-    face; falls back to the grid value if refinement fails everywhere."""
+    face; falls back to the grid value if refinement fails everywhere.  A
+    symmetric p is sampled and searched on its chamber only, so the argmax
+    and the critical points are orbit representatives."""
     return _refine_grid(p.to_float64(), dom, resolution,
                         critical_points(p, dom, seed=seed))
 
@@ -341,7 +399,7 @@ def sup_norm(p: Poly, dom: Domain, resolution: int,
 def _candidates(pf: Poly, dom: Domain, resolution: int, crits: list):
     """The grid rows followed by the critical points, the value of pf at each,
     and the number of grid rows."""
-    grid = sample_domain(dom, resolution)
+    grid = _search_grid(pf, dom, resolution)
     pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
     vals = np.concatenate([pf.eval_grid(grid), [val for _, val in crits]])
     return np.vstack([grid, pts]), vals, len(grid)
@@ -359,7 +417,8 @@ def _refine_grid(pf: Poly, dom: Domain, resolution: int, crits: list) -> SupNorm
 def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0) -> tuple:
     """Maximum of p (not |p|) over a simplex or a ball, and over its boundary:
     some x_i <= 1e-12 or sum x >= 1 - 1e-12 on the simplex, |x|^2 >= 1 - 1e-12
-    on the ball."""
+    on the ball.  A symmetric p is searched on one representative per orbit,
+    as in sup_norm."""
     if dom.kind not in (SIMPLEX, BALL):
         raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
     pts, vals, _ = _candidates(p.to_float64(), dom, resolution,

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from chebydev import bestapprox
+from chebydev import bestapprox, supnorm
 from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
@@ -216,6 +216,44 @@ class TestRemezExchange:
             Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
         assert res.exchange_iterations > 1
         assert all(a != b for i, a in enumerate(searched) for b in searched[:i])
+
+    @pytest.mark.parametrize("prob", [
+        ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16),
+        ApproxProblem(Poly.monomial((2, 1)), 2, simplex(2), "full", grid=12),
+        ApproxProblem(Poly.monomial((1, 1, 1)), 2, sphere(3), "symmetric", grid=40),
+    ], ids=["simplex3_sym_g16", "simplex2_x1sq_x2_full_g12", "sphere3_sym_g40"])
+    def test_skipping_decided_fits_changes_no_output(self, monkeypatch, prob):
+        # a fit whose grid maximum reaches the current sup is rejected by its
+        # search anyway, so leaving that search out moves no bit
+        searched = []
+        original = bestapprox.sup_norm
+
+        def recorded(resid, *args, **kwargs):
+            searched.append(resid)
+            return original(resid, *args, **kwargs)
+
+        monkeypatch.setattr(bestapprox, "sup_norm", recorded)
+        got = remez_exchange(prob, seed=0)
+        n_skipping = len(searched)
+        searched.clear()
+        monkeypatch.setattr(bestapprox, "_grid_max", lambda *args: -math.inf)
+        want = remez_exchange(prob, seed=0)
+        assert len(searched) > n_skipping
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert [got.deviation_lower.hex(), got.deviation_upper.hex()] == \
+            [want.deviation_lower.hex(), want.deviation_upper.hex()]
+        assert got.gap_log == want.gap_log
+        assert got.residual_extrema == want.residual_extrema
+
+    @pytest.mark.parametrize("case", ["symmetric", "lopsided"])
+    def test_grid_max_is_the_search_grid_value(self, case):
+        p = Poly.monomial((1, 1, 1)) - Fraction(1, 4) * Poly.monomial((2, 0, 0))
+        if case == "symmetric":
+            p = p - Fraction(1, 4) * (Poly.monomial((0, 2, 0)) + Poly.monomial((0, 0, 2)))
+        p = p.to_float64()
+        assert supnorm._symmetric(p) == (case == "symmetric")
+        for dom in (simplex(3), ball(3), sphere(3)):
+            assert bestapprox._grid_max(p, dom, 8) == sup_norm(p, dom, 8).grid_value
 
     def test_unconverged_exchange_keeps_warning(self):
         res = remez_exchange(ApproxProblem(

@@ -22,6 +22,19 @@ def consts():
     return derive_r5_constants()
 
 
+@pytest.fixture
+def full_search(monkeypatch):
+    """Search every member of every S_n orbit, as for a non-symmetric input."""
+    monkeypatch.setattr(supnorm, "_symmetric", lambda p: False)
+
+
+def _full(monkeypatch, search):
+    """search() with the symmetry reduction switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(supnorm, "_symmetric", lambda p: False)
+        return search()
+
+
 class TestSamplers:
     def test_simplex_lattice_count(self):
         pts = sample_domain(simplex(2), 2)
@@ -186,7 +199,7 @@ class TestSupNorm:
 
 
 class TestCriticalPoints:
-    def test_r3_interior(self):
+    def test_r3_interior(self, full_search):
         cps = critical_points(build_t3(3).to_float64(), simplex(3), seed=0,
                               interior_only=True)
         assert len(cps) == 4
@@ -194,13 +207,27 @@ class TestCriticalPoints:
         reps = {tuple(np.round(sorted(pt), 6)) for pt, _ in cps}
         assert tuple(np.round(sorted((1/9, 1/9, 7/18)), 6)) in reps
 
-    def test_u3_face_critical_points(self):
+    def test_r3_interior_orbit_representatives(self):
+        # the orbit of (7/18, 1/9, 1/9) and the diagonal point, once each
+        cps = critical_points(build_t3(3).to_float64(), simplex(3), seed=0,
+                              interior_only=True)
+        assert len(cps) == 2
+        assert cps[0][0] == pytest.approx((7/18, 1/9, 1/9), abs=1e-10)
+        assert cps[1][0][0] == pytest.approx(cps[1][0][2], abs=1e-10)
+
+    def test_u3_face_critical_points(self, full_search):
         u3 = build_u3().to_float64()
         cps = critical_points(u3, simplex(2), seed=0, interior_only=True)
         assert len(cps) == 4
         maxima = [(pt, v) for pt, v in cps if v == pytest.approx(1.0, abs=1e-10)]
         assert len(maxima) == 1
         assert maxima[0][0] == pytest.approx((1/3, 1/3), abs=1e-10)
+
+    def test_u3_face_orbit_representatives(self):
+        # (7/9, 1/9) stands for its mirror image (1/9, 7/9)
+        cps = critical_points(build_u3().to_float64(), simplex(2), seed=0, interior_only=True)
+        assert sorted(np.round(pt, 10).tolist() for pt, _ in cps) == [
+            [round(1/9, 10)] * 2, [round(1/3, 10)] * 2, [round(7/9, 10), round(1/9, 10)]]
 
     def test_u5_diagonal_minus_one_touch(self, consts):
         u5 = build_u5(consts)
@@ -307,7 +334,7 @@ class TestSubharmonicity:
         (5, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
         (5, -1, "0x1.0000000000010p+0", "0x1.0000000000010p+0"),
     ])
-    def test_signed_max_bits(self, d, sign, total, boundary):
+    def test_signed_max_bits(self, full_search, d, sign, total, boundary):
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
         got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert [v.hex() for v in got] == [total, boundary]
@@ -318,12 +345,157 @@ class TestSubharmonicity:
         assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.0000000000000p-52"]
 
 
-def test_sup_norm_bits():
+    @pytest.mark.parametrize("d,sign,total,boundary", [
+        (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (4, 1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+        (4, -1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
+        (5, 1, "0x1.000000000002cp+0", "0x1.000000000002cp+0"),
+        (5, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ])
+    def test_signed_max_bits_on_the_chamber(self, d, sign, total, boundary):
+        p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
+        got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
+        assert [v.hex() for v in got] == [total, boundary]
+
+
+def test_sup_norm_bits(full_search):
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
     assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
         "0x1.5555555559cf2p-2", "0x1.5555555557ea0p-2", "0x0.0p+0", "0x1.555555554e46ep-2"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
+
+
+def test_sup_norm_bits_on_the_chamber():
+    # the argmax is the centroid of the face sum x = 1, its coordinates non-increasing
+    rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
+    assert rep.value.hex() == "0x1.0000000000006p+0"
+    assert [v.hex() for v in rep.argmax] == [
+        "0x1.000000000000dp-2", "0x1.000000000000ap-2", "0x1.0000000000002p-2", "0x1.fffffffffffcdp-3"]
+    assert rep.grid_value.hex() == "0x1.0000000000000p+0"
+
+
+def _nonincreasing_rows(pts):
+    return pts[np.all(pts[:, :-1] >= pts[:, 1:], axis=1)]
+
+
+class TestSymmetric:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_td_is_symmetric(self, d):
+        td = build_td(d).polynomial
+        assert supnorm._symmetric(td)
+        assert supnorm._symmetric(td.to_float64())
+
+    def test_one_ulp_off_is_not_symmetric(self):
+        tdf = build_td(4).polynomial.to_float64()
+        moved = [e for e in tdf.terms if len(set(e)) > 1]
+        assert len(moved) > 10
+        for e in moved:
+            terms = dict(tdf.terms)
+            terms[e] = math.nextafter(terms[e], math.inf)
+            assert not supnorm._symmetric(Poly(4, terms, "float64")), e
+
+    def test_fixed_by_the_transposition_only(self):
+        # x1^2 x3 + x2^2 x3: (x1 x2) fixes it, the cycle (x1 x2 x3) does not
+        p = Poly(3, {(2, 0, 1): 1, (0, 2, 1): 1})
+        assert not supnorm._symmetric(p)
+        assert not supnorm._symmetric(p.to_float64())
+
+    def test_fixed_by_the_cycle_only(self):
+        # x1^2 x2 + x2^2 x3 + x3^2 x1
+        assert not supnorm._symmetric(Poly(3, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}))
+
+    @pytest.mark.parametrize("p", [Poly.variable(1, 0), Poly.constant(1, 3),
+                                   Poly(1, {(4,): 1.0, (0,): 1.0}, "float64")])
+    def test_one_variable_is_never_symmetric(self, p):
+        assert not supnorm._symmetric(p)
+
+
+# the resolutions checked per domain: every m up to the last one
+CHAMBER_GRIDS = ([(simplex(d), 10) for d in range(2, 6)] + [(simplex_face(4), 8)]
+                 + [(ball(d), 8) for d in range(2, 5)]
+                 + [(sphere(2), 20), (sphere(3), 12), (sphere(4), 6), (sphere(5), 4),
+                    (sphere(6), 3)])
+
+
+class TestChamberGrid:
+    @pytest.mark.parametrize("dom,top", CHAMBER_GRIDS,
+                             ids=[f"{dom.kind}{dom.dimension}@1..{top}" for dom, top in CHAMBER_GRIDS])
+    def test_equals_the_nonincreasing_rows_of_the_grid(self, dom, top):
+        for m in range(1, top + 1):
+            got, want = supnorm._chamber_grid(dom, m), _nonincreasing_rows(sample_domain(dom, m))
+            assert {r.tobytes() for r in got} == {r.tobytes() for r in want}, m
+            # in the grid's own order too, so the first maximum is the same row
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("dom", [simplex(3), simplex(5), ball(3), sphere(3), sphere(4)],
+                             ids=lambda dom: f"{dom.kind}{dom.dimension}")
+    def test_chambers_are_nested(self, dom):
+        for m in (1, 2, 3, 4):
+            small = {tuple(np.round(p, 12)) for p in supnorm._chamber_grid(dom, m)}
+            large = {tuple(np.round(p, 12)) for p in supnorm._chamber_grid(dom, 2 * m)}
+            assert small <= large, m
+
+    def test_the_input_decides(self):
+        td = build_td(4).polynomial.to_float64()
+        lopsided = td + Poly.monomial((1, 0, 0, 0)).to_float64()
+        assert supnorm._search_grid(td, simplex(4), 6).tobytes() == \
+            supnorm._chamber_grid(simplex(4), 6).tobytes()
+        assert supnorm._search_grid(lopsided, simplex(4), 6).tobytes() == \
+            sample_domain(simplex(4), 6).tobytes()
+
+    def test_resolution_below_one_raises(self):
+        with pytest.raises(polycore.PolyError):
+            supnorm._chamber_grid(ball(3), 0)
+
+
+class TestChamberSearch:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_verify_td_bound_matches_the_full_search(self, monkeypatch, d):
+        res = max(6, 14 - d)
+        got = verify_td_bound(d, resolution=res, seed=0)
+        want = _full(monkeypatch, lambda: verify_td_bound(d, resolution=res, seed=0))
+        assert got["max_abs_estimate"] == pytest.approx(want["max_abs_estimate"], rel=1e-12)
+        # Newton stops at |grad| <= 1e-11 max|coef| (6.6e-5 for T_7), so the
+        # interior values reproduce only to about that level
+        assert got["interior_max_abs"] == pytest.approx(want["interior_max_abs"], abs=1e-8)
+        assert got["sum_face_sup"] == pytest.approx(want["sum_face_sup"], abs=1e-8)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_sphere_product_matches_the_full_search(self, monkeypatch, d):
+        prod = Poly.monomial((1,) * d).to_float64()
+        got = sup_norm(prod, sphere(d), 3, seed=0)
+        want = _full(monkeypatch, lambda: sup_norm(prod, sphere(d), 3, seed=0))
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.grid_value == pytest.approx(want.grid_value, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_signed_max_matches_the_full_search(self, monkeypatch, d, sign):
+        p = (sign * build_td(d).polynomial).to_float64()
+        got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
+        want = _full(monkeypatch, lambda: signed_max(p, simplex(d), max(6, 12 - d), seed=0))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["t3_simplex", "t4_simplex", "t5_simplex", "t3_ball",
+                                      "prod3_ball", "prod3_sphere", "prod4_sphere",
+                                      "prod5_sphere"])
+    def test_every_full_search_point_has_a_representative(self, monkeypatch, case):
+        name, dom = case.split("_")
+        d = int(name[-1])
+        p = build_td(d).polynomial if name.startswith("t") else Poly.monomial((1,) * d)
+        dom = {"simplex": simplex, "ball": ball, "sphere": sphere}[dom](d)
+        reps = np.array([pt for pt, _ in critical_points(p, dom, seed=0)])
+        assert len(_nonincreasing_rows(reps)) == len(reps)
+        # T_5's gradient tolerance 1e-11 max|coef| is 1.4e-7: its points
+        # converge only to about 1e-8, and two searches can land that far apart
+        tol = 1e-7 if case == "t5_simplex" else 1e-8
+        full = _full(monkeypatch, lambda: critical_points(p, dom, seed=0))
+        assert len(full) > len(reps)
+        for pt, _ in full:
+            dist = np.max(np.abs(reps - np.sort(pt)[::-1]), axis=1)
+            assert np.min(dist) <= tol, pt
 
 
 class TestLevelSet:
