@@ -4,17 +4,23 @@ The discrete problem min_c max_i |f(x_i) - sum_k c_k phi_k(x_i)| is solved
 through its dual: find a normalized signed measure on the grid annihilating
 the basis and maximizing its pairing with f.  The dual is a standard-form LP
 with one column per (point, sign) pair and basis-size + 1 rows, solved by the
-deterministic dense simplex in :mod:`chebydev.lp`; the approximant
-coefficients and the deviation are the simplex multipliers of the optimal
-basis, and the active columns are the residual extrema.
+revised simplex in :mod:`chebydev.lp` from a feasible crash basis (k points
+picked by Gaussian elimination with row pivoting, plus the worst residual of
+their interpolant), so no phase 1 runs.  The approximant coefficients and the
+deviation are the simplex multipliers of the optimal basis, and the active
+columns are the residual extrema.  A level below max|f - Phi c| on the
+points, or a dual objective that differs from it, raises ``LPError``.
 
 A Remez-style exchange then closes the grid-to-continuum gap in one loop:
 solve on the current points, locate the stationary points of the residual
-over the continuum, adjoin them, re-solve.  A closing solve on the initial
-grid plus the final extremal points gives the reported deviation.  Both the LP
-value (a lower bound over any grid subset of the domain) and the refined
-continuum sup of the final residual (an upper bound for the achieved
-approximant) are reported; the gap is never hidden.
+over the continuum, adjoin each new one once, re-solve from the previous
+optimal basis (it stays feasible when points are appended).  The reported
+approximant is the searched iterate with the smallest continuum sup; a
+closing solve on the initial grid plus that iterate's extremal points gives
+the reported deviation.  Both the LP value (a lower bound over any grid
+subset of the domain) and the refined continuum sup of the reported residual
+(an upper bound for the achieved approximant) are reported; the gap is never
+hidden.
 """
 
 from __future__ import annotations
@@ -261,13 +267,38 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
     """Solve the discrete minimax problem on the domain grid by the dual LP."""
     pb = _problem_basis(prob)
-    return _minimax_on(pb, pb.grid)
+    return _minimax_on(pb, pb.grid)[0]
 
 
-def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
-    """Solve the dual LP on points that contain pb.grid.  The multipliers of
-    the optimal basis are the coefficients and the level; its positive
-    columns are the residual extrema."""
+def _crash_basis(Phi: np.ndarray, f: np.ndarray) -> list[int]:
+    """A feasible basis of the dual LP (point i with sign + is column i, with
+    sign - column N + i).  Gaussian elimination with row pivoting on Phi picks
+    k points; the worst residual of their interpolant is the (k+1)-th.  The
+    left null vector lam of those k+1 rows gives the signs, sign(lam_i r_w), and
+    the weights |lam_i| / sum |lam|, so the basis matrix is nonsingular
+    whenever the k rows are independent."""
+    N, k = Phi.shape
+    U = Phi.copy()
+    free = np.ones(N, dtype=bool)
+    rows = []
+    for j in range(k):
+        p = int(np.argmax(np.where(free, np.abs(U[:, j]), -1.0)))
+        rows.append(p)
+        free[p] = False
+        U[:, j + 1:] -= np.outer(U[:, j] / U[p, j], U[p, j + 1:])
+    S = Phi[rows]
+    resid = f - Phi @ np.linalg.solve(S, f[rows])
+    w = int(np.argmax(np.where(free, np.abs(resid), -1.0)))
+    lam = np.append(-np.linalg.solve(S.T, Phi[w]), 1.0)
+    negative = lam * (1.0 if resid[w] >= 0 else -1.0) < 0
+    return [i + N * neg for i, neg in zip(rows + [w], negative)]
+
+
+def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
+    """Solve the dual LP on points that contain pb.grid, from the feasible
+    basis ``start`` (a crash basis if None).  The multipliers of the optimal
+    basis are the coefficients and the level; its positive columns are the
+    residual extrema.  Returns the result and the optimal basis."""
     N = len(points)
     k = len(pb.basis)
     Phi = pb.columns(points)
@@ -280,23 +311,26 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray) -> ApproxResult:
     b = np.zeros(k + 1)
     b[k] = 1.0
     c = np.concatenate([f, -f])
-    res = simplex_solve(A, b, c)
+    res = simplex_solve(A, b, c, _crash_basis(Phi, f) if start is None else start)
     if res.status != "optimal":
         raise LPError(f"dual minimax LP returned status {res.status}")
     t = float(res.multipliers[k])
+    resid = f - Phi @ res.multipliers[:k]
+    closure = float(np.max(np.abs(resid)))
+    if closure > t * (1 + 1e-9):
+        raise LPError(f"max|f - Phi c| = {closure} on the points exceeds the level {t}")
+    obj = float(res.objective)
+    if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
+        raise LPError(f"dual objective {obj} differs from recovered t {t}")
     coeffs = pb.M @ res.multipliers[:k]
     extrema = [(tuple(points[col % N]), 1 if col < N else -1)
                for col in res.basis if res.x[col] > 1e-14]
     result = ApproxResult(deviation=t, coefficients=coeffs, basis_polys=pb.basis,
                           residual_extrema=extrema, iterations=res.iterations)
-    resid = (pb.target_f - _combination(coeffs, pb.basis_f)).eval_grid(points)
     near = np.abs(np.abs(resid) - t) <= 1e-8 * max(1.0, t)
     result.equioscillation_count = int(np.sum(near))
     result.equioscillation_ok = result.equioscillation_count >= len(pb.basis) + 1
-    obj = float(res.objective)
-    if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
-        raise LPError(f"dual objective {obj} differs from recovered t {t}")
-    return result
+    return result, res.basis
 
 
 def _face_tangent_vectors(point: np.ndarray, domain: Domain) -> list[np.ndarray]:
@@ -382,7 +416,8 @@ def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
 def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
                    seed: int = 0) -> ApproxResult:
     """Exchange refinement: solve on the current point set, adjoin the
-    continuum stationary points of the residual, re-solve.
+    continuum stationary points of the residual (each once), re-solve from
+    the previous optimal basis.
 
     Each iteration also re-fits the coefficients on the refined extremal
     candidates by least squares (the LP picks the active set; the fit removes
@@ -392,10 +427,11 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     Stops when the sandwich gap reaches rounding level, when the deviation
     has stabilized (change below ``DEV_CHANGE_TOL``) and the gap stops
     improving, when refinement yields no new points, or at ``max_iter``.
-    A closing solve on the initial grid plus the final extremal points gives
-    the reported deviation (a LOWER bound for the continuum problem, since the
-    point set is a subset of the domain); the continuum sup of the achieved
-    residual is the reported upper bound.
+    The reported coefficients are those of the iterate with the smallest
+    searched sup, which is the reported upper bound.  A closing solve on the
+    initial grid plus that iterate's extremal points gives the reported
+    deviation (a LOWER bound for the continuum problem, since the point set
+    is a subset of the domain).
     """
     pb = _problem_basis(prob)
     # the fit's gradients: the target's, then each conditioned basis function's
@@ -416,10 +452,12 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         return searched[key]
 
     points = pb.grid
+    start = None
     gap_log = []
+    best = None     # (sup, coefficients, resid, rep) of the smallest searched sup
     unclosed = ""
     for _ in range(max_iter):
-        result = _minimax_on(pb, points)
+        result, lp_basis = _minimax_on(pb, points, start)
         dev = result.deviation
         resid, rep = search(result.coefficients)
         extremal = _near_extremal(rep, resid, dev, 1e-3)
@@ -437,6 +475,8 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
                         resid, rep = resid2, rep2
             except np.linalg.LinAlgError:
                 pass
+        if best is None or rep.value < best[0]:
+            best = (rep.value, result.coefficients, resid, rep)
         gap = rep.value - dev
         gap_log.append((dev, rep.value, gap))
         if gap <= max(1e-13, 1e-11 * dev):
@@ -445,32 +485,42 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         if (len(gap_log) >= 3 and abs(dev - gap_log[-2][0]) < DEV_CHANGE_TOL
                 and gap > 0.9 * gap_log[-3][2]):
             break
-        fresh = [np.asarray(pt, dtype=float)
-                 for pt, _ in _near_extremal(rep, resid, dev, 1e-6)]
-        fresh = [p for p in fresh
-                 if np.min(np.max(np.abs(points - p), axis=1)) > 1e-8]
-        if not fresh:
+        grown = _adjoin(points, [pt for pt, _ in _near_extremal(rep, resid, dev, 1e-6)])
+        if len(grown) == len(points):
             break
-        points = np.vstack([points] + fresh)
+        # the optimal basis stays feasible on the grown set; its minus-block
+        # columns N_old + i move to N_new + i
+        start = [j + (len(grown) - len(points)) * (j >= len(points)) for j in lp_basis]
+        points = grown
     else:
         unclosed = f"exchange did not close the gap in {max_iter} iterations"
 
     # closing solve: the exchange located the extremal configuration; one LP
-    # on the initial grid plus those points gives the deviation without the
-    # conditioning noise of the accumulated exchange columns.  (resid, rep)
-    # is the last iteration's search of result.coefficients.
-    extremal = _near_extremal(rep, resid, result.deviation, 1e-3)
-    clean = np.vstack([pb.grid] + [np.asarray(pt, dtype=float) for pt, _ in extremal])
-    final = _minimax_on(pb, clean)
+    # on the initial grid plus the extremal points of the best iterate gives
+    # the deviation without the conditioning noise of the accumulated
+    # exchange columns.  The reported approximant is the best iterate's.
+    upper, coefficients, resid, rep = best
+    clean = _adjoin(pb.grid, [pt for pt, _ in _near_extremal(rep, resid, result.deviation, 1e-3)])
+    final, _ = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
-        final.coefficients = result.coefficients
         result = final
+    result.coefficients = coefficients
     result.warning = unclosed
     result.deviation_lower = result.deviation
-    result.deviation_upper = gap_log[-1][1]
+    result.deviation_upper = upper
     result.exchange_iterations = len(gap_log)
     result.gap_log = gap_log
     return result
+
+
+def _adjoin(points: np.ndarray, new) -> np.ndarray:
+    """points followed by each new point farther than 1e-8 (max norm) from
+    every point before it, so no point is adjoined twice."""
+    grown = points
+    for p in np.asarray(new, dtype=float).reshape(-1, points.shape[1]):
+        if np.min(np.max(np.abs(grown - p), axis=1)) > 1e-8:
+            grown = np.vstack([grown, p])
+    return grown
 
 
 # --------------------------------------------------------------------------

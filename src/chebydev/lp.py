@@ -1,14 +1,23 @@
-"""Dense two-phase simplex solver for standard-form linear programs.
+"""Revised simplex solver for standard-form linear programs.
 
-Solves max c.x subject to A x = b, x >= 0 with a tableau simplex.  Pivoting
-is deterministic: Dantzig's rule (most positive reduced cost, lowest index on
-ties) with an automatic switch to Bland's anti-cycling rule after a run of
-degenerate pivots, which guarantees termination.  No external solver is used,
-so runs are bit-reproducible.
+Solves max c.x subject to A x = b, x >= 0.  The solver keeps an explicit
+inverse of the basis matrix, updates it by one rank-one step per pivot and
+refactorizes it from the original columns of A every ``REFACTOR_EVERY``
+pivots, so roundoff cannot pile up over a long run.  Pricing is one product
+y.A per pivot, with Dantzig's rule (largest reduced cost, lowest index on
+ties); the ratio test counts only entries above a tolerance relative to the
+entering column and breaks ties toward the largest pivot (Harris's two
+passes).  After a run of degenerate pivots the ratio test turns
+lexicographic until the objective moves again, which rules out cycling
+whatever the pricing.  No external solver is used, so runs are
+bit-reproducible.
 
-Problem sizes here are small-by-wide: tens of rows and up to ~10^4 columns
-from discrete minimax duals.  The widest ones can be slow or fragile in a
-dense tableau; a 36 x 9,690 dual has taken minutes before its perturbed retry.
+A caller that knows a feasible basis passes it and the solve starts in
+phase 2; otherwise phase 1 runs over artificial columns.  The discrete
+Chebyshev duals of :mod:`chebydev.bestapprox` (k + 1 rows for k basis
+functions, a column pair (+-Phi_i, 1) per point) are small-by-wide; there
+Dantzig's rule prices each pair as |f_i - Phi_i c| - t, which is Stiefel's
+exchange in the revised form of Barrodale & Phillips (ACM TOMS 495, 1975).
 """
 
 from __future__ import annotations
@@ -18,10 +27,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# pivoting tolerance on reduced costs, ratio-test columns and artificial rows
-PIVOT_TOL = 1e-9
-# consecutive degenerate pivots after which pricing switches to Bland's rule
-BLAND_AFTER = 30
+# ratio-test entries at or below this fraction of the entering column's
+# largest entry are not pivots
+PIVOT_TOL = 1e-7
+# reduced costs above this fraction of max|c| (1 in phase 1) are improving
+OPT_TOL = 1e-13
+# a reduced cost counts as zero below this many units of rounding of y.A
+NOISE = 64 * np.finfo(float).eps
+# basic values within this of zero (relative to max|b|) count as zero: the
+# slack of the ratio test's first pass, and the infeasibility threshold
+FEAS_TOL = 1e-11
+# a starting basis may have basic values down to -START_TOL (relative to max|b|)
+START_TOL = 1e-6
+# consecutive degenerate pivots after which the ratio test turns lexicographic
+LEX_AFTER = 30
+# pivots between refactorizations of the basis inverse
+REFACTOR_EVERY = 50
 
 
 class LPError(RuntimeError):
@@ -35,149 +56,185 @@ class LPResult:
     x: np.ndarray               # primal solution (full length n)
     basis: list[int]            # optimal basis column indices
     multipliers: np.ndarray     # y with B^T y = c_B (dual values of the rows)
-    iterations: int
+    iterations: int             # pivots of both phases
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int):
-    piv = tableau[row, col]
-    tableau[row] /= piv
-    colvals = tableau[:, col].copy()
-    colvals[row] = 0.0
-    tableau -= np.outer(colvals, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+class _Basis:
+    """A basis of A x = b (column n + i stands for the artificial unit
+    column e_i), its explicit inverse and its basic values."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
+        self.A, self.b, self.cols = A, b, cols
+        self.pivots = 0
+        self.refactor()
+
+    def matrix(self) -> np.ndarray:
+        m, n = self.A.shape
+        B = np.zeros((m, m))
+        real = self.cols < n
+        B[:, real] = self.A[:, self.cols[real]]
+        B[self.cols[~real] - n, np.flatnonzero(~real)] = 1.0
+        return B
+
+    def multipliers(self, cost: np.ndarray) -> np.ndarray:
+        """y with y B = c_B, from the inverse plus one step of iterative
+        refinement, which keeps y B - c_B at rounding level even when B is
+        ill-conditioned (a column equal to a basic one then prices to 0)."""
+        c_b = cost[self.cols]
+        y = c_b @ self.inv
+        return y + (c_b - y @ self.matrix()) @ self.inv
+
+    def refactor(self):
+        self.inv = np.linalg.inv(self.matrix())
+        self.x = self.inv @ self.b
+        self.since_refactor = 0
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int],
-                 ncols: int) -> tuple[str, int]:
-    """Iterate to optimality on the given tableau (last row = negated reduced
-    costs for maximization, last column = rhs).  Returns (status, iterations)."""
-    m = tableau.shape[0] - 1
-    max_iter = 2000 + 40 * (m + ncols)
+def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
+    """Column ``col`` (with a = B^-1 A_col) enters at basis row ``row`` with
+    step ``theta``: a rank-one update of the inverse and the basic values."""
+    inv = basis.inv
+    basis.x -= theta * a
+    basis.x[row] = theta
+    inv[row] /= a[row]
+    others = a.copy()
+    others[row] = 0.0
+    inv -= np.outer(others, inv[row])
+    basis.cols[row] = col
+    basis.pivots += 1
+    basis.since_refactor += 1
+    if basis.since_refactor >= REFACTOR_EVERY:
+        basis.refactor()
+
+
+def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
+              feas_tol: float) -> str:
+    """Pivot on the real columns until no reduced cost exceeds the
+    tolerance.  ``cost`` holds the objective over the real columns, then over
+    the artificials.  Returns 'optimal' or 'unbounded'."""
+    A = basis.A
+    n = A.shape[1]
+    a_scale = float(np.abs(A).max())
+    c_scale = float(np.abs(cost).max())
     degenerate_run = 0
-    it = 0
     while True:
-        if it >= max_iter:
-            raise LPError(f"simplex iteration limit {max_iter} exceeded")
-        reduced = tableau[-1, :ncols]
-        bland = degenerate_run >= BLAND_AFTER
-        if bland:
-            candidates = np.where(reduced < -PIVOT_TOL)[0]
-            if candidates.size == 0:
-                return "optimal", it
-            col = int(candidates[0])
+        y = basis.multipliers(cost)
+        reduced = cost[:n] - y @ A
+        reduced[basis.cols[basis.cols < n]] = 0.0
+        # a reduced cost within the rounding error of y.A is zero
+        opt_tol = max(OPT_TOL * c_scale,
+                      NOISE * (float(np.abs(y).sum()) * a_scale + c_scale))
+        lex = degenerate_run >= LEX_AFTER
+        if degenerate_run == LEX_AFTER:
+            reference = basis.matrix()
+        col = int(np.argmax(reduced))
+        if reduced[col] <= opt_tol:
+            # optimality counts only when priced with a fresh factorization
+            if basis.since_refactor == 0:
+                return "optimal"
+            basis.refactor()
+            continue
+        a = basis.inv @ A[:, col]
+        amax = float(np.abs(a).max())
+        rows = np.flatnonzero(a > PIVOT_TOL * amax)
+        if rows.size == 0:
+            return "unbounded"
+        xb = np.maximum(basis.x[rows], 0.0)
+        ratios = xb / a[rows]
+        if lex:
+            # lexicographic ratio test: among the rows of least ratio, the
+            # least row of B^-1 B_ref / a_r, with B_ref the basis where the
+            # degenerate run began; no basis can then repeat
+            ties = rows[ratios <= ratios.min() + feas_tol]
+            M = (basis.inv[ties] @ reference) / a[ties, None]
+            for j in range(M.shape[1]):
+                if len(ties) == 1:
+                    break
+                keep = M[:, j] <= M[:, j].min() + PIVOT_TOL * np.abs(M[:, j]).max()
+                ties, M = ties[keep], M[keep]
+            row = int(ties[0])
         else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -PIVOT_TOL:
-                return "optimal", it
-        colvals = tableau[:m, col]
-        rhs = np.maximum(tableau[:m, -1], 0.0)  # clip roundoff-negative rhs
-        positive = colvals > PIVOT_TOL
-        if not positive.any():
-            return "unbounded", it
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / colvals[positive]
-        best = float(ratios.min())
-        ties = np.where(ratios <= best + 1e-12 * (1.0 + best))[0]
-        # lowest basis-variable index among ties (Bland-compatible ratio test)
-        row = int(min(ties, key=lambda r: basis[r]))
-        obj_before = tableau[-1, -1]
-        _pivot(tableau, row, col)
-        basis[row] = col
-        it += 1
-        degenerate_run = degenerate_run + 1 if tableau[-1, -1] <= obj_before + PIVOT_TOL else 0
+            # Harris: the largest pivot among the rows whose ratio stays
+            # within the feasibility slack of the minimum
+            xr = basis.x[rows]
+            within = xr / a[rows] <= np.min((xr + feas_tol) / a[rows])
+            row = int(rows[within][np.argmax(a[rows][within])])
+        if basis.pivots >= max_pivots:
+            raise LPError(f"simplex pivot limit {max_pivots} exceeded")
+        theta = max(float(basis.x[row]), 0.0) / float(a[row])
+        _pivot(basis, row, col, a, theta)
+        # degenerate: the objective moves by no more than its rounding level
+        gain = theta * float(reduced[col])
+        objective = abs(float(y @ basis.b))
+        degenerate_run = degenerate_run + 1 if gain <= 1e-12 * max(objective, c_scale) else 0
 
 
-def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> LPResult:
-    """Maximize c.x subject to A x = b, x >= 0 (two-phase dense simplex).
+def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  basis=None) -> LPResult:
+    """Maximize c.x subject to A x = b, x >= 0.
 
-    Heavily degenerate instances that exhaust the iteration limit are retried
-    with a deterministic tiny right-hand-side perturbation; the final basis is
-    then re-solved against the original b (reduced costs do not depend on b,
-    so optimality carries over once the basis stays feasible).
+    ``basis``, if given, lists m columns of A that form a feasible basis;
+    the solve then starts from it in phase 2.  Without it, phase 1 finds a
+    feasible basis over artificial columns.  A given basis that is singular
+    or infeasible, or a run past the pivot limit, raises ``LPError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     if b.shape != (A.shape[0],) or c.shape != (A.shape[1],):
         raise LPError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
-    try:
-        return _simplex_solve_once(A, b, c)
-    except LPError:
-        m = A.shape[0]
-        scale = max(1.0, float(np.abs(b).max()))
-        eps = 1e-9 * scale * (1.0 + np.arange(1, m + 1) / m)
-        pert = _simplex_solve_once(A, b + eps, c)
-        if pert.status != "optimal":
-            return pert
-        basis = pert.basis
-        B = A[:, basis]
-        if B.shape[0] != B.shape[1]:
-            raise LPError("perturbation fallback hit a rank-deficient system")
-        xb = np.linalg.solve(B, b)
-        if xb.min() < -1e-7 * scale:
-            raise LPError("perturbation fallback produced an infeasible basis")
-        x = np.zeros(A.shape[1])
-        x[basis] = np.maximum(xb, 0.0)
-        y = np.linalg.solve(B.T, c[basis])
-        return LPResult("optimal", float(c @ x), x, basis, y, pert.iterations)
+    return _simplex_solve_once(A, b, c, basis)
 
 
-def _simplex_solve_once(A: np.ndarray, b: np.ndarray,
-                        c: np.ndarray) -> LPResult:
+def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
+                        start) -> LPResult:
     m, n = A.shape
+    max_pivots = 1000 + 10 * (m + n)
+    feas_tol = FEAS_TOL * max(float(np.abs(b).max()), 1.0)
+    sign = np.ones(m)
+    if start is not None:
+        cols = np.array(start, dtype=int)
+        if cols.shape != (m,) or len(set(cols.tolist())) != m \
+                or cols.min() < 0 or cols.max() >= n:
+            raise LPError(f"a starting basis needs {m} distinct columns of A")
+        try:
+            basis = _Basis(A, b, cols)
+        except np.linalg.LinAlgError:
+            raise LPError("the starting basis is singular") from None
+        # the optimal basis of an earlier solve comes back feasible only to
+        # within the rounding of its factorization
+        if basis.x.min() < -START_TOL * max(float(np.abs(b).max()), 1.0):
+            raise LPError("the starting basis is infeasible")
+    else:
+        # phase 1: maximize -(sum of artificials), rows signed so that b >= 0
+        sign[b < 0] = -1.0
+        A, b = A * sign[:, None], b * sign
+        basis = _Basis(A, b, np.arange(n, n + m))
+        _optimize(basis, np.concatenate([np.zeros(n), -np.ones(m)]), max_pivots, feas_tol)
+        artificial = basis.cols >= n
+        if basis.x[artificial].sum() > feas_tol:
+            return LPResult("infeasible", float("nan"), np.zeros(n),
+                            basis.cols.tolist(), np.zeros(m), basis.pivots)
+        # drive the artificials left at zero out of the basis; a row whose
+        # reduced row vanishes is redundant and keeps its artificial, which
+        # no pivot can then move
+        for row in np.flatnonzero(artificial):
+            entries = np.abs(basis.inv[row] @ A)
+            entries[basis.cols[basis.cols < n]] = 0.0
+            col = int(np.argmax(entries))
+            if entries[col] > PIVOT_TOL:
+                _pivot(basis, int(row), col, basis.inv @ A[:, col], 0.0)
 
-    # phase 1: artificial variables form the starting basis
-    A1 = A.copy()
-    neg = b < 0
-    A1[neg] *= -1.0
-    b1 = np.abs(b)
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A1
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, -1] = b1
-    # maximize -(sum of artificials): reduced-cost row = -(sum of constraint rows)
-    tableau[-1, :] = -tableau[:m, :].sum(axis=0)
-    tableau[-1, n:n + m] = 0.0
-    basis = list(range(n, n + m))
-    status, it1 = _run_simplex(tableau, basis, n)
-    if status != "optimal" or tableau[-1, -1] < -1e-7 * max(1.0, np.abs(b1).max()):
-        return LPResult("infeasible", float("nan"), np.zeros(n), basis,
-                        np.zeros(m), it1)
-
-    # drive remaining artificials out of the basis; fully zero rows are redundant
-    drop_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            pivot_col = next((j for j in range(n) if abs(tableau[r, j]) > PIVOT_TOL), None)
-            if pivot_col is None:
-                drop_rows.append(r)
-            else:
-                _pivot(tableau, r, pivot_col)
-                basis[r] = pivot_col
-    keep = [r for r in range(m) if r not in drop_rows]
-    if drop_rows:
-        tableau = tableau[keep + [m], :]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
-
-    # phase 2: swap in the real objective
-    tableau = np.hstack([tableau[:, :n], tableau[:, [-1]]])
-    tableau[-1, :n] = -c
-    tableau[-1, -1] = 0.0
-    for r, j in enumerate(basis):
-        if abs(tableau[-1, j]) > 0:
-            tableau[-1, :] -= tableau[-1, j] * tableau[r, :]
-    status, it2 = _run_simplex(tableau, basis, n)
+    cost = np.concatenate([c, np.zeros(m)])
+    status = _optimize(basis, cost, max_pivots, feas_tol)
     if status == "unbounded":
-        return LPResult("unbounded", float("inf"), np.zeros(n), basis,
-                        np.zeros(m), it1 + it2)
-
+        return LPResult("unbounded", float("inf"), np.zeros(n),
+                        basis.cols.tolist(), np.zeros(m), basis.pivots)
+    # the reported point and multipliers come from a fresh factorization
+    B = basis.matrix()
     x = np.zeros(n)
-    for r, j in enumerate(basis):
-        x[j] = tableau[r, -1]
-    # multipliers of the retained rows; a row dropped as redundant gets 0
-    y = np.zeros(A.shape[0])
-    y[keep] = np.linalg.solve(A[np.ix_(keep, basis)].T, c[basis])
-    objective = float(c @ x)
-    return LPResult("optimal", objective, x, basis, y, it1 + it2)
+    real = basis.cols < n
+    x[basis.cols[real]] = np.maximum(np.linalg.solve(B, b)[real], 0.0)
+    y = np.linalg.solve(B.T, cost[basis.cols]) * sign
+    return LPResult("optimal", float(c @ x), x, basis.cols[real].tolist(), y,
+                    basis.pivots)

@@ -132,6 +132,26 @@ class TestDiscreteMinimax:
         closure = np.max(np.abs(res.residual_poly(prob.target).eval_grid(pts)))
         assert closure == pytest.approx(res.deviation, rel=1e-8)
 
+    @pytest.mark.parametrize("doctored,match", [("level", "exceeds the level"),
+                                                ("objective", "dual objective")])
+    def test_doctored_lp_result_raises(self, monkeypatch, doctored, match):
+        # a level below max|f - Phi c| on the points, or a dual objective
+        # that differs from it, is a solver failure, never a reported value
+        original = bestapprox.simplex_solve
+
+        def doctor(A, b, c, basis=None):
+            res = original(A, b, c, basis)
+            if doctored == "level":
+                res.multipliers[-1] *= 1 - 1e-6
+            else:
+                res.objective *= 1 + 1e-3
+            return res
+
+        monkeypatch.setattr(bestapprox, "simplex_solve", doctor)
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
+        with pytest.raises(LPError, match=match):
+            discrete_minimax(prob)
+
 
 class TestRemezExchange:
     def test_simplex_product_converges(self):
@@ -201,7 +221,7 @@ class TestRemezExchange:
             Poly.monomial((1, 1, 1)), 2, simplex(3), "full", grid=8), seed=0)
         assert res.exchange_iterations > 1
         assert all(a != b for a, b in zip(searched, searched[1:]))
-        assert res.deviation_upper == res.gap_log[-1][1]
+        assert res.deviation_upper == min(entry[1] for entry in res.gap_log)
 
     def test_each_residual_is_searched_once(self, monkeypatch):
         searched = []
@@ -219,9 +239,9 @@ class TestRemezExchange:
 
     @pytest.mark.parametrize("prob", [
         ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16),
-        ApproxProblem(Poly.monomial((2, 1)), 2, simplex(2), "full", grid=12),
+        ApproxProblem(Poly.monomial((2, 2)), 3, simplex(2), "full", grid=12),
         ApproxProblem(Poly.monomial((1, 1, 1)), 2, sphere(3), "symmetric", grid=40),
-    ], ids=["simplex3_sym_g16", "simplex2_x1sq_x2_full_g12", "sphere3_sym_g40"])
+    ], ids=["simplex3_sym_g16", "simplex2_x1sq_x2sq_deg3_full_g12", "sphere3_sym_g40"])
     def test_skipping_decided_fits_changes_no_output(self, monkeypatch, prob):
         # a fit whose grid maximum reaches the current sup is rejected by its
         # search anyway, so leaving that search out moves no bit
@@ -244,6 +264,30 @@ class TestRemezExchange:
             [want.deviation_lower.hex(), want.deviation_upper.hex()]
         assert got.gap_log == want.gap_log
         assert got.residual_extrema == want.residual_extrema
+
+    def test_upper_is_the_best_iterate(self):
+        # the returned approximant is the searched one with the smallest sup,
+        # not the last one
+        prob = ApproxProblem(Poly.monomial((1, 2, 0)), 2, ball(3), "full", grid=10)
+        res = remez_exchange(prob, seed=0)
+        assert res.deviation_upper == min(entry[1] for entry in res.gap_log)
+        assert_upper_is_residual_sup(res, prob)
+
+    def test_no_lp_point_set_repeats_a_point(self, monkeypatch):
+        # each fresh extremal point is adjoined once, also when the search
+        # returns it twice (a critical point that is also the argmax)
+        sets = []
+        original = bestapprox._minimax_on
+
+        def recorded(pb, points, *start):
+            sets.append(points)
+            return original(pb, points, *start)
+
+        monkeypatch.setattr(bestapprox, "_minimax_on", recorded)
+        remez_exchange(ApproxProblem(
+            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16), seed=0)
+        assert len(sets) > 2
+        assert all(len(np.unique(points, axis=0)) == len(points) for points in sets)
 
     @pytest.mark.parametrize("case", ["symmetric", "lopsided"])
     def test_grid_max_is_the_search_grid_value(self, case):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from chebydev import bestapprox
+from chebydev.bestapprox import ApproxProblem, discrete_minimax, remez_exchange
+from chebydev.constructions import derive_r5_constants
+from chebydev.domains import simplex
 from chebydev.lp import LPError, simplex_solve
+from chebydev.polycore import Poly
 
 
 class TestStandardForm:
@@ -76,3 +81,97 @@ class TestStandardForm:
         r2 = simplex_solve(A, b, c)
         assert r1.basis == r2.basis
         assert r1.objective == r2.objective
+
+
+def _grid_columns(prob):
+    """The problem basis of a discrete minimax problem, and its LP columns
+    Phi and target values f on the grid, as bestapprox builds them."""
+    pb = bestapprox._problem_basis(prob)
+    Phi = pb.columns(pb.grid)
+    f = pb.target_f.eval_grid(pb.grid)
+    return pb, Phi, f
+
+
+def _problem(target, degree, nvars, basis, grid):
+    return ApproxProblem(Poly.monomial(target), degree, simplex(nvars), basis, grid)
+
+
+class TestChebyshevDual:
+    @pytest.mark.parametrize("target,degree,nvars,grid", [
+        ((2, 2, 2), 5, 3, 8), ((1, 1, 1, 1), 3, 4, 12), ((1, 1, 1, 1), 3, 4, 16)],
+        ids=["sq_deg5_full_g8", "x1x2x3x4_deg3_full_g12", "x1x2x3x4_deg3_full_g16"])
+    def test_value_agrees_with_highs(self, target, degree, nvars, grid):
+        # the same LP input, solved as the primal min t, -t <= f - Phi c <= t
+        optimize = pytest.importorskip("scipy.optimize")
+        prob = _problem(target, degree, nvars, "full", grid)
+        _, Phi, f = _grid_columns(prob)
+        n, k = Phi.shape
+        scale = float(np.max(np.abs(f)))
+        ones = np.ones((n, 1))
+        ref = optimize.linprog(
+            np.append(np.zeros(k), 1.0),
+            A_ub=np.vstack([np.hstack([-Phi, -ones]), np.hstack([Phi, -ones])]),
+            b_ub=np.concatenate([-f, f]) / scale,
+            bounds=[(None, None)] * k + [(0, None)], method="highs-ds",
+            options={"primal_feasibility_tolerance": 1e-10,
+                     "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0
+        res = discrete_minimax(prob)
+        assert res.deviation == pytest.approx(ref.x[-1] * scale, rel=1e-9)
+
+    @pytest.mark.parametrize("grid", [8, 16, 24])
+    def test_full_and_symmetric_basis_agree(self, grid):
+        full = discrete_minimax(_problem((2, 2, 2), 5, 3, "full", grid))
+        sym = discrete_minimax(_problem((2, 2, 2), 5, 3, "symmetric", grid))
+        assert full.deviation == pytest.approx(sym.deviation, rel=1e-9)
+
+    @pytest.mark.parametrize("coarse,fine", [(12, 24), (16, 32)])
+    def test_nested_grids_never_lower_the_value(self, coarse, fine):
+        lo = discrete_minimax(_problem((2, 2, 2), 5, 3, "full", coarse))
+        hi = discrete_minimax(_problem((2, 2, 2), 5, 3, "full", fine))
+        assert hi.deviation >= lo.deviation * (1 - 1e-12)
+
+    @pytest.mark.parametrize("target,degree,nvars,basis", [
+        ((2, 2, 2), 5, 3, "full"), ((1, 1, 1, 1), 3, 4, "full"), ((1, 1, 1), 2, 3, "symmetric")],
+        ids=["sq_deg5_full", "x1x2x3x4_deg3_full", "x1x2x3_deg2_sym"])
+    def test_warm_start_after_appending_points_matches_cold(self, target, degree, nvars, basis):
+        pb, _, _ = _grid_columns(_problem(target, degree, nvars, basis, 8))
+        extra = bestapprox.approx_grid(simplex(nvars), 12)
+        grown = bestapprox._adjoin(pb.grid, extra)
+        assert len(grown) > len(pb.grid)
+        first, lp_basis = bestapprox._minimax_on(pb, pb.grid)
+        N, M = len(pb.grid), len(grown)
+        start = [j + (M - N) * (j >= N) for j in lp_basis]
+        warm, _ = bestapprox._minimax_on(pb, grown, start)
+        cold, _ = bestapprox._minimax_on(pb, grown)
+        assert warm.deviation == pytest.approx(cold.deviation, rel=1e-12)
+        assert warm.deviation >= first.deviation * (1 - 1e-12)
+
+    def test_exchange_on_the_full_degree5_basis(self):
+        # once a spurious 'LP infeasible' after minutes of pivoting
+        expected = 1.0 / derive_r5_constants().leading
+        res = remez_exchange(_problem((2, 2, 2), 5, 3, "full", 16), seed=0)
+        assert expected * (1 - 1e-4) < res.deviation_lower <= expected * (1 + 1e-12)
+        assert res.deviation_lower <= res.deviation_upper
+
+
+class TestStartingBasis:
+    def test_given_feasible_basis_skips_phase_one(self):
+        # max 3x + 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6, from the slacks
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+        b = np.array([4.0, 6.0])
+        c = np.array([3.0, 2.0, 0.0, 0.0])
+        res = simplex_solve(A, b, c, basis=[2, 3])
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(12.0)
+        assert res.iterations == 1
+
+    @pytest.mark.parametrize("basis,match", [([0, 1], "infeasible"),
+                                             ([2, 2], "distinct"),
+                                             ([0, 4], "distinct")])
+    def test_bad_starting_basis_raises(self, basis, match):
+        # columns 0 and 1 give x = 3, y = 1 for the rows below, but with
+        # b = (4, -6) they give y < 0
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+        with pytest.raises(LPError, match=match):
+            simplex_solve(A, np.array([4.0, -6.0]), np.zeros(4), basis=basis)

@@ -71,6 +71,25 @@ def test_argument_counts_on_a_traced_solve():
     assert tracer.counts["lp.simplex_solve.columns"] == 2 * npoints
 
 
+def test_lp_counters_on_a_traced_solve():
+    # one attempt per solve, one _pivot call per basis change
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    prob = bestapprox.ApproxProblem(Poly.monomial((2, 2, 2)), 5, simplex(3), "full", 8)
+    npoints = len(bestapprox.approx_grid(prob.domain, prob.grid))
+    try:
+        tracer.install()
+        res = bestapprox.discrete_minimax(prob)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["lp.simplex_solve.calls"] == 1
+    assert metrics["lp.pivots"] == res.iterations > 0
+    assert metrics["lp.retries"] == 0
+    assert metrics["lp.rows"] == len(res.basis_polys) + 1
+    assert metrics["lp.columns"] == 2 * npoints
+
+
 def test_critical_points_count_the_returned_points():
     # the tracer counts critical_points.points_out as len(result)
     layertrace = _layertrace()
