@@ -315,14 +315,17 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     if res.status != "optimal":
         raise LPError(f"dual minimax LP returned status {res.status}")
     t = float(res.multipliers[k])
-    resid = f - Phi @ res.multipliers[:k]
+    y = res.multipliers[:k]
+    resid = f - Phi @ y
     closure = float(np.max(np.abs(resid)))
-    if closure > t * (1 + 1e-9):
+    # beyond t, max|f - Phi c| may exceed it only by the rounding of f - Phi c
+    rounding = 64 * np.finfo(float).eps * float(np.max(np.abs(f) + np.abs(Phi) @ np.abs(y)))
+    if closure > t * (1 + 1e-9) + rounding:
         raise LPError(f"max|f - Phi c| = {closure} on the points exceeds the level {t}")
     obj = float(res.objective)
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
         raise LPError(f"dual objective {obj} differs from recovered t {t}")
-    coeffs = pb.M @ res.multipliers[:k]
+    coeffs = pb.M @ y
     extrema = [(tuple(points[col % N]), 1 if col < N else -1)
                for col in res.basis if res.x[col] > 1e-14]
     result = ApproxResult(deviation=t, coefficients=coeffs, basis_polys=pb.basis,

@@ -132,6 +132,13 @@ class TestDiscreteMinimax:
         closure = np.max(np.abs(res.residual_poly(prob.target).eval_grid(pts)))
         assert closure == pytest.approx(res.deviation, rel=1e-8)
 
+    @pytest.mark.parametrize("basis", ["full", "symmetric"])
+    def test_target_in_the_span_has_zero_deviation(self, basis):
+        # t is zero up to rounding, and so is max|f - Phi c|: no gate fires
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 3, simplex(3), basis, grid=8)
+        assert abs(discrete_minimax(prob).deviation) < 1e-15
+        assert abs(remez_exchange(prob, seed=0).deviation_upper) < 1e-15
+
     @pytest.mark.parametrize("doctored,match", [("level", "exceeds the level"),
                                                 ("objective", "dual objective")])
     def test_doctored_lp_result_raises(self, monkeypatch, doctored, match):
