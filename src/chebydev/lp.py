@@ -139,12 +139,11 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         rows = np.flatnonzero(a > PIVOT_TOL * amax)
         if rows.size == 0:
             return "unbounded"
-        xb = np.maximum(basis.x[rows], 0.0)
-        ratios = xb / a[rows]
         if lex:
             # lexicographic ratio test: among the rows of least ratio, the
             # least row of B^-1 B_ref / a_r, with B_ref the basis where the
             # degenerate run began; no basis can then repeat
+            ratios = np.maximum(basis.x[rows], 0.0) / a[rows]
             ties = rows[ratios <= ratios.min() + feas_tol]
             M = (basis.inv[ties] @ reference) / a[ties, None]
             for j in range(M.shape[1]):

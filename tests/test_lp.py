@@ -170,8 +170,7 @@ class TestStartingBasis:
                                              ([2, 2], "distinct"),
                                              ([0, 4], "distinct")])
     def test_bad_starting_basis_raises(self, basis, match):
-        # columns 0 and 1 give x = 3, y = 1 for the rows below, but with
-        # b = (4, -6) they give y < 0
+        # with b = (4, -6), columns 0 and 1 give x = 9, y = -5
         A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
         with pytest.raises(LPError, match=match):
             simplex_solve(A, np.array([4.0, -6.0]), np.zeros(4), basis=basis)
