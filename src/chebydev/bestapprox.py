@@ -16,11 +16,11 @@ solve on the current points, locate the stationary points of the residual
 over the continuum, adjoin each new one once, re-solve from the previous
 optimal basis (it stays feasible when points are appended).  The reported
 approximant is the searched iterate with the smallest continuum sup; a
-closing solve on the initial grid plus that iterate's extremal points gives
-the reported deviation.  Both the LP value (a lower bound over any grid
-subset of the domain) and the refined continuum sup of the reported residual
-(an upper bound for the achieved approximant) are reported; the gap is never
-hidden.
+closing solve on the initial grid plus the extremal points of the last and
+of the best iterate gives the reported deviation.  Both the LP value (a
+lower bound over any grid subset of the domain) and the refined continuum
+sup of the reported residual (an upper bound for the achieved approximant)
+are reported; the gap is never hidden.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
-from .lp import LPError, simplex_solve
+from .lp import NOISE, LPError, simplex_solve
 from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
-from .supnorm import _lattice, _search_grid, _unique_rows, sample_domain, sup_norm
+from .supnorm import (DEDUP_TOL, _lattice, _search_grid, _unique_rows, dedup_points,
+                      sample_domain, sup_norm)
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -319,7 +320,7 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     resid = f - Phi @ y
     closure = float(np.max(np.abs(resid)))
     # beyond t, max|f - Phi c| may exceed it only by the rounding of f - Phi c
-    rounding = 64 * np.finfo(float).eps * float(np.max(np.abs(f) + np.abs(Phi) @ np.abs(y)))
+    rounding = NOISE * float(np.max(np.abs(f) + np.abs(Phi) @ np.abs(y)))
     if closure > t * (1 + 1e-9) + rounding:
         raise LPError(f"max|f - Phi c| = {closure} on the points exceeds the level {t}")
     obj = float(res.objective)
@@ -429,12 +430,14 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     on the search grid already reaches the current sup is not searched.
     Stops when the sandwich gap reaches rounding level, when the deviation
     has stabilized (change below ``DEV_CHANGE_TOL``) and the gap stops
-    improving, when refinement yields no new points, or at ``max_iter``.
-    The reported coefficients are those of the iterate with the smallest
-    searched sup, which is the reported upper bound.  A closing solve on the
-    initial grid plus that iterate's extremal points gives the reported
-    deviation (a LOWER bound for the continuum problem, since the point set
-    is a subset of the domain).
+    improving, when refinement yields no new points, at ``max_iter``, or
+    when a re-solve raises ``LPError`` (the accumulated exchange points can
+    make its bases too ill-conditioned to solve on); the last two set
+    ``warning``.  The reported coefficients are those of the iterate with
+    the smallest searched sup, which is the reported upper bound.  A closing
+    solve on the initial grid plus the extremal points of the last and of
+    the best iterate gives the reported deviation (a LOWER bound for the
+    continuum problem, since the point set is a subset of the domain).
     """
     pb = _problem_basis(prob)
     # the fit's gradients: the target's, then each conditioned basis function's
@@ -460,7 +463,13 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     best = None     # (sup, coefficients, resid, rep) of the smallest searched sup
     unclosed = ""
     for _ in range(max_iter):
-        result, lp_basis = _minimax_on(pb, points, start)
+        try:
+            result, lp_basis = _minimax_on(pb, points, start)
+        except LPError as err:
+            if start is None:
+                raise
+            unclosed = f"exchange LP failed on {len(points)} points: {err}"
+            break
         dev = result.deviation
         resid, rep = search(result.coefficients)
         extremal = _near_extremal(rep, resid, dev, 1e-3)
@@ -499,11 +508,14 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         unclosed = f"exchange did not close the gap in {max_iter} iterations"
 
     # closing solve: the exchange located the extremal configuration; one LP
-    # on the initial grid plus the extremal points of the best iterate gives
-    # the deviation without the conditioning noise of the accumulated
-    # exchange columns.  The reported approximant is the best iterate's.
-    upper, coefficients, resid, rep = best
-    clean = _adjoin(pb.grid, [pt for pt, _ in _near_extremal(rep, resid, result.deviation, 1e-3)])
+    # on the initial grid plus the extremal points of the last and of the
+    # best iterate gives the deviation without the conditioning noise of the
+    # accumulated exchange columns.  (resid, rep) is the last iterate's
+    # search; the reported approximant is the best iterate's.
+    upper, coefficients, best_resid, best_rep = best
+    extremal = (_near_extremal(rep, resid, result.deviation, 1e-3)
+                + _near_extremal(best_rep, best_resid, result.deviation, 1e-3))
+    clean = _adjoin(pb.grid, [pt for pt, _ in extremal])
     final, _ = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         result = final
@@ -517,13 +529,11 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
 
 
 def _adjoin(points: np.ndarray, new) -> np.ndarray:
-    """points followed by each new point farther than 1e-8 (max norm) from
-    every point before it, so no point is adjoined twice."""
-    grown = points
-    for p in np.asarray(new, dtype=float).reshape(-1, points.shape[1]):
-        if np.min(np.max(np.abs(grown - p), axis=1)) > 1e-8:
-            grown = np.vstack([grown, p])
-    return grown
+    """points followed by each new point farther than DEDUP_TOL (max norm)
+    from every point before it, so no point is adjoined twice."""
+    new = np.asarray(new, dtype=float).reshape(-1, points.shape[1])
+    new = new[[np.max(np.abs(points - p), axis=1).min() > DEDUP_TOL for p in new]]
+    return np.vstack([points, new[dedup_points(new)]])
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,15 @@ pivots, so roundoff cannot pile up over a long run.  Pricing is one product
 y.A per pivot, with Dantzig's rule (largest reduced cost, lowest index on
 ties); the ratio test counts only entries above a tolerance relative to the
 entering column and breaks ties toward the largest pivot (Harris's two
-passes).  After a run of degenerate pivots the ratio test turns
-lexicographic until the objective moves again, which rules out cycling
-whatever the pricing.  No external solver is used, so runs are
-bit-reproducible.
+passes).  The first run of degenerate pivots raises every basic value by a
+small fixed pseudo-random shift, after which pivots move the objective
+again; at optimality the shift is taken out, and dual simplex pivots take
+out the infeasibility it leaves, as they do any left by a starting basis or
+by rounding, so the basic values of an optimal basis are feasible to
+``FEAS_TOL`` plus their rounding error.  A later
+degenerate run turns the ratio test lexicographic until the objective
+moves, which rules out cycling whatever the pricing.  No external solver is
+used, so runs are bit-reproducible.
 
 A caller that knows a feasible basis passes it and the solve starts in
 phase 2; otherwise phase 1 runs over artificial columns.  The discrete
@@ -37,10 +42,16 @@ NOISE = 64 * np.finfo(float).eps
 # basic values within this of zero (relative to max|b|) count as zero: the
 # slack of the ratio test's first pass, and the infeasibility threshold
 FEAS_TOL = 1e-11
-# a starting basis may have basic values down to -START_TOL (relative to max|b|)
+# a starting basis may have basic values down to -START_TOL (relative to
+# max|b|); dual pivots take them out at the optimum
 START_TOL = 1e-6
-# consecutive degenerate pivots after which the ratio test turns lexicographic
-LEX_AFTER = 30
+# consecutive degenerate pivots that count as a stall: the first stall
+# shifts the basic values, a later one turns the ratio test lexicographic
+STALL_AFTER = 30
+# size of that shift, relative to max|b|
+SHIFT = 1e-7
+# rounds of dual pivots that may restore the feasibility of an optimal basis
+MAX_RESTORES = 3
 # pivots between refactorizations of the basis inverse
 REFACTOR_EVERY = 50
 
@@ -65,6 +76,7 @@ class _Basis:
 
     def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
         self.A, self.b, self.cols = A, b, cols
+        self.a_scale = float(np.abs(A).max())
         self.pivots = 0
         self.refactor()
 
@@ -83,6 +95,26 @@ class _Basis:
         c_b = cost[self.cols]
         y = c_b @ self.inv
         return y + (c_b - y @ self.matrix()) @ self.inv
+
+    def price(self, cost: np.ndarray):
+        """y, the reduced costs of the real columns (0 on the basic ones)
+        and the tolerance below which a reduced cost counts as zero: the
+        rounding error of y.A, at least OPT_TOL max|c|."""
+        n = self.A.shape[1]
+        y = self.multipliers(cost)
+        reduced = cost[:n] - y @ self.A
+        reduced[self.cols[self.cols < n]] = 0.0
+        c_scale = float(np.abs(cost).max())
+        tol = max(OPT_TOL * c_scale,
+                  NOISE * (float(np.abs(y).sum()) * self.a_scale + c_scale))
+        return y, reduced, tol
+
+    def infeasible(self, feas_tol: float) -> np.ndarray:
+        """Basic values below -feas_tol by more than their rounding error,
+        NOISE |B^-1| (|B| |x| + |b|), which grows with the condition of B."""
+        slack = NOISE * (np.abs(self.inv) @ (np.abs(self.matrix()) @ np.abs(self.x)
+                                             + np.abs(self.b)))
+        return self.x + slack < -feas_tol
 
     def refactor(self):
         self.inv = np.linalg.inv(self.matrix())
@@ -110,29 +142,49 @@ def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
 def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
               feas_tol: float) -> str:
     """Pivot on the real columns until no reduced cost exceeds the
-    tolerance.  ``cost`` holds the objective over the real columns, then over
-    the artificials.  Returns 'optimal' or 'unbounded'."""
+    tolerance and no basic value is infeasible.  ``cost`` holds the
+    objective over the real columns, then over the artificials.  Returns
+    'optimal' or 'unbounded'."""
     A = basis.A
-    n = A.shape[1]
-    a_scale = float(np.abs(A).max())
+    m, n = A.shape
     c_scale = float(np.abs(cost).max())
+    b = basis.b
+    shifted = False
+    restores = 0
     degenerate_run = 0
     while True:
-        y = basis.multipliers(cost)
-        reduced = cost[:n] - y @ A
-        reduced[basis.cols[basis.cols < n]] = 0.0
-        # a reduced cost within the rounding error of y.A is zero
-        opt_tol = max(OPT_TOL * c_scale,
-                      NOISE * (float(np.abs(y).sum()) * a_scale + c_scale))
-        lex = degenerate_run >= LEX_AFTER
-        if degenerate_run == LEX_AFTER:
+        if degenerate_run == STALL_AFTER and not shifted:
+            # the first stall: raise every basic value by a small
+            # pseudo-random amount, that is, solve for b + B delta
+            delta = SHIFT * max(float(np.abs(b).max()), 1.0) * \
+                (1 + np.random.default_rng(0).random(m))
+            basis.b = b + basis.matrix() @ delta
+            basis.refactor()
+            shifted = True
+            degenerate_run = 0
+        lex = degenerate_run >= STALL_AFTER
+        if degenerate_run == STALL_AFTER:
             reference = basis.matrix()
+        y, reduced, opt_tol = basis.price(cost)
         col = int(np.argmax(reduced))
         if reduced[col] <= opt_tol:
-            # optimality counts only when priced with a fresh factorization
-            if basis.since_refactor == 0:
+            if basis.b is not b:
+                # take the shift out; the basis stays dual feasible
+                basis.b = b
+                basis.refactor()
+            elif basis.since_refactor:
+                # optimality counts only when priced on a fresh factorization
+                basis.refactor()
+            elif basis.infeasible(feas_tol).any():
+                # dual pivots take out the infeasibility; a basis that
+                # loses feasibility again at each new optimum is too
+                # ill-conditioned to solve on
+                if restores == MAX_RESTORES:
+                    raise LPError("the optimal basis keeps losing feasibility")
+                restores += 1
+                _restore_feasibility(basis, cost, feas_tol, max_pivots)
+            else:
                 return "optimal"
-            basis.refactor()
             continue
         a = basis.inv @ A[:, col]
         amax = float(np.abs(a).max())
@@ -168,6 +220,43 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         degenerate_run = degenerate_run + 1 if gain <= 1e-12 * max(objective, c_scale) else 0
 
 
+def _restore_feasibility(basis: _Basis, cost: np.ndarray, feas_tol: float,
+                         max_pivots: int):
+    """Dual simplex pivots from a dual-feasible basis until no basic value
+    is infeasible: the most negative infeasible one leaves.  The entering
+    column is Harris's: the largest pivot among the columns whose ratio
+    stays within the optimality tolerance of the least ratio over every
+    column, so no reduced cost rises above that tolerance."""
+    A = basis.A
+    while True:
+        infeasible = basis.infeasible(feas_tol)
+        if not infeasible.any():
+            return
+        row = int(np.argmin(np.where(infeasible, basis.x, 0.0)))
+        _, reduced, opt_tol = basis.price(cost)
+        # how far each reduced cost may rise before it passes the tolerance
+        slack = np.maximum(opt_tol - reduced, 0.0)
+        alpha = basis.inv[row] @ A
+        alpha[basis.cols[basis.cols < A.shape[1]]] = 0.0
+        amax = float(np.abs(alpha).max())
+        # the reduced costs that the step raises; above rounding level
+        falling = np.flatnonzero(alpha < -NOISE * amax)
+        cols = falling[alpha[falling] < -PIVOT_TOL * amax]
+        if cols.size == 0:
+            raise LPError("no dual pivot restores feasibility")
+        if basis.pivots >= max_pivots:
+            raise LPError(f"simplex pivot limit {max_pivots} exceeded")
+        ratios = np.maximum(-reduced[cols], 0.0) / -alpha[cols]
+        within = ratios <= np.min(slack[falling] / -alpha[falling])
+        if within.any():
+            col = int(cols[within][np.argmax(-alpha[cols][within])])
+        else:
+            # only a small pivot keeps every reduced cost within tolerance
+            col = int(falling[np.argmin(slack[falling] / -alpha[falling])])
+        a = basis.inv @ A[:, col]
+        _pivot(basis, row, col, a, float(basis.x[row] / a[row]))
+
+
 def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
                   basis=None) -> LPResult:
     """Maximize c.x subject to A x = b, x >= 0.
@@ -175,7 +264,8 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     ``basis``, if given, lists m columns of A that form a feasible basis;
     the solve then starts from it in phase 2.  Without it, phase 1 finds a
     feasible basis over artificial columns.  A given basis that is singular
-    or infeasible, or a run past the pivot limit, raises ``LPError``.
+    or infeasible, a run past the pivot limit, or an optimal basis that
+    keeps losing feasibility raises ``LPError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -313,6 +313,40 @@ class TestRemezExchange:
         assert res.gap_log[-1][2] > 1e-6
         assert "did not close the gap in 1 iterations" in res.warning
 
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_failed_exchange_lp_ends_the_exchange(self, monkeypatch, fail_at):
+        # a failed first solve leaves nothing to report and raises; a failed
+        # re-solve ends the exchange with a warning, and the bounds of the
+        # iterates searched so far are still reported
+        original = bestapprox._minimax_on
+        calls = []
+
+        def failing(pb, points, start=None):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise LPError("doctored failure")
+            return original(pb, points, start)
+
+        monkeypatch.setattr(bestapprox, "_minimax_on", failing)
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
+        if fail_at == 1:
+            with pytest.raises(LPError, match="doctored"):
+                remez_exchange(prob, seed=0)
+            return
+        res = remez_exchange(prob, seed=0)
+        assert res.exchange_iterations == fail_at - 1
+        assert "exchange LP failed" in res.warning and "doctored" in res.warning
+        assert res.deviation_lower <= res.deviation_upper
+        assert_upper_is_residual_sup(res, prob)
+
+    def test_clustered_sphere_exchange_closes(self):
+        # the exchange points cluster 1e-5 apart and the LP bases reach
+        # condition 1e9; a re-solve once raised 'dual objective differs'
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((3, 0, 1)), 3, sphere(3), "full", grid=8), seed=0)
+        assert res.deviation_lower <= res.deviation_upper < res.deviation_lower + 1e-8
+        assert res.deviation_lower == pytest.approx(0.125, abs=1e-8)
+
     def test_degree5_product_squared(self, consts):
         res = remez_exchange(ApproxProblem(
             Poly.monomial((2, 2, 2)), 5, simplex(3), "symmetric", grid=16), seed=0)

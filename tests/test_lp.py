@@ -98,8 +98,10 @@ def _problem(target, degree, nvars, basis, grid):
 
 class TestChebyshevDual:
     @pytest.mark.parametrize("target,degree,nvars,grid", [
-        ((2, 2, 2), 5, 3, 8), ((1, 1, 1, 1), 3, 4, 12), ((1, 1, 1, 1), 3, 4, 16)],
-        ids=["sq_deg5_full_g8", "x1x2x3x4_deg3_full_g12", "x1x2x3x4_deg3_full_g16"])
+        ((2, 2, 2), 5, 3, 8), ((1, 1, 1, 1), 3, 4, 12), ((1, 1, 1, 1), 3, 4, 16),
+        ((3, 0, 3), 4, 3, 11), ((0, 3, 0, 2), 4, 4, 11)],
+        ids=["sq_deg5_full_g8", "x1x2x3x4_deg3_full_g12", "x1x2x3x4_deg3_full_g16",
+             "x1cu_x3cu_deg4_full_g11", "x2cu_x4sq_deg4_full_g11"])
     def test_value_agrees_with_highs(self, target, degree, nvars, grid):
         # the same LP input, solved as the primal min t, -t <= f - Phi c <= t
         optimize = pytest.importorskip("scipy.optimize")
@@ -118,6 +120,15 @@ class TestChebyshevDual:
         assert ref.status == 0
         res = discrete_minimax(prob)
         assert res.deviation == pytest.approx(ref.x[-1] * scale, rel=1e-9)
+
+    @pytest.mark.parametrize("target,nvars", [((3, 0, 3), 3), ((0, 3, 0, 2), 4)],
+                             ids=["x1cu_x3cu", "x2cu_x4sq"])
+    def test_degenerate_stall_is_left_quickly(self, target, nvars):
+        # the objective reaches its optimum within a few pivots and then
+        # walks degenerate bases; without the shift of the basic values the
+        # walk ran into the pivot limit (8,640 pivots on x1cu_x3cu)
+        res = discrete_minimax(_problem(target, 4, nvars, "full", 11))
+        assert res.iterations < 500
 
     @pytest.mark.parametrize("grid", [8, 16, 24])
     def test_full_and_symmetric_basis_agree(self, grid):
@@ -165,6 +176,19 @@ class TestStartingBasis:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(12.0)
         assert res.iterations == 1
+
+    def test_slightly_infeasible_start_ends_feasible(self):
+        # max -y s.t. x - y = -1e-8: the basis {x} has x = -1e-8, within the
+        # accepted start tolerance and already dual optimal; dual pivots
+        # then make it feasible, y = 1e-8, rather than clip x to 0
+        A = np.array([[1.0, -1.0]])
+        b = np.array([-1e-8])
+        res = simplex_solve(A, b, np.array([0.0, -1.0]), basis=[0])
+        assert res.status == "optimal"
+        assert res.basis == [1]
+        assert res.x == pytest.approx([0.0, 1e-8], abs=1e-20)
+        assert res.objective == pytest.approx(-1e-8, rel=1e-12)
+        assert A @ res.x == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize("basis,match", [([0, 1], "infeasible"),
                                              ([2, 2], "distinct"),
