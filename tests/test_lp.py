@@ -124,9 +124,9 @@ class TestChebyshevDual:
     @pytest.mark.parametrize("target,nvars", [((3, 0, 3), 3), ((0, 3, 0, 2), 4)],
                              ids=["x1cu_x3cu", "x2cu_x4sq"])
     def test_degenerate_stall_is_left_quickly(self, target, nvars):
-        # the objective reaches its optimum within a few pivots and then
-        # walks degenerate bases; without the shift of the basic values the
-        # walk ran into the pivot limit (8,640 pivots on x1cu_x3cu)
+        # the objective reaches its optimum early and then walks degenerate
+        # bases; without the shift of the basic values the walk ran into the
+        # pivot limit (8,640 pivots on x1cu_x3cu)
         res = discrete_minimax(_problem(target, 4, nvars, "full", 11))
         assert res.iterations < 500
 
