@@ -241,28 +241,39 @@ class _ProblemBasis:
     scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones
     grid: np.ndarray             # every point set the problem is solved on contains it
-    columns: PolyBatch           # the LP columns: scaled_f at a point set
+    batch: PolyBatch             # scaled_f at a point set
+    mix: np.ndarray | None       # ball and sphere: LP columns = scaled_f columns @ mix
+
+    def columns(self, points: np.ndarray) -> np.ndarray:
+        Phi = self.batch(points)
+        return Phi if self.mix is None else Phi @ self.mix
 
 
 def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     """Basis, grid and LP columns; the rank check on the grid decides every
-    point set of the problem, since each one contains the grid."""
+    point set of the problem, since each one contains the grid.  On the ball
+    and the sphere mix = R^-1 sqrt(N), R from a QR of the grid columns, makes
+    the LP columns orthogonal on the grid, each of root-mean-square 1."""
     basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
                             for_sphere=prob.domain.kind == SPHERE)
     scaled, M = _scaled_basis(basis, prob.domain)
     scaled_f = [b.to_float64() for b in scaled]
     grid = approx_grid(prob.domain, prob.grid)
-    columns = PolyBatch(scaled_f)
-    keep = _independent_columns(columns(grid))
+    batch = PolyBatch(scaled_f)
+    Phi = batch(grid)
+    keep = _independent_columns(Phi)
     if len(keep) != len(basis):
         dropped = next(j for j in range(len(basis)) if j not in keep)
         raise PolyError(
             f"basis is rank-deficient on the grid: {basis[dropped]!r} is "
             "dependent on the preceding functions")
+    mix = None
+    if prob.domain.kind in (BALL, SPHERE):
+        mix = np.linalg.inv(np.linalg.qr(Phi, mode="r")) * math.sqrt(len(grid))
     return _ProblemBasis(
         target_f=prob.target.to_float64(), basis=basis,
         basis_f=[b.to_float64() for b in basis],
-        scaled_f=scaled_f, M=M, grid=grid, columns=columns)
+        scaled_f=scaled_f, M=M, grid=grid, batch=batch, mix=mix)
 
 
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
@@ -326,7 +337,7 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     obj = float(res.objective)
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
         raise LPError(f"dual objective {obj} differs from recovered t {t}")
-    coeffs = pb.M @ y
+    coeffs = pb.M @ (y if pb.mix is None else pb.mix @ y)
     extrema = [(tuple(points[col % N]), 1 if col < N else -1)
                for col in res.basis if res.x[col] > 1e-14]
     result = ApproxResult(deviation=t, coefficients=coeffs, basis_polys=pb.basis,
@@ -376,14 +387,14 @@ def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray
                          signs: np.ndarray, domain: Domain):
     """Least-squares fit of (coefficients, level) to the confluent extremal
     system: value rows f(x_e) = sum_k c_k phi_k(x_e) + sigma_e t over the
-    conditioned basis, plus tangency rows grad(f - sum c phi) . u = 0 for
+    scaled basis (without the LP's QR mix), plus tangency rows grad(f - sum c phi) . u = 0 for
     every tangent direction u of the face carrying x_e.  ``grads`` holds the
     gradient of f, then of each phi_k.
 
     The tangency rows matter: extremal configurations can sit inside an
     algebraic hypersurface (for the simplex families, the face sum x_i = 1),
     where value interpolation alone leaves the approximant undetermined."""
-    A_rows = [np.hstack([pb.columns(points), signs[:, None].astype(float)])]
+    A_rows = [np.hstack([pb.batch(points), signs[:, None].astype(float)])]
     rhs_parts = [pb.target_f.eval_grid(points)]
     G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
     extra_rows, extra_rhs = [], []
@@ -440,7 +451,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     continuum problem, since the point set is a subset of the domain).
     """
     pb = _problem_basis(prob)
-    # the fit's gradients: the target's, then each conditioned basis function's
+    # the fit's gradients: the target's, then each scaled basis function's
     grads = PolyBatch([g for p in [pb.target_f] + pb.scaled_f for g in p.gradient()])
     search_domain = prob.domain
     if prob.domain.kind == SIMPLEX_FACE:

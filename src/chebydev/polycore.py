@@ -323,12 +323,12 @@ class PolyBatch:
                                 len(exps) * self.nvars).reshape(len(exps), self.nvars).T.copy()
         self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def tables(self, points: np.ndarray):
+        """(first row, monomial table) of each EVAL_CHUNK rows of points."""
         pts = np.ascontiguousarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise DimensionMismatchError(
                 f"grid shape {pts.shape} incompatible with nvars={self.nvars}")
-        out = np.empty((len(pts), len(self.coefs)))
         for lo in range(0, len(pts), EVAL_CHUNK):
             chunk = pts[lo:lo + EVAL_CHUNK]
             pows = chunk[:, :, None] ** self.powers
@@ -337,26 +337,38 @@ class PolyBatch:
             table[...] = pows[:, 0, self.exps[0]] if self.nvars else 1.0
             for i in range(1, self.nvars):
                 table *= pows[:, i, self.exps[i]]
+            yield lo, table
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        out = np.empty((len(points), len(self.coefs)))
+        for lo, table in self.tables(points):
             for k, (idx, coefs) in enumerate(zip(self.index, self.coefs)):
-                out[lo:lo + EVAL_CHUNK, k] = np.ascontiguousarray(table[:, idx]) @ coefs
+                out[lo:lo + len(table), k] = np.ascontiguousarray(table[:, idx]) @ coefs
         return out
 
 
 class Derivatives:
-    """Gradient and Hessian of a polynomial in float64: two batches, the
-    gradient entries and the upper-triangle Hessian entries, so every entry
-    equals its partial's ``eval_grid`` bit for bit."""
+    """Gradient and upper-triangle Hessian of a polynomial in float64: one
+    monomial table per EVAL_CHUNK points times a fixed coefficient matrix C, a
+    column per entry.  The sums run in BLAS order, so an entry agrees with its
+    partial's ``eval_grid`` to rounding, not bit for bit; a vanishing one is 0."""
 
     def __init__(self, p: Poly):
         grads = p.to_float64().gradient()
         self.nvars, (self.i, self.j) = p.nvars, np.triu_indices(p.nvars)
-        self.gradient = PolyBatch(grads)
-        self.upper = PolyBatch([grads[i].partial(j) for i, j in zip(self.i, self.j)])
+        self.batch = PolyBatch(grads + [grads[i].partial(j) for i, j in zip(self.i, self.j)])
+        self.C = np.zeros((self.batch.exps.shape[1], len(self.batch.coefs)))
+        for k, (idx, coefs) in enumerate(zip(self.batch.index, self.batch.coefs)):
+            self.C[idx, k] = coefs
 
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        H = np.empty((len(points), self.nvars, self.nvars))
-        H[:, self.i, self.j] = H[:, self.j, self.i] = self.upper(points)
-        return H
+    def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gradients, Hessians) at an (N, nvars) array of points."""
+        k, out = self.nvars, np.empty((len(points), self.C.shape[1]))
+        for lo, table in self.batch.tables(points):
+            out[lo:lo + len(table)] = table @ self.C
+        H = np.empty((len(points), k, k))
+        H[:, self.i, self.j] = H[:, self.j, self.i] = out[:, k:]
+        return out[:, :k], H
 
 
 # -- module-level operations ------------------------------------------------

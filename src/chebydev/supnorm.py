@@ -193,38 +193,37 @@ def _chart_dim(zeros: tuple, sum_active: bool, d: int) -> int:
 
 
 def _batched_solve(H: np.ndarray, g: np.ndarray):
-    """Solve H x = -g per row; rows with (numerically) singular H are flagged."""
-    n, k, _ = H.shape
-    bad = ~np.isfinite(H).all(axis=(1, 2))
-    dets = np.zeros(len(H))
-    ok = ~bad
-    if ok.any():
-        dets[ok] = np.linalg.det(H[ok])
-    scale = np.maximum(np.abs(H).max(axis=(1, 2)), 1e-30) ** k
-    bad |= np.abs(dets) <= 1e-14 * scale
-    Hs = H.copy()
-    Hs[bad] = np.eye(k)
-    step = np.linalg.solve(Hs, -g[..., None])[..., 0]
+    """Solve H x = -g per row; a row whose H is non-finite (its scale is then
+    inf or NaN) or singular, |det H| <= 1e-14 max|H|^k, gets a NaN step."""
+    k = H.shape[1]
+    with np.errstate(invalid="ignore"):
+        dets = np.linalg.det(H)
+    bad = ~(np.abs(dets) > 1e-14 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-30) ** k)
+    if bad.any():
+        H = H.copy()
+        H[bad] = np.eye(k)
+    step = np.linalg.solve(H, -g[..., None])[..., 0]
     step[bad] = np.nan
     return step
 
 
-def _lockstep(Z: np.ndarray, residual, advance, tol: float, max_iter: int):
-    """Iterate every row of Z in place, all rows in step, and return the mask of
-    converged rows.  A row converges when max|residual| <= tol or when advance
-    flags its step as negligible; a row that advance leaves non-finite is dead
-    and is never reported."""
+def _lockstep(Z: np.ndarray, evaluate, advance, tol: float, max_iter: int):
+    """Newton on every row of Z in place, all rows in step; returns the mask of
+    converged rows.  evaluate gives the running rows' residuals F and Jacobians
+    J from one evaluation; a row converges when max|F| <= tol or when advance,
+    given rows and steps -J^-1 F, flags its step as negligible; a row that
+    advance leaves non-finite is dead and is never reported."""
     converged = np.zeros(len(Z), dtype=bool)
     for _ in range(max_iter):
         run = np.where(~converged & np.isfinite(Z).all(axis=1))[0]
         if run.size == 0:
             break
-        F = residual(Z[run])
+        F, J = evaluate(Z[run])
         done = np.max(np.abs(F), axis=1) <= tol
         converged[run[done]] = True
-        run = run[~done]
+        run, F, J = run[~done], F[~done], J[~done]
         if run.size:
-            Z[run], negligible = advance(Z[run], F[~done])
+            Z[run], negligible = advance(Z[run], _batched_solve(J, F))
             converged[run[negligible]] = True
     return converged
 
@@ -239,8 +238,7 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: flo
     ders = Derivatives(q)
     X = np.array(starts, dtype=float).reshape(-1, k)
 
-    def advance(X, G):
-        s = _batched_solve(ders.hessian(X), G)
+    def advance(X, s):
         limit = 1.0 + np.linalg.norm(X, axis=1)
         norms = np.linalg.norm(s, axis=1)
         shrink = norms > limit
@@ -248,7 +246,7 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: flo
         X = X + s
         return X, norms <= 1e-15 * (1.0 + np.linalg.norm(X, axis=1))
 
-    ok = _lockstep(X, ders.gradient, advance, grad_tol, 60)
+    ok = _lockstep(X, ders, advance, grad_tol, 60)
     found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
     return [found[i] for i in dedup_points(found)]
 
@@ -261,27 +259,26 @@ def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float):
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
-    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders.gradient(X), X)])
+    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders(X)[0], X)])
 
-    def residual(Z):
+    def evaluate(Z):
         X, lam = Z[:, :d], Z[:, d]
-        return np.concatenate([ders.gradient(X) - 2 * lam[:, None] * X,
-                               (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1)
-
-    def advance(Z, F):
-        X, lam = Z[:, :d], Z[:, d]
+        G, H = ders(X)
         J = np.zeros((len(Z), d + 1, d + 1))
-        J[:, :d, :d] = ders.hessian(X) - 2 * lam[:, None, None] * np.eye(d)
+        J[:, :d, :d] = H - 2 * lam[:, None, None] * np.eye(d)
         J[:, :d, d] = -2 * X
         J[:, d, :d] = 2 * X
-        s = _batched_solve(J, F)
+        return np.concatenate([G - 2 * lam[:, None] * X,
+                               (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1), J
+
+    def advance(Z, s):
         Z = Z + s
         n = np.linalg.norm(Z[:, :d], axis=1)
         pos = n > 0
         Z[pos, :d] /= n[pos, None]
         return Z, np.linalg.norm(s, axis=1) <= 1e-15
 
-    ok = _lockstep(Z, residual, advance, grad_tol, 80)
+    ok = _lockstep(Z, evaluate, advance, grad_tol, 80)
     found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
     return [found[i] for i in dedup_points(found)]
 
@@ -298,6 +295,11 @@ def _grad_scale(q: Poly) -> float:
     if not q.terms:
         return 1.0
     return max(1.0, max(abs(float(c)) for c in q.terms.values()))
+
+
+def _with_values(q: Poly, pts: list) -> list:
+    """(point, q(point)) pairs, the values read from one batched evaluation."""
+    return list(zip(pts, q.eval_grid(np.array(pts).reshape(len(pts), q.nvars)).tolist()))
 
 
 def critical_points(p: Poly, dom: Domain, seed: int = 0,
@@ -342,37 +344,31 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
         for zeros, sum_active in faces:
             k = _chart_dim(zeros, sum_active, d)
             q = restrict_to_face(pf, zeros, sum_active)
-            if k == 0:
-                pt = embed_from_face((), zeros, sum_active, d)
-                results.append((pt, pf.eval(pt)))
-                continue
-            st = _simplex_starts(rng, k, max(8, (total * (k + 1)) // (d + 1)))
-            tol = 1e-11 * _grad_scale(q)
-            for y in _newton_critical_points(q, starts(st), feasible, tol):
-                pt = embed_from_face(y, zeros, sum_active, d)
-                results.append((pt, q.eval(np.array(y))))
+            ys = [()]
+            if k:
+                st = _simplex_starts(rng, k, max(8, (total * (k + 1)) // (d + 1)))
+                ys = _newton_critical_points(q, starts(st), feasible, 1e-11 * _grad_scale(q))
+            results.extend((embed_from_face(y, zeros, sum_active, d), v)
+                           for y, v in _with_values(q, ys))
     elif dom.kind == BALL:
         st = rng.uniform(-1, 1, size=(total, d))
         st = st[np.einsum("ij,ij->i", st, st) < 1.0]
         tol = 1e-11 * _grad_scale(pf)
         inside = _newton_critical_points(
             pf, starts(st), lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
-        results.extend((tuple(x), pf.eval(np.array(x))) for x in inside)
+        results.extend(_with_values(pf, inside))
         if not interior_only and d >= 2:
             sph = rng.normal(size=(total, d))
             sph = np.vstack([sph, np.eye(d), -np.eye(d)])
-            for x in _sphere_critical_points(pf, starts(sph), tol):
-                results.append((tuple(x), pf.eval(np.array(x))))
+            results.extend(_with_values(pf, _sphere_critical_points(pf, starts(sph), tol)))
         elif not interior_only and d == 1:
-            for e in (-1.0, 1.0):
-                results.append(((e,), pf.eval((e,))))
+            results.extend(_with_values(pf, [(-1.0,), (1.0,)]))
     elif dom.kind == SPHERE:
         sph = rng.normal(size=(total, d))
         sph = np.vstack([sph, np.eye(d), -np.eye(d),
                          _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)])
         tol = 1e-11 * _grad_scale(pf)
-        for x in _sphere_critical_points(pf, starts(sph), tol):
-            results.append((tuple(x), pf.eval(np.array(x))))
+        results.extend(_with_values(pf, _sphere_critical_points(pf, starts(sph), tol)))
     else:
         raise PolyError(f"unsupported domain {dom.kind}")
 
@@ -441,7 +437,7 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
     the loop takes the interior critical values of T_k and the grid plus the
     interior critical values of its sum = 1 chart.  The faces x_i = 0 carry
     -T_{k-1} exactly and pass to the next k (they hold the boundary of the
-    sum = 1 chart too), except at k = 3, where they are searched in full.
+    sum = 1 chart too), except at k = 3, where each distinct one is searched.
 
     For d <= 5 this reproduces the proved value 1; for d >= 6 the report is
     exploratory (``conjecture_mode``) and never asserts the bound.
@@ -467,10 +463,11 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
             report["zero_face_identity_exact"] &= all(
                 restrict_zero(td, i) == -lower for i in range(k))
             td = lower
-        else:
-            for i in range(k):
-                zero_face = sup_norm(restrict_zero(tdf, i), chart_dom, resolution, seed=seed)
-                estimate = max(estimate, zero_face.value)
+        else:   # T_3 is symmetric, so its three zero faces are one polynomial
+            faces = [restrict_zero(tdf, i) for i in range(k)]
+            for i, face in enumerate(faces):
+                if face not in faces[:i]:
+                    estimate = max(estimate, sup_norm(face, chart_dom, resolution, seed=seed).value)
     report["max_abs_estimate"] = estimate
     report["passed"] = bool(estimate <= 1 + tol) and report["zero_face_identity_exact"]
     return report
@@ -517,9 +514,9 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
             raise PolyError(f"|f - p| reaches {float(mags.max())!r} > r = {r!r} on the lattice")
         band = np.abs(mags - r)
         near = band <= max(10 * tol, 4 * float(np.min(band)), 0.05 * r)
-        for y in _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(q)):
-            if abs(abs(q.eval(y)) - r) <= tol / 10:
-                found.append(embed_from_face(y, zeros, sum_active, d))
+        ys = _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(q))
+        found += [embed_from_face(y, zeros, sum_active, d)
+                  for y, v in _with_values(q, ys) if abs(abs(v) - r) <= tol / 10]
     found.sort()
     out = [found[i] for i in dedup_points(found)]
     if face_mode:

@@ -10,7 +10,7 @@ from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
-from chebydev.domains import ball, simplex, sphere
+from chebydev.domains import BALL, ball, simplex, sphere
 from chebydev.lp import LPError
 from chebydev.polycore import Poly, PolyError
 from chebydev.signatures import (Certificate, build_l_functional,
@@ -91,10 +91,15 @@ class TestDiscreteMinimax:
     @pytest.mark.parametrize("domain,basis,grid", [(simplex(3), "full", 16),
                                                    (ball(3), "even", 12)])
     def test_lp_columns_match_eval_grid(self, domain, basis, grid):
-        # the LP input stays byte for byte what per-function eval_grid gives
+        # the LP input stays byte for byte what per-function eval_grid gives,
+        # times the QR conditioning matrix on the ball
         pb = bestapprox._problem_basis(ApproxProblem(
             Poly.monomial((2, 2, 2)), 5, domain, basis, grid))
         want = np.column_stack([b.eval_grid(pb.grid) for b in pb.scaled_f])
+        if domain.kind == BALL:
+            want = want @ pb.mix
+        else:
+            assert pb.mix is None
         got = pb.columns(pb.grid)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

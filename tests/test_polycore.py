@@ -69,28 +69,81 @@ def _random_float_poly(rng, nvars, degree):
                         zip(exps, rng.normal(size=len(exps)), keep) if k}, FLOAT64)
 
 
+def _exact(p):
+    """The float polynomial p with its coefficients as exact rationals."""
+    return Poly(p.nvars, {e: Fraction(c) for e, c in p.to_float64().terms.items()})
+
+
+def _forward_error_excess(ders, p, X):
+    """max over the gradient and upper Hessian entries at the rows of X of
+    |computed - exact| / (gamma_m sum |c_e x^e|), where exact is the formal
+    partial of p evaluated in Fraction at the float points (each float is an
+    exact rational) and m counts the table columns summed plus the roundings
+    of the powers, the products and the coefficients; above 1 fails."""
+    G, H = ders(X)
+    k, P = p.nvars, _exact(p)
+    m = ders.C.shape[0] + 3 * k + 3
+    gamma = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+    partials = [(G[:, i], P.partial(i)) for i in range(k)]
+    partials += [(H[:, i, j], P.partial(i).partial(j)) for i in range(k) for j in range(i, k)]
+    excess = 0.0
+    for got, q in partials:
+        mags = Poly(k, {e: abs(c) for e, c in q.terms.items()})
+        for x, v in zip(X, got):
+            pt = [Fraction(float(t)) for t in x]
+            bound = gamma * float(mags.eval([abs(t) for t in pt]))
+            err = abs(Fraction(float(v)) - q.eval(pt))
+            excess = max(excess, float(err) / bound if bound else float(err != 0) * math.inf)
+    return excess
+
+
 class TestDerivatives:
-    """Derivatives reads every entry from one monomial table and must give
-    the same bits as eval_grid of the corresponding formal partial."""
+    """Derivatives reads every gradient and upper Hessian entry from one
+    monomial table by one product with a fixed coefficient matrix C.  C holds
+    the formal partials' coefficients bit for bit; the product sums in BLAS
+    order, so each entry is checked against the exact partial at the float
+    points within the forward-error bound of that sum."""
 
     def assert_matches_partials(self, p, X):
         ders = Derivatives(p)
-        G, H = ders.gradient(X), ders.hessian(X)
+        G, H = ders(X)
         assert G.shape == (len(X), p.nvars)
         assert H.shape == (len(X), p.nvars, p.nvars)
-        for i in range(p.nvars):
-            assert np.array_equal(G[:, i], p.partial(i).eval_grid(X))
-            for j in range(p.nvars):
-                lo, hi = min(i, j), max(i, j)
-                assert np.array_equal(H[:, i, j], p.partial(lo).partial(hi).eval_grid(X))
+        assert np.array_equal(H, H.transpose(0, 2, 1))
+        assert _forward_error_excess(ders, p, X) <= 1.0
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_bit_identical_to_partials(self, nvars):
+        # the columns of C are the partials' coefficients, bit for bit, at the
+        # table columns of their exponents; the entries are within the bound
         rng = np.random.default_rng(100 + nvars)
         for degree in (2, 4, 6):
             p = _random_float_poly(rng, nvars, degree)
-            for n in (1, 7, 64, 301):
+            ders = Derivatives(p)
+            exps = [tuple(int(v) for v in col) for col in ders.batch.exps.T]
+            grads = p.gradient()
+            partials = grads + [grads[i].partial(j) for i in range(nvars) for j in range(i, nvars)]
+            for col, q in zip(ders.C.T, partials):
+                assert {exps[t]: c for t, c in enumerate(col) if c} == q.terms
+            for n in (1, 7, 24):
                 self.assert_matches_partials(p, rng.uniform(-1.5, 1.5, size=(n, nvars)))
+
+    def test_mutated_coefficients_fail_the_check(self):
+        rng = np.random.default_rng(9)
+        p = _random_float_poly(rng, 3, 5)
+        X = rng.uniform(-1.5, 1.5, size=(20, 3))
+        ders = Derivatives(p)
+        assert _forward_error_excess(ders, p, X) <= 1.0
+        exps = ders.batch.exps.T
+        t, col = map(int, np.argwhere(ders.C)[0])
+        # one term dropped
+        ders.C[t, col] = 0.0
+        assert _forward_error_excess(ders, p, X) > 1.0
+        # the same term at an exponent one higher in some variable
+        shifted = next(u for u in range(len(exps)) if np.abs(exps[u] - exps[t]).sum() == 1
+                       and exps[u].sum() == exps[t].sum() + 1)
+        ders.C[shifted, col] += Derivatives(p).C[t, col]
+        assert _forward_error_excess(ders, p, X) > 1.0
 
     def test_constant_in_one_variable(self):
         rng = np.random.default_rng(7)
@@ -99,21 +152,32 @@ class TestDerivatives:
         assert p.partial(2).is_zero()
         X = rng.random((40, 3))
         self.assert_matches_partials(p, X)
-        ders = Derivatives(p)
-        assert np.array_equal(ders.gradient(X)[:, 2], np.zeros(40))
-        assert np.array_equal(ders.hessian(X)[:, 2, :], np.zeros((40, 3)))
+        G, H = Derivatives(p)(X)
+        assert np.array_equal(G[:, 2], np.zeros(40))
+        assert np.array_equal(H[:, 2, :], np.zeros((40, 3)))
 
     def test_zero_polynomial(self):
         X = np.random.default_rng(3).random((9, 3))
         self.assert_matches_partials(Poly.zero(3, FLOAT64), X)
-        ders = Derivatives(Poly.zero(3, FLOAT64))
-        assert np.array_equal(ders.hessian(X), np.zeros((9, 3, 3)))
+        G, H = Derivatives(Poly.zero(3, FLOAT64))(X)
+        assert np.array_equal(G, np.zeros((9, 3)))
+        assert np.array_equal(H, np.zeros((9, 3, 3)))
 
     def test_rational_polynomial_and_row_subsets(self):
         p = build_td(4).polynomial
         X = np.random.default_rng(5).random((50, 4)) / 4
         self.assert_matches_partials(p, X)
         self.assert_matches_partials(p, X[::3])
+
+    def test_chunk_boundary(self, monkeypatch):
+        # 30 points in chunks of 7 give the rows of one table of 30
+        rng = np.random.default_rng(13)
+        p = _random_float_poly(rng, 3, 4)
+        X = rng.uniform(-1, 1, size=(30, 3))
+        whole = Derivatives(p)(X)
+        monkeypatch.setattr(polycore, "EVAL_CHUNK", 7)
+        for got, want in zip(Derivatives(p)(X), whole):
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestPolyBatch:

@@ -265,7 +265,8 @@ class TestTdBound:
 
     def test_each_face_searched_once(self, monkeypatch):
         # only the charts' interiors are searched at every level; the one full
-        # search is each face x_i = 0 of T_3, where the origin lies
+        # search is the face x_i = 0 of T_3, where the origin lies: its three
+        # faces are one polynomial, searched once
         searches, sup_norms = [], []
         crit, sup = supnorm.critical_points, supnorm.sup_norm
 
@@ -282,6 +283,8 @@ class TestTdBound:
         verify_td_bound(6, resolution=8, seed=0)
         t3 = build_td(3).polynomial
         t3_faces = [(restrict_zero(t3, i).to_float64(), simplex(2)) for i in range(3)]
+        assert t3_faces[0] == t3_faces[1] == t3_faces[2]
+        t3_faces = t3_faces[:1]
         interior = [dom for _, dom, only in searches if only]
         assert sorted(interior, key=lambda dom: dom.dimension) == [
             simplex(k) for k in (2, 3, 3, 4, 4, 5, 5, 6)]
@@ -329,10 +332,10 @@ class TestSubharmonicity:
     @pytest.mark.parametrize("d,sign,total,boundary", [
         (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (4, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
-        (4, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+        (4, 1, "0x1.000000000000ap+0", "0x1.000000000000ap+0"),
+        (4, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (5, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
-        (5, -1, "0x1.0000000000010p+0", "0x1.0000000000010p+0"),
+        (5, -1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
     ])
     def test_signed_max_bits(self, full_search, d, sign, total, boundary):
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
@@ -348,9 +351,9 @@ class TestSubharmonicity:
     @pytest.mark.parametrize("d,sign,total,boundary", [
         (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (4, 1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
-        (4, -1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
-        (5, 1, "0x1.000000000002cp+0", "0x1.000000000002cp+0"),
+        (4, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (4, -1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+        (5, 1, "0x1.0000000000008p+0", "0x1.0000000000008p+0"),
         (5, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ])
     def test_signed_max_bits_on_the_chamber(self, d, sign, total, boundary):
@@ -361,18 +364,18 @@ class TestSubharmonicity:
 
 def test_sup_norm_bits(full_search):
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
-    assert rep.value.hex() == "0x1.0000000000004p+0"
+    assert rep.value.hex() == "0x1.000000000000ap+0"
     assert [v.hex() for v in rep.argmax] == [
-        "0x1.5555555559cf2p-2", "0x1.5555555557ea0p-2", "0x0.0p+0", "0x1.555555554e46ep-2"]
+        "0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.5555555555556p-2", "0x0.0p+0"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
 def test_sup_norm_bits_on_the_chamber():
     # the argmax is the centroid of the face sum x = 1, its coordinates non-increasing
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
-    assert rep.value.hex() == "0x1.0000000000006p+0"
+    assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
-        "0x1.000000000000dp-2", "0x1.000000000000ap-2", "0x1.0000000000002p-2", "0x1.fffffffffffcdp-3"]
+        "0x1.000000000000dp-2", "0x1.000000000000cp-2", "0x1.ffffffffffff8p-3", "0x1.fffffffffffd6p-3"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
@@ -600,6 +603,93 @@ class TestBatchedLevelSet:
         assert np.allclose(found, [(0.3, 0.4)])
         assert supnorm._newton_critical_points(
             q, starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12) == []
+
+
+class TestFusedKernel:
+    """Newton reads each iteration's gradients and Hessians from one
+    Derivatives evaluation; critical values come from one eval_grid per face."""
+
+    def test_one_derivatives_evaluation_per_lockstep_iteration(self, monkeypatch):
+        calls, iterations = [], []
+        call, lockstep = polycore.Derivatives.__call__, supnorm._lockstep
+
+        def counted_call(self, points):
+            calls.append(len(points))
+            return call(self, points)
+
+        def counted_lockstep(Z, evaluate, advance, tol, max_iter):
+            def recorded(Z):
+                iterations.append(len(Z))
+                return evaluate(Z)
+            return lockstep(Z, recorded, advance, tol, max_iter)
+
+        monkeypatch.setattr(polycore.Derivatives, "__call__", counted_call)
+        monkeypatch.setattr(supnorm, "_lockstep", counted_lockstep)
+        rng = np.random.default_rng(3)
+        q = build_td(4).polynomial.to_float64()
+        supnorm._newton_critical_points(q, supnorm._simplex_starts(rng, 4, 40),
+                                        lambda Y: np.ones(len(Y), dtype=bool), 1e-11)
+        assert len(iterations) > 2 and calls == iterations
+        # the sphere search evaluates once more, for the starting multipliers
+        calls.clear()
+        iterations.clear()
+        p = Poly.monomial((1, 1, 1)).to_float64()
+        supnorm._sphere_critical_points(p, rng.normal(size=(30, 3)), 1e-11)
+        assert len(iterations) > 2 and calls == [30] + iterations
+
+    @pytest.mark.parametrize("dom", [simplex(3), ball(3), sphere(3)], ids=lambda d: d.kind)
+    def test_critical_values_are_eval_grid_of_the_chart(self, dom):
+        # x1 x2^2 x3 (1 - x1 - x2 - x3): not symmetric, stationary inside the simplex
+        xs = [Poly.variable(3, i, "float64") for i in range(3)]
+        p = xs[0] * xs[1] * xs[1] * xs[2] * (1.0 - xs[0] - xs[1] - xs[2])
+        assert not supnorm._symmetric(p)
+        cps = critical_points(p, dom, seed=0, interior_only=dom.kind == "simplex")
+        pts = np.array([pt for pt, _ in cps])
+        assert len(cps) > 1 and [v for _, v in cps] == p.eval_grid(pts).tolist()
+
+    def test_face_values_are_the_charts(self):
+        # on the faces of the simplex the value is the chart's at the chart
+        # point: equal to p at the embedded point up to rounding
+        p = Poly(3, {(2, 1, 0): 1.0, (0, 1, 2): -0.7, (1, 0, 0): 0.3, (0, 0, 3): 0.5,
+                     (1, 1, 1): 2.0}, "float64")
+        cps = critical_points(p, simplex(3), seed=0)
+        pts = np.array([pt for pt, _ in cps])
+        assert [v for _, v in cps] == pytest.approx(p.eval_grid(pts).tolist(), abs=1e-14)
+        vertices = [v for pt, v in cps if sorted(pt) in ([0, 0, 0], [0, 0, 1])]
+        assert sorted(vertices) == [0.0, 0.0, 0.3, 0.5]
+
+
+class TestBatchedSolve:
+    def test_one_variable(self):
+        H = np.array([[[2.0]], [[0.0]], [[np.nan]], [[np.inf]], [[-4.0]]])
+        g = np.array([[1.0], [1.0], [1.0], [1.0], [2.0]])
+        kept = H.copy()
+        s = supnorm._batched_solve(H, g)
+        assert s[[0, 4], 0].tolist() == [-0.5, 0.5]
+        assert np.isnan(s[1:4]).all()
+        assert np.array_equal(H, kept, equal_nan=True)
+
+    def test_bordered_sphere_system(self):
+        # [[A - 2 lam I, -2x], [2x^T, 0]] as _sphere_critical_points builds it;
+        # x = 0 makes it singular
+        rng = np.random.default_rng(4)
+        n, d = 7, 3
+        A = rng.normal(size=(n, d, d))
+        X = rng.normal(size=(n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X[1] = 0.0
+        J = np.zeros((n, d + 1, d + 1))
+        J[:, :d, :d] = A + A.transpose(0, 2, 1) - 2 * rng.normal(size=n)[:, None, None] * np.eye(d)
+        J[:, :d, d] = -2 * X
+        J[:, d, :d] = 2 * X
+        J[2, 0, 0] = np.nan
+        J[3, 1, 2] = np.inf
+        F = rng.normal(size=(n, d + 1))
+        F[4, 0] = np.nan
+        s = supnorm._batched_solve(J, F)
+        assert np.isnan(s[1:5]).all()
+        for i in (0, 5, 6):
+            assert J[i] @ s[i] == pytest.approx(-F[i], abs=1e-12)
 
 
 class TestDeterminant:
