@@ -34,8 +34,8 @@ import numpy as np
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import NOISE, LPError, simplex_solve
 from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
-from .supnorm import (DEDUP_TOL, _lattice, _search_grid, _unique_rows, dedup_points,
-                      sample_domain, sup_norm)
+from .supnorm import (DEDUP_TOL, SearchPlan, _grid_values, _lattice, _unique_rows,
+                      dedup_points, sample_domain, sup_norm)
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -48,6 +48,8 @@ DEV_CHANGE_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-9
 # a point lies on the face x_i = 0 (or sum x = 1, or |x| = 1) within this
 FACE_ACTIVE_TOL = 1e-9
+# _adjoin compares new points with at most this many differences at a time
+ADJOIN_BLOCK = 1 << 14
 
 
 @dataclass
@@ -93,8 +95,7 @@ class ApproxResult:
 
 
 def _combination(coeffs, basis_f: list[Poly]) -> Poly:
-    """sum_k c_k phi_k over float64 basis functions; every residual in this
-    module is built as f - _combination(c, basis)."""
+    """sum_k c_k phi_k over float64 basis functions, as a Poly."""
     p = Poly.zero(basis_f[0].nvars, FLOAT64)
     for c, phi in zip(coeffs, basis_f):
         p = p + float(c) * phi
@@ -240,9 +241,11 @@ class _ProblemBasis:
     basis_f: list[Poly]
     scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones
-    grid: np.ndarray             # every point set the problem is solved on contains it
+    grid: np.ndarray             # every point set the problem is solved on starts with it
     batch: PolyBatch             # scaled_f at a point set
     mix: np.ndarray | None       # ball and sphere: LP columns = scaled_f columns @ mix
+    grid_columns: np.ndarray     # the LP columns on the grid
+    grid_target: np.ndarray      # target_f on the grid
 
     def columns(self, points: np.ndarray) -> np.ndarray:
         Phi = self.batch(points)
@@ -270,10 +273,12 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     mix = None
     if prob.domain.kind in (BALL, SPHERE):
         mix = np.linalg.inv(np.linalg.qr(Phi, mode="r")) * math.sqrt(len(grid))
+        Phi = Phi @ mix
+    target_f = prob.target.to_float64()
     return _ProblemBasis(
-        target_f=prob.target.to_float64(), basis=basis,
-        basis_f=[b.to_float64() for b in basis],
-        scaled_f=scaled_f, M=M, grid=grid, batch=batch, mix=mix)
+        target_f=target_f, basis=basis, basis_f=[b.to_float64() for b in basis],
+        scaled_f=scaled_f, M=M, grid=grid, batch=batch, mix=mix,
+        grid_columns=Phi, grid_target=target_f.eval_grid(grid))
 
 
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
@@ -307,14 +312,18 @@ def _crash_basis(Phi: np.ndarray, f: np.ndarray) -> list[int]:
 
 
 def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
-    """Solve the dual LP on points that contain pb.grid, from the feasible
-    basis ``start`` (a crash basis if None).  The multipliers of the optimal
-    basis are the coefficients and the level; its positive columns are the
-    residual extrema.  Returns the result and the optimal basis."""
+    """Solve the dual LP on points that start with pb.grid, from the feasible
+    basis ``start`` (a crash basis if None); only the rows after the grid
+    are evaluated.  The multipliers of the optimal basis are the
+    coefficients and the level; its positive columns are the residual
+    extrema.  Returns the result and the optimal basis."""
     N = len(points)
     k = len(pb.basis)
-    Phi = pb.columns(points)
-    f = pb.target_f.eval_grid(points)
+    Phi, f = pb.grid_columns, pb.grid_target
+    if N > len(pb.grid):
+        added = points[len(pb.grid):]
+        Phi = np.vstack([Phi, pb.columns(added)])
+        f = np.concatenate([f, pb.target_f.eval_grid(added)])
     # dual: maximize f.(u - v) s.t. Phi^T (u - v) = 0, sum(u + v) = 1, u, v >= 0
     A = np.zeros((k + 1, 2 * N))
     A[:k, :N] = Phi.T
@@ -414,12 +423,12 @@ def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray
     return pb.M @ sol[:-1], float(sol[-1])
 
 
-def _grid_max(p: Poly, domain: Domain, resolution: int) -> float:
+def _grid_max(p, domain: Domain, resolution: int) -> float:
     """max |p| on the grid that sup_norm(p, domain, resolution) samples."""
-    return float(np.max(np.abs(p.eval_grid(_search_grid(p, domain, resolution)))))
+    return float(np.max(np.abs(_grid_values(p, domain, resolution)[1])))
 
 
-def _near_extremal(rep, resid: Poly, level: float, rel: float) -> list:
+def _near_extremal(rep, resid, level: float, rel: float) -> list:
     """(point, value) pairs: the residual's critical points with |value| >=
     (1 - rel) * level, then the argmax of its sup-norm search."""
     near = [(pt, val) for pt, val in rep.critical_points
@@ -457,13 +466,15 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     if prob.domain.kind == SIMPLEX_FACE:
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)
     search_res = max(8, prob.grid // 2)
+    # every residual f - sum_k c_k phi_k is searched through one plan
+    plan = SearchPlan(pb.target_f, pb.basis_f)
 
     searched = {}   # coefficient bytes -> (resid, rep): search each vector once
 
     def search(coeffs):
         key = np.asarray(coeffs, dtype=float).tobytes()
         if key not in searched:
-            resid = pb.target_f - _combination(coeffs, pb.basis_f)
+            resid = plan.bind(coeffs)
             searched[key] = resid, sup_norm(resid, search_domain,
                                             resolution=search_res, seed=seed)
         return searched[key]
@@ -490,8 +501,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             try:
                 c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
                 # a search never comes out below the maximum on its own grid
-                if _grid_max(pb.target_f - _combination(c2, pb.basis_f),
-                             search_domain, search_res) < rep.value:
+                if _grid_max(plan.bind(c2), search_domain, search_res) < rep.value:
                     resid2, rep2 = search(c2)
                     if rep2.value < rep.value:
                         result.coefficients = np.asarray(c2)
@@ -541,9 +551,19 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
 
 def _adjoin(points: np.ndarray, new) -> np.ndarray:
     """points followed by each new point farther than DEDUP_TOL (max norm)
-    from every point before it, so no point is adjoined twice."""
+    from every point before it, so no point is adjoined twice.  The new
+    points meet points a block at a time, each block's distance table at
+    most ADJOIN_BLOCK floats."""
     new = np.asarray(new, dtype=float).reshape(-1, points.shape[1])
-    new = new[[np.max(np.abs(points - p), axis=1).min() > DEDUP_TOL for p in new]]
+    far = np.empty(len(new), dtype=bool)
+    step = max(1, ADJOIN_BLOCK // len(points))
+    for lo in range(0, len(new), step):
+        block = new[lo:lo + step]
+        dist = np.abs(block[:, None, 0] - points[:, 0])
+        for i in range(1, points.shape[1]):
+            np.maximum(dist, np.abs(block[:, None, i] - points[:, i]), out=dist)
+        far[lo:lo + step] = dist.min(axis=1) > DEDUP_TOL
+    new = new[far]
     return np.vstack([points, new[dedup_points(new)]])
 
 

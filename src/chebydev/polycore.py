@@ -55,6 +55,18 @@ def _coerce(field: str, value: Scalar):
     return float(value)
 
 
+def eval_terms(terms: Mapping[Exponent, Scalar], xs: Sequence, total):
+    """total plus each term's coefficient times its monomial at xs, in the
+    terms' order: the sum Poly.eval takes."""
+    for exp, coef in terms.items():
+        term = coef
+        for e, v in zip(exp, xs):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
+
 def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     """Graded lexicographic sort key for an exponent tuple."""
     return (sum(exp), exp)
@@ -235,14 +247,7 @@ class Poly:
             xs = [Fraction(v) for v in pt]
         else:
             xs = [float(v) for v in pt]
-        total = _coerce(self.field, 0)
-        for exp, coef in self.terms.items():
-            term = coef
-            for e, v in zip(exp, xs):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
+        return eval_terms(self.terms, xs, _coerce(self.field, 0))
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (N, nvars) array of points."""
@@ -303,24 +308,15 @@ class Poly:
         return Poly(self.nvars, {e: float(c) for e, c in self.terms.items()}, FLOAT64)
 
 
-class PolyBatch:
-    """Float64 values of several polynomials in the same variables, read from
-    one monomial table per EVAL_CHUNK points.  Column k equals the k-th
-    polynomial's ``eval_grid`` bit for bit: its term columns are gathered
-    C-contiguous (an F-ordered gather takes another BLAS kernel and rounding)
-    and summed by one matrix-vector product; a batch of one reads the table."""
+class MonomialTable:
+    """The monomials x^e of a fixed exponent list, tabled at points one
+    EVAL_CHUNK rows at a time: the one table builder of PolyBatch and
+    Derivatives.  exps is an (m, nvars) integer array, a row per monomial."""
 
-    def __init__(self, polys: Sequence[Poly]):
-        polys = [p.to_float64() for p in polys]
-        self.nvars = polys[0].nvars
-        self.coefs = [np.array(list(p.terms.values()), dtype=float) for p in polys]
-        cols: dict[Exponent, int] = {}  # table column of each exponent
-        self.index = [np.array([cols.setdefault(e, len(cols)) for e in p.terms], dtype=np.intp)
-                      for p in polys] if len(polys) > 1 else [slice(None)]
-        exps = cols or polys[0].terms
+    def __init__(self, exps: np.ndarray):
         # row i: the exponent of variable i in each table column
-        self.exps = np.fromiter(chain.from_iterable(exps), np.int64,
-                                len(exps) * self.nvars).reshape(len(exps), self.nvars).T.copy()
+        self.nvars = exps.shape[1]
+        self.exps = np.ascontiguousarray(np.asarray(exps, dtype=np.int64).T)
         self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
 
     def tables(self, points: np.ndarray):
@@ -339,6 +335,36 @@ class PolyBatch:
                 table *= pows[:, i, self.exps[i]]
             yield lo, table
 
+    def dot(self, points: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The monomial table at points times C (a row per table column)."""
+        out = np.empty((len(points),) + C.shape[1:])
+        for lo, table in self.tables(points):
+            out[lo:lo + len(table)] = table @ C
+        return out
+
+
+def _exponent_rows(exps, nvars: int) -> np.ndarray:
+    """The exponent tuples of an iterable as the rows of an int64 array."""
+    exps = list(exps)
+    return np.fromiter(chain.from_iterable(exps), np.int64,
+                       len(exps) * nvars).reshape(len(exps), nvars)
+
+
+class PolyBatch(MonomialTable):
+    """Float64 values of several polynomials in the same variables, read from
+    one monomial table per EVAL_CHUNK points.  Column k equals the k-th
+    polynomial's ``eval_grid`` bit for bit: its term columns are gathered
+    C-contiguous (an F-ordered gather takes another BLAS kernel and rounding)
+    and summed by one matrix-vector product; a batch of one reads the table."""
+
+    def __init__(self, polys: Sequence[Poly]):
+        polys = [p.to_float64() for p in polys]
+        self.coefs = [np.array(list(p.terms.values()), dtype=float) for p in polys]
+        cols: dict[Exponent, int] = {}  # table column of each exponent
+        self.index = [np.array([cols.setdefault(e, len(cols)) for e in p.terms], dtype=np.intp)
+                      for p in polys] if len(polys) > 1 else [slice(None)]
+        super().__init__(_exponent_rows(cols or polys[0].terms, polys[0].nvars))
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), len(self.coefs)))
         for lo, table in self.tables(points):
@@ -347,25 +373,107 @@ class PolyBatch:
         return out
 
 
+def poly_sum(V: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chain of Poly additions replayed on coefficient vectors.  Step s adds
+    the terms V[s, j] != 0, in the order pos[s, j] among them, to a running
+    sum that (like Poly) drops a term whose sum becomes 0 and appends a term
+    added to a missing key.  Returns the sums, added in step order, and the
+    keys of the nonzero ones in the order the final Poly holds them."""
+    if not len(V):
+        return np.zeros(V.shape[1]), np.zeros(0, dtype=np.intp)
+    S = np.add.accumulate(V, axis=0)
+    inserted = V != 0
+    inserted[1:] &= S[:-1] == 0
+    last = len(V) - 1 - np.argmax(inserted[::-1], axis=0)   # last step that (re)inserted
+    keep = np.flatnonzero(S[-1])
+    return S[-1], keep[np.lexsort((pos[last[keep], keep], last[keep]))]
+
+
+def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, V, P) of float64 polynomials in the same variables: the rows of E
+    are the union of their exponents in first-seen order, V[k] holds the
+    coefficients of polys[k] there (0.0 where it has no such term) and P[k]
+    each term's place in polys[k]'s term order."""
+    cols: dict[Exponent, int] = {}
+    for p in polys:
+        for e in p.terms:
+            cols.setdefault(e, len(cols))
+    V = np.zeros((len(polys), len(cols)))
+    P = np.zeros((len(polys), len(cols)), dtype=np.intp)
+    for k, p in enumerate(polys):
+        idx = [cols[e] for e in p.terms]
+        V[k, idx] = list(p.terms.values())
+        P[k, idx] = np.arange(len(idx))
+    return _exponent_rows(cols, polys[0].nvars), V, P
+
+
+class DerivativeMap:
+    """The formal gradient and upper-triangle Hessian of the polynomials with
+    exponent rows E, as a map from their coefficient vectors to Derivatives.
+    C has a row per monomial of the partials, in the order of their terms
+    (the terms of E, partial after partial: the gradient, then the Hessian's
+    upper triangle row by row) and a column per partial; each coefficient is
+    the product (c e_i) e_j, as the formal derivatives compute it."""
+
+    def __init__(self, E: np.ndarray):
+        k = E.shape[1]
+        # partial p differentiates by x_i[p] and then, for the Hessian, by x_j[p]
+        upper = np.triu_indices(k)
+        i = np.concatenate([np.arange(k), upper[0]]).astype(np.intp)
+        j = np.concatenate([np.full(k, -1), upper[1]]).astype(np.intp)
+        f1 = E[:, i].T                                   # e_i, a row per partial
+        f2 = np.where((j >= 0)[:, None], E[:, j].T - (i == j)[:, None], 1)   # then e_j
+        self.cols, self.src = np.nonzero((f1 > 0) & (f2 > 0))    # partial after partial
+        self.f1, self.f2 = f1[self.cols, self.src], f2[self.cols, self.src]
+        rows = E[self.src]
+        rows[np.arange(len(rows)), i[self.cols]] -= 1
+        hess = np.flatnonzero(j[self.cols] >= 0)
+        rows[hess, j[self.cols[hess]]] -= 1
+        # C's rows: the partials' distinct exponents in first-seen order (a
+        # stable sort keeps each run of equal rows in first-seen order)
+        order = np.lexsort(rows.T) if k else np.arange(len(rows))
+        run = np.ones(len(rows), dtype=bool)
+        run[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+        firsts = order[run]
+        rank = np.empty(len(firsts), dtype=np.intp)
+        rank[np.argsort(firsts)] = np.arange(len(firsts))
+        self.rows = np.empty(len(rows), dtype=np.intp)
+        self.rows[order] = rank[np.cumsum(run) - 1]
+        self.shape = (len(firsts), len(i))
+        self.table = MonomialTable(rows[np.sort(firsts)])
+
+    def __call__(self, coefs: np.ndarray) -> "Derivatives":
+        C = np.zeros(self.shape)
+        C[self.rows, self.cols] = (coefs[self.src] * self.f1) * self.f2
+        return Derivatives.from_matrix(self.table, C)
+
+
 class Derivatives:
     """Gradient and upper-triangle Hessian of a polynomial in float64: one
     monomial table per EVAL_CHUNK points times a fixed coefficient matrix C, a
-    column per entry.  The sums run in BLAS order, so an entry agrees with its
-    partial's ``eval_grid`` to rounding, not bit for bit; a vanishing one is 0."""
+    column per entry (see DerivativeMap).  The sums run in BLAS order, so an
+    entry agrees with its partial's ``eval_grid`` to rounding, not bit for
+    bit; a vanishing one is 0."""
 
     def __init__(self, p: Poly):
-        grads = p.to_float64().gradient()
-        self.nvars, (self.i, self.j) = p.nvars, np.triu_indices(p.nvars)
-        self.batch = PolyBatch(grads + [grads[i].partial(j) for i, j in zip(self.i, self.j)])
-        self.C = np.zeros((self.batch.exps.shape[1], len(self.batch.coefs)))
-        for k, (idx, coefs) in enumerate(zip(self.batch.index, self.batch.coefs)):
-            self.C[idx, k] = coefs
+        E, V, _ = term_matrix([p.to_float64()])
+        ders = DerivativeMap(E)(V[0])
+        self._set(ders.batch, ders.C)
+
+    @classmethod
+    def from_matrix(cls, table: MonomialTable, C: np.ndarray) -> "Derivatives":
+        """The derivatives whose coefficient matrix C has a row per table column."""
+        ders = cls.__new__(cls)
+        ders._set(table, C)
+        return ders
+
+    def _set(self, table: MonomialTable, C: np.ndarray):
+        self.nvars, (self.i, self.j) = table.nvars, np.triu_indices(table.nvars)
+        self.batch, self.C = table, C
 
     def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradients, Hessians) at an (N, nvars) array of points."""
-        k, out = self.nvars, np.empty((len(points), self.C.shape[1]))
-        for lo, table in self.batch.tables(points):
-            out[lo:lo + len(table)] = table @ self.C
+        k, out = self.nvars, self.batch.dot(points, self.C)
         H = np.empty((len(points), k, k))
         H[:, self.i, self.j] = H[:, self.j, self.i] = out[:, k:]
         return out[:, :k], H

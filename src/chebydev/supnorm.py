@@ -20,8 +20,9 @@ from itertools import chain, combinations, combinations_with_replacement
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
-from .polycore import (Derivatives, Poly, PolyError, monomial_exponents,
-                       restrict_affine_last, restrict_zero)
+from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
+                       eval_terms, grlex_key, monomial_exponents, poly_sum,
+                       restrict_affine_last, restrict_zero, term_matrix)
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
@@ -86,13 +87,6 @@ def _chamber_grid(dom: Domain, resolution: int) -> np.ndarray:
     return _box_to_domain(dom, (np.arange(m, -m - 1, -1) / m)[idx[::-1]])
 
 
-def _search_grid(pf: Poly, dom: Domain, resolution: int) -> np.ndarray:
-    """The grid sup_norm samples pf on: its chamber when pf is symmetric."""
-    if _symmetric(pf):
-        return _chamber_grid(dom, resolution)
-    return sample_domain(dom, resolution)
-
-
 def _lattice(axis: np.ndarray, d: int) -> np.ndarray:
     """Every d-tuple of axis values as the rows of a (len(axis)**d, d) array,
     in itertools.product order: the last coordinate varies fastest."""
@@ -111,11 +105,11 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.sort(order[first])]
 
 
-def _symmetric(p: Poly) -> bool:
-    """Whether p, in at least 2 variables, is invariant under every
-    permutation of them: each coefficient equals (==, no arithmetic) that of
-    its image under the transposition (x1 x2) and under the cycle
-    (x1 ... xn), which generate S_n."""
+def _symmetric(p) -> bool:
+    """Whether p (a Poly or a BoundPlan), in at least 2 variables, is
+    invariant under every permutation of them: each coefficient equals (==,
+    no arithmetic) that of its image under the transposition (x1 x2) and
+    under the cycle (x1 ... xn), which generate S_n."""
     if p.nvars < 2:
         return False
     terms = p.terms
@@ -228,14 +222,19 @@ def _lockstep(Z: np.ndarray, evaluate, advance, tol: float, max_iter: int):
     return converged
 
 
-def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: float):
-    """Multi-start Newton for grad q = 0 inside a chart, each step capped at
-    length 1 + |x|; rows with singular Hessians die.  feasible maps an (n, k)
-    array of chart points to a row mask.  Returns deduplicated chart points."""
+def _derivatives(q) -> Derivatives:
+    return q if isinstance(q, Derivatives) else Derivatives(q)
+
+
+def _newton_critical_points(q, starts: np.ndarray, feasible, grad_tol: float):
+    """Multi-start Newton for grad q = 0 inside a chart (q a Poly or its
+    Derivatives), each step capped at length 1 + |x|; rows with singular
+    Hessians die.  feasible maps an (n, k) array of chart points to a row
+    mask.  Returns deduplicated chart points."""
     k = q.nvars
     if k == 0:
         return [()]
-    ders = Derivatives(q)
+    ders = _derivatives(q)
     X = np.array(starts, dtype=float).reshape(-1, k)
 
     def advance(X, s):
@@ -251,11 +250,12 @@ def _newton_critical_points(q: Poly, starts: np.ndarray, feasible, grad_tol: flo
     return [found[i] for i in dedup_points(found)]
 
 
-def _sphere_critical_points(p: Poly, starts: np.ndarray, grad_tol: float):
-    """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1,
-    solved by Newton on the bordered system in the rows (x, lambda)."""
+def _sphere_critical_points(p, starts: np.ndarray, grad_tol: float):
+    """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1
+    (p a Poly or its Derivatives), solved by Newton on the bordered system in
+    the rows (x, lambda)."""
     d = p.nvars
-    ders = Derivatives(p)
+    ders = _derivatives(p)
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
@@ -291,20 +291,210 @@ def _simplex_starts(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
     return g[:, :k] / g.sum(axis=1, keepdims=True)
 
 
-def _grad_scale(q: Poly) -> float:
-    if not q.terms:
-        return 1.0
-    return max(1.0, max(abs(float(c)) for c in q.terms.values()))
+def _grad_scale(coefs) -> float:
+    """The scale of a chart's gradient tolerance: its largest |coefficient|, at least 1."""
+    return max(1.0, float(np.max(np.abs(coefs), initial=0.0)))
 
 
-def _with_values(q: Poly, pts: list) -> list:
-    """(point, q(point)) pairs, the values read from one batched evaluation."""
-    return list(zip(pts, q.eval_grid(np.array(pts).reshape(len(pts), q.nvars)).tolist()))
+def _with_values(table: MonomialTable, coefs: np.ndarray, pts: list) -> list:
+    """(point, value) pairs of the polynomial with these monomials and
+    coefficients, the values read from one batched evaluation."""
+    X = np.array(pts).reshape(len(pts), table.nvars)
+    return list(zip(pts, table.dot(X, coefs).tolist()))
 
 
-def critical_points(p: Poly, dom: Domain, seed: int = 0,
+def _memo(cache: dict, key, build):
+    """cache[key], built by build() on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _draw_starts(dom: Domain, seed: int, interior_only: bool, chamber: bool) -> list:
+    """critical_points' Newton starts, in the order it uses them: a (face,
+    starts) pair per simplex face it searches (starts None on a vertex); on
+    the ball the interior and then the sphere starts; on the sphere its
+    starts.  With chamber every start is sorted into the chamber (rows
+    non-increasing, duplicates dropped) and the simplex is searched on one
+    face per orbit (the zeros trailing)."""
+    d = dom.nvars
+    total = STARTS_PER_DIMENSION * max(1, dom.dimension)
+    rng = np.random.default_rng(seed)
+
+    def sort(X):
+        return _unique_rows(np.sort(X, axis=1)[:, ::-1]) if chamber else X
+
+    if dom.kind in (SIMPLEX, SIMPLEX_FACE):
+        faces = simplex_faces(d)
+        if interior_only:
+            faces = [((), False)]
+        elif chamber:
+            faces = [(zeros, s) for zeros, s in faces
+                     if zeros == tuple(range(d - len(zeros), d))]
+        ks = [_chart_dim(zeros, s, d) for zeros, s in faces]
+        return [(face, sort(_simplex_starts(rng, k, max(8, (total * (k + 1)) // (d + 1))))
+                 if k else None) for face, k in zip(faces, ks)]
+    if dom.kind == BALL:
+        st = rng.uniform(-1, 1, size=(total, d))
+        sph = rng.normal(size=(total, d))
+        return [sort(st[np.einsum("ij,ij->i", st, st) < 1.0]),
+                sort(np.vstack([sph, np.eye(d), -np.eye(d)]))]
+    if dom.kind == SPHERE:
+        sph = rng.normal(size=(total, d))
+        return [sort(np.vstack([sph, np.eye(d), -np.eye(d),
+                                _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)]))]
+    raise PolyError(f"unsupported domain {dom.kind}")
+
+
+# --------------------------------------------------------------------------
+# search plans
+# --------------------------------------------------------------------------
+
+
+def _expansions(k: int, top: int) -> list:
+    """(exponent, coefficient) pairs of (1 - y_1 - ... - y_k)^n for n = 0,
+    ..., top, each in the term order restrict_affine_last's compose builds
+    it: n factors multiplied in one at a time."""
+    last = Poly.constant(k, 1.0, FLOAT64)
+    for i in range(k):
+        last = last - Poly.variable(k, i, FLOAT64)
+    powers = [Poly.constant(k, 1.0, FLOAT64)]
+    while len(powers) <= top:
+        powers.append(powers[-1] * last)
+    return [list(power.terms.items()) for power in powers]
+
+
+class _Chart:
+    """One face chart of a plan: restrict_to_face replayed on the coefficient
+    vectors of the plan's terms.  The faces x_i = 0 keep the terms without
+    x_i; the face sum x = 1 then expands each kept term, in graded order,
+    through _expansions (B[t, j]: the coefficient of chart term j in term t's
+    expansion, P[t, j] its place there); a sum face with one free variable
+    is the sum of the coefficients.  Each term order the restriction takes
+    gets its DerivativeMap and value table once."""
+
+    def __init__(self, U: np.ndarray, rank: np.ndarray, zeros: tuple, sum_active: bool):
+        free = [i for i in range(U.shape[1]) if i not in zeros]
+        self.sel = np.flatnonzero(~U[:, list(zeros)].any(axis=1))
+        self.index = np.full(len(U), -1)
+        self.index[self.sel] = np.arange(len(self.sel))
+        self.exps = U[np.ix_(self.sel, free)]
+        self.affine, self.point = sum_active and len(free) >= 2, sum_active and len(free) == 1
+        if self.point:
+            self.exps = np.zeros((1, 0), dtype=np.int64)
+        elif self.affine:
+            k, keys, cells = len(free) - 1, {}, []
+            expansions = _expansions(k, int(self.exps[:, k].max(initial=0)))
+            for t, row in enumerate(self.exps.tolist()):
+                for pos, (e, b) in enumerate(expansions[row[k]]):
+                    key = tuple(u + v for u, v in zip(row[:k], e))
+                    cells.append((t, keys.setdefault(key, len(keys)), b, pos))
+            self.B = np.zeros((len(self.sel), len(keys)))
+            self.P = np.zeros((len(self.sel), len(keys)), dtype=np.intp)
+            if cells:
+                t, j, b, pos = zip(*cells)
+                self.B[t, j], self.P[t, j] = b, pos
+            self.exps = np.array(list(keys), dtype=np.int64).reshape(len(keys), k)
+            self.rank = rank[self.sel]
+        self.maps: dict = {}
+
+    def restrict(self, a: np.ndarray, order: np.ndarray):
+        """(DerivativeMap, value table, coefficients) of the chart of the
+        polynomial with coefficients a, whose nonzero terms come in the
+        order ``order``."""
+        on = self.index[order]
+        on = on[on >= 0]
+        coefs = vals = a[self.sel]
+        if self.affine:
+            steps = on[np.argsort(self.rank[on])]
+            coefs, on = poly_sum(vals[steps, None] * self.B[steps], self.P[steps])
+        elif self.point:
+            coefs = np.add.accumulate(vals[on])[-1:] if len(on) else np.zeros(1)
+            on = np.flatnonzero(coefs)
+        E = self.exps[on]
+        return (*_memo(self.maps, on.tobytes(), lambda: (DerivativeMap(E), MonomialTable(E))),
+                coefs[on])
+
+
+class SearchPlan:
+    """What the searches of the residuals f - sum_k c_k phi_k of one problem
+    share across coefficient vectors c, each built on first use: the terms
+    of f and the phi_k as coefficient vectors (a row per function, P[k] each
+    term's place in phi_k), each face chart, each grid with its monomial
+    table, each seed's Newton starts.  A search takes a bound plan,
+    plan.bind(c); a Poly p searched alone is SearchPlan(p).bind().  The
+    residual's coefficients and term order are those of the Poly arithmetic
+    f - (c_1 phi_1 + c_2 phi_2 + ...), so a planned search is bit for bit
+    the search of that residual Poly."""
+
+    def __init__(self, target: Poly, basis=()):
+        members = [p.to_float64() for p in [target, *basis]]
+        self.nvars = members[0].nvars
+        if any(p.nvars != self.nvars for p in members):
+            raise PolyError("the target and the basis of a search plan need the same variables")
+        self.U, self.M, self.P = term_matrix(members)
+        self.exps = [tuple(e) for e in self.U.tolist()]
+        self.rank = np.argsort(sorted(range(len(self.exps)), key=lambda j: grlex_key(self.exps[j])))
+        self.charts, self.grids, self.starts = {}, {}, {}
+
+    def bind(self, coeffs=()) -> "BoundPlan":
+        """The residual f - sum_k coeffs_k phi_k."""
+        c = np.asarray(coeffs, dtype=float).reshape(-1)
+        if len(c) != len(self.M) - 1:
+            raise PolyError(f"a plan of {len(self.M) - 1} basis functions needs as many coefficients")
+        a, order = poly_sum(self.M[:1], self.P[:1])
+        if len(c):
+            s, s_order = poly_sum(c[:, None] * self.M[1:], self.P[1:])
+            place = np.zeros(len(s), dtype=np.intp)
+            place[s_order] = np.arange(len(s_order))
+            a, order = poly_sum(np.vstack([self.M[0], -s]), np.vstack([self.P[0], place]))
+        return BoundPlan(self, c, a, order)
+
+    def chart(self, zeros: tuple, sum_active: bool) -> _Chart:
+        return _memo(self.charts, (zeros, sum_active),
+                     lambda: _Chart(self.U, self.rank, zeros, sum_active))
+
+    def grid(self, dom: Domain, resolution: int, chamber: bool, order: np.ndarray):
+        """The search grid, the chamber's or the whole one, and the monomial
+        table there of the terms ``order``, a (first row, table) pair per chunk."""
+        key = (dom, resolution, chamber)
+        pts = _memo(self.grids, key, lambda: (_chamber_grid if chamber else sample_domain)(
+            dom, resolution))
+        return pts, _memo(self.grids, key + (order.tobytes(),),
+                          lambda: list(MonomialTable(self.U[order]).tables(pts)))
+
+
+class BoundPlan:
+    """A residual f - sum_k c_k phi_k of a plan: its coefficients a over the
+    plan's terms and the order of its nonzero terms.  ``terms`` holds them as
+    a Poly would, so the residual's symmetry is decided as a Poly's; equal
+    bound plans share the plan and the coefficients."""
+
+    __hash__ = None
+
+    def __init__(self, plan: SearchPlan, coeffs: np.ndarray, a: np.ndarray, order: np.ndarray):
+        self.plan, self.coeffs, self.a, self.order = plan, coeffs, a, order
+        self.nvars = plan.nvars
+        self.terms = dict(zip([plan.exps[j] for j in order], a[order].tolist()))
+
+    def eval(self, point) -> float:
+        return eval_terms(self.terms, [float(v) for v in point], 0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundPlan):
+            return NotImplemented
+        return self.plan is other.plan and np.array_equal(self.coeffs, other.coeffs)
+
+
+def _bound(p) -> BoundPlan:
+    """p itself if it is a bound plan; a Poly as the plan of itself alone."""
+    return p if isinstance(p, BoundPlan) else SearchPlan(p).bind()
+
+
+def critical_points(p, dom: Domain, seed: int = 0,
                     interior_only: bool = False):
-    """Multi-start Newton stationary points of p on the domain.
+    """Multi-start Newton stationary points of p (a Poly or a BoundPlan) on
+    the domain.
 
     Interior criticals solve grad p = 0; each face of the simplex is searched
     through its affine chart; the ball boundary and the sphere use Lagrange
@@ -318,59 +508,41 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
     sorted start finds the sorted point its unsorted self would: the starts
     are not thinned, and each orbit is found as often as in the full search.
     """
-    pf = p.to_float64()
+    b = _bound(p)
     d = dom.nvars
-    if pf.nvars != d:
-        raise PolyError(f"polynomial has {pf.nvars} variables, domain needs {d}")
-    symmetric = _symmetric(pf)
-    total = STARTS_PER_DIMENSION * max(1, dom.dimension)
-    rng = np.random.default_rng(seed)
+    if b.nvars != d:
+        raise PolyError(f"polynomial has {b.nvars} variables, domain needs {d}")
+    symmetric = _symmetric(b)
+    plan = b.plan
+    starts = _memo(plan.starts, (dom, seed, interior_only, symmetric),
+                   lambda: _draw_starts(dom, seed, interior_only, symmetric))
     results = []
-
-    def starts(X):   # sorted into the chamber, rows non-increasing
-        return _unique_rows(np.sort(X, axis=1)[:, ::-1]) if symmetric else X
-
     if dom.kind in (SIMPLEX, SIMPLEX_FACE):
-        faces = simplex_faces(d)
-        if interior_only:
-            faces = [((), False)]
-        elif symmetric:
-            faces = [(zeros, s) for zeros, s in faces
-                     if zeros == tuple(range(d - len(zeros), d))]
 
         def feasible(Y):
             return np.all(Y > 1e-9, axis=1) & (Y.sum(axis=1) < 1 - 1e-9)
 
-        for zeros, sum_active in faces:
-            k = _chart_dim(zeros, sum_active, d)
-            q = restrict_to_face(pf, zeros, sum_active)
+        for (zeros, sum_active), st in starts:
+            dmap, table, c = plan.chart(zeros, sum_active).restrict(b.a, b.order)
             ys = [()]
-            if k:
-                st = _simplex_starts(rng, k, max(8, (total * (k + 1)) // (d + 1)))
-                ys = _newton_critical_points(q, starts(st), feasible, 1e-11 * _grad_scale(q))
+            if table.nvars:
+                ys = _newton_critical_points(dmap(c), st, feasible, 1e-11 * _grad_scale(c))
             results.extend((embed_from_face(y, zeros, sum_active, d), v)
-                           for y, v in _with_values(q, ys))
-    elif dom.kind == BALL:
-        st = rng.uniform(-1, 1, size=(total, d))
-        st = st[np.einsum("ij,ij->i", st, st) < 1.0]
-        tol = 1e-11 * _grad_scale(pf)
-        inside = _newton_critical_points(
-            pf, starts(st), lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
-        results.extend(_with_values(pf, inside))
-        if not interior_only and d >= 2:
-            sph = rng.normal(size=(total, d))
-            sph = np.vstack([sph, np.eye(d), -np.eye(d)])
-            results.extend(_with_values(pf, _sphere_critical_points(pf, starts(sph), tol)))
-        elif not interior_only and d == 1:
-            results.extend(_with_values(pf, [(-1.0,), (1.0,)]))
-    elif dom.kind == SPHERE:
-        sph = rng.normal(size=(total, d))
-        sph = np.vstack([sph, np.eye(d), -np.eye(d),
-                         _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)])
-        tol = 1e-11 * _grad_scale(pf)
-        results.extend(_with_values(pf, _sphere_critical_points(pf, starts(sph), tol)))
+                           for y, v in _with_values(table, c, ys))
     else:
-        raise PolyError(f"unsupported domain {dom.kind}")
+        dmap, table, c = plan.chart((), False).restrict(b.a, b.order)
+        ders, tol = dmap(c), 1e-11 * _grad_scale(c)
+        if dom.kind == BALL:
+            inside = _newton_critical_points(
+                ders, starts[0], lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
+            results.extend(_with_values(table, c, inside))
+            if not interior_only and d >= 2:
+                results.extend(_with_values(
+                    table, c, _sphere_critical_points(ders, starts[1], tol)))
+            elif not interior_only and d == 1:
+                results.extend(_with_values(table, c, [(-1.0,), (1.0,)]))
+        else:
+            results.extend(_with_values(table, c, _sphere_critical_points(ders, starts[0], tol)))
 
     if symmetric:
         results = [(tuple(sorted(pt, reverse=True)), v) for pt, v in results]
@@ -382,43 +554,53 @@ def critical_points(p: Poly, dom: Domain, seed: int = 0,
 # --------------------------------------------------------------------------
 
 
-def sup_norm(p: Poly, dom: Domain, resolution: int,
+def sup_norm(p, dom: Domain, resolution: int,
              seed: int = 0) -> SupNormReport:
-    """Coarse grid maximum of |p| refined by stationary-point search on every
-    face; falls back to the grid value if refinement fails everywhere.  A
-    symmetric p is sampled and searched on its chamber only, so the argmax
-    and the critical points are orbit representatives."""
-    return _refine_grid(p.to_float64(), dom, resolution,
-                        critical_points(p, dom, seed=seed))
+    """Coarse grid maximum of |p| (a Poly or a BoundPlan) refined by
+    stationary-point search on every face; falls back to the grid value if
+    refinement fails everywhere.  A symmetric p is sampled and searched on
+    its chamber only, so the argmax and the critical points are orbit
+    representatives."""
+    return _refine_grid(p, dom, resolution, critical_points(p, dom, seed=seed))
 
 
-def _candidates(pf: Poly, dom: Domain, resolution: int, crits: list):
-    """The grid rows followed by the critical points, the value of pf at each,
+def _grid_values(p, dom: Domain, resolution: int):
+    """The grid sup_norm samples p on, its chamber when p is symmetric, and
+    the values of p there."""
+    b = _bound(p)
+    grid, tables = b.plan.grid(dom, resolution, _symmetric(b), b.order)
+    values, coefs = np.empty(len(grid)), b.a[b.order]
+    for lo, table in tables:
+        values[lo:lo + len(table)] = table @ coefs
+    return grid, values
+
+
+def _candidates(p, dom: Domain, resolution: int, crits: list):
+    """The grid rows followed by the critical points, the value of p at each,
     and the number of grid rows."""
-    grid = _search_grid(pf, dom, resolution)
+    grid, values = _grid_values(p, dom, resolution)
     pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
-    vals = np.concatenate([pf.eval_grid(grid), [val for _, val in crits]])
+    vals = np.concatenate([values, [val for _, val in crits]])
     return np.vstack([grid, pts]), vals, len(grid)
 
 
-def _refine_grid(pf: Poly, dom: Domain, resolution: int, crits: list) -> SupNormReport:
-    """The first maximum of |pf| over the grid rows, then the critical points."""
-    pts, vals, n_grid = _candidates(pf, dom, resolution, crits)
+def _refine_grid(p, dom: Domain, resolution: int, crits: list) -> SupNormReport:
+    """The first maximum of |p| over the grid rows, then the critical points."""
+    pts, vals, n_grid = _candidates(p, dom, resolution, crits)
     mags = np.abs(vals)
     i = int(np.argmax(mags))
     return SupNormReport(value=float(mags[i]), argmax=tuple(float(v) for v in pts[i]),
                          critical_points=crits, grid_value=float(np.max(mags[:n_grid])))
 
 
-def signed_max(p: Poly, dom: Domain, resolution: int, seed: int = 0) -> tuple:
+def signed_max(p, dom: Domain, resolution: int, seed: int = 0) -> tuple:
     """Maximum of p (not |p|) over a simplex or a ball, and over its boundary:
     some x_i <= 1e-12 or sum x >= 1 - 1e-12 on the simplex, |x|^2 >= 1 - 1e-12
     on the ball.  A symmetric p is searched on one representative per orbit,
     as in sup_norm."""
     if dom.kind not in (SIMPLEX, BALL):
         raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
-    pts, vals, _ = _candidates(p.to_float64(), dom, resolution,
-                               critical_points(p, dom, seed=seed))
+    pts, vals, _ = _candidates(p, dom, resolution, critical_points(p, dom, seed=seed))
     if dom.kind == SIMPLEX:
         rim = np.any(pts <= 1e-12, axis=1) | (pts.sum(axis=1) >= 1 - 1e-12)
     else:
@@ -508,15 +690,17 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
     found = []
     for zeros, sum_active in simplex_faces(d):
         q = restrict_to_face(g, zeros, sum_active)
+        E, V, _ = term_matrix([q])
+        table = MonomialTable(E)
         lattice = _simplex_lattice(q.nvars, max(4, resolution // (1 + len(zeros))))
-        mags = np.abs(q.eval_grid(lattice))
+        mags = np.abs(table.dot(lattice, V[0]))
         if mags.max() > r + tol:
             raise PolyError(f"|f - p| reaches {float(mags.max())!r} > r = {r!r} on the lattice")
         band = np.abs(mags - r)
         near = band <= max(10 * tol, 4 * float(np.min(band)), 0.05 * r)
-        ys = _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(q))
+        ys = _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(V[0]))
         found += [embed_from_face(y, zeros, sum_active, d)
-                  for y, v in _with_values(q, ys) if abs(abs(v) - r) <= tol / 10]
+                  for y, v in _with_values(table, V[0], ys) if abs(abs(v) - r) <= tol / 10]
     found.sort()
     out = [found[i] for i in dedup_points(found)]
     if face_mode:

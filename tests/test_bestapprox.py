@@ -378,6 +378,118 @@ class TestRemezExchange:
         assert all(entry[1] >= entry[0] - 1e-12 for entry in res.gap_log)
 
 
+class TestProblemOnce:
+    """What depends only on the problem is built once per exchange, not
+    once per search or per solve."""
+
+    def test_each_face_chart_is_built_once(self, monkeypatch):
+        # each chart's restriction map is built once per exchange; no search
+        # restricts a residual Poly to a face
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
+        built, restricted = [], []
+        init, restrict = supnorm._Chart.__init__, supnorm.restrict_to_face
+
+        def recorded_init(self, U, rank, zeros, sum_active):
+            built.append((zeros, sum_active))
+            init(self, U, rank, zeros, sum_active)
+
+        def recorded_restrict(p, zeros, sum_active):
+            restricted.append((zeros, sum_active))
+            return restrict(p, zeros, sum_active)
+
+        monkeypatch.setattr(supnorm._Chart, "__init__", recorded_init)
+        monkeypatch.setattr(supnorm, "restrict_to_face", recorded_restrict)
+        res = remez_exchange(prob, seed=0)
+        assert res.exchange_iterations > 1
+        assert len(built) == len(set(built)) > 1
+        assert restricted == []
+
+    def test_grid_lp_columns_are_evaluated_once(self, monkeypatch):
+        # each solve evaluates only the rows after the grid
+        prob = ApproxProblem(Poly.monomial((1, 1, 0)), 1, ball(3), "full", grid=10)
+        n_grid = len(bestapprox.approx_grid(prob.domain, prob.grid))
+        solves, evaluated = [], []
+        columns, minimax_on = bestapprox._ProblemBasis.columns, bestapprox._minimax_on
+
+        def recorded_columns(self, points):
+            evaluated.append(len(points))
+            return columns(self, points)
+
+        def recorded_solve(pb, points, start=None):
+            solves.append(len(points))
+            return minimax_on(pb, points, start)
+
+        monkeypatch.setattr(bestapprox._ProblemBasis, "columns", recorded_columns)
+        monkeypatch.setattr(bestapprox, "_minimax_on", recorded_solve)
+        res = remez_exchange(prob, seed=0)
+        assert res.exchange_iterations > 1 and solves[0] == n_grid
+        assert evaluated == [n - n_grid for n in solves if n > n_grid]
+
+    def test_grid_columns_are_the_rank_checks(self):
+        for domain in (simplex(3), ball(3), sphere(3)):
+            pb = bestapprox._problem_basis(ApproxProblem(
+                Poly.monomial((1, 1, 1)), 2, domain, "full", grid=8))
+            assert pb.grid_columns.tobytes() == pb.columns(pb.grid).tobytes()
+            assert pb.grid_target.tobytes() == pb.target_f.eval_grid(pb.grid).tobytes()
+
+
+def _adjoin_pointwise(points, new):
+    """The reference: each new point against every point, one at a time."""
+    new = np.asarray(new, dtype=float).reshape(-1, points.shape[1])
+    new = new[[np.max(np.abs(points - p), axis=1).min() > supnorm.DEDUP_TOL for p in new]]
+    return np.vstack([points, new[supnorm.dedup_points(new)]])
+
+
+class TestAdjoin:
+    @pytest.mark.parametrize("block", [1, 7, 100, bestapprox.ADJOIN_BLOCK])
+    def test_matches_the_pointwise_loop(self, monkeypatch, block):
+        monkeypatch.setattr(bestapprox, "ADJOIN_BLOCK", block)
+        rng = np.random.default_rng(block)
+        tol = supnorm.DEDUP_TOL
+        for d in (1, 2, 3):
+            points = rng.random((60, d))
+            points[:10, -1] = 0.0
+            new = np.vstack([
+                rng.random((30, d)),                            # far from everything
+                points[rng.integers(0, 60, 10)] + rng.uniform(-tol, tol, (10, d)),
+                points[:5] + np.eye(d)[-1] * tol,               # exactly tol away
+                points[5:10] - np.eye(d)[-1] * tol,
+                points[:3] + np.eye(d)[-1] * 2 * tol,           # just beyond
+            ])
+            new = np.vstack([new, new[::7]])                    # repeats among the new
+            rng.shuffle(new)
+            got = bestapprox._adjoin(points, new)
+            assert got.tobytes() == _adjoin_pointwise(points, new).tobytes()
+            assert 60 + 30 < len(got) < 60 + len(new)
+
+    def test_distance_exactly_tol_is_not_adjoined(self):
+        points = np.zeros((4, 2))
+        tol = supnorm.DEDUP_TOL
+        new = [(0.0, tol), (-tol, 0.0), (0.0, 2 * tol), (0.0, 2 * tol)]
+        assert bestapprox._adjoin(points, new)[4:].tolist() == [[0.0, 2 * tol]]
+
+    def test_block_bounds_the_distance_table(self, monkeypatch):
+        sizes = []
+
+        class Numpy:   # numpy, recording the size of every |difference| table
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def abs(x):
+                sizes.append(np.size(x))
+                return np.abs(x)
+
+        monkeypatch.setattr(bestapprox, "ADJOIN_BLOCK", 1000)
+        monkeypatch.setattr(bestapprox, "np", Numpy())
+        points = np.random.default_rng(5).random((300, 3))
+        new = np.random.default_rng(6).random((50, 3))
+        got = bestapprox._adjoin(points, new)
+        # blocks of 3 new points against 300 points, one table per coordinate
+        assert sizes == [900] * 3 * 16 + [600] * 3
+        assert got.tobytes() == _adjoin_pointwise(points, new).tobytes()
+
+
 class TestCorrespondence:
     def test_two_variable_pair(self):
         rep = verify_correspondence((1, 1), 2, grid=16, seed=0)
@@ -434,6 +546,20 @@ class TestLowerBoundConsistency:
             target, d - 1, simplex(d), "symmetric", grid=grid), seed=0)
         assert float(res.asserted_bound) <= oracle.deviation_lower + 1e-8
         assert oracle.deviation_lower == pytest.approx(1 / compute_rd(d), rel=1e-6)
+
+
+class TestLiftedCorrespondenceConverges:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_even_symmetric_ball_route_reaches_the_simplex_value(self, consts, seed):
+        # the squaring substitution maps the even-symmetric ball problem for
+        # (xyz)^4 onto the simplex problem for (xyz)^2, of value (27^2 b)^-1;
+        # the exchange on the ball closes on it without a warning
+        res = remez_exchange(ApproxProblem(
+            Poly.monomial((4, 4, 4)), 11, ball(3), "even-symmetric", grid=8), seed=seed)
+        expected = 1.0 / consts.leading
+        assert res.warning == ""
+        assert abs(res.deviation_lower - expected) <= 1e-10 * expected
+        assert res.deviation_lower <= res.deviation_upper
 
 
 class TestLiftedCorrespondenceHeavy:

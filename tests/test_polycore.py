@@ -12,7 +12,7 @@ from chebydev.polycore import (
     real_roots, restrict_affine_last, restrict_zero,
 )
 from chebydev import polycore
-from chebydev.polycore import PolyBatch
+from chebydev.polycore import DerivativeMap, PolyBatch, poly_sum, term_matrix
 from chebydev.constructions import build_t3, build_td, build_u3
 from chebydev.symfun import chebyshev_t, chebyshev_t_shifted, elementary_symmetric
 
@@ -178,6 +178,85 @@ class TestDerivatives:
         monkeypatch.setattr(polycore, "EVAL_CHUNK", 7)
         for got, want in zip(Derivatives(p)(X), whole):
             assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def _partials_matrix(p):
+    """The reference construction of Derivatives' (table exponents, C): the
+    partials built as Poly objects, gathered by a PolyBatch, and each one's
+    coefficients placed at its table columns."""
+    grads = p.to_float64().gradient()
+    rows, cols = np.triu_indices(p.nvars)
+    batch = PolyBatch(grads + [grads[i].partial(j) for i, j in zip(rows, cols)])
+    C = np.zeros((batch.exps.shape[1], len(batch.coefs)))
+    for k, (idx, coefs) in enumerate(zip(batch.index, batch.coefs)):
+        C[idx, k] = coefs
+    return batch.exps, C
+
+
+class TestDerivativeMap:
+    """Derivatives builds C from the term arrays: the same table columns in
+    the same order, and the same (c e_i) e_j products, as the partials'
+    construction."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_bit_identical_to_the_partials_construction(self, nvars):
+        rng = np.random.default_rng(300 + nvars)
+        polys = [_random_float_poly(rng, nvars, degree) for degree in (0, 1, 3, 5, 7)]
+        # coefficients of every size, so that the products round
+        polys += [p * 10.0 ** float(rng.integers(-8, 9)) + _random_float_poly(rng, nvars, 4)
+                  for p in polys[2:]]
+        polys += [Poly.zero(nvars, FLOAT64), build_td(3).polynomial] if nvars == 3 else []
+        for p in polys:
+            exps, C = _partials_matrix(p)
+            ders = Derivatives(p)
+            assert np.array_equal(ders.batch.exps, exps)
+            assert ders.C.tobytes() == C.tobytes()
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_td_charts(self, d):
+        for p in (build_td(d).polynomial, restrict_affine_last(build_td(d).polynomial)):
+            exps, C = _partials_matrix(p)
+            ders = Derivatives(p)
+            assert np.array_equal(ders.batch.exps, exps) and ders.C.tobytes() == C.tobytes()
+
+    def test_one_map_for_every_coefficient_vector(self):
+        # the map depends on the exponents only; each coefficient vector
+        # gives the Derivatives of its own polynomial, bit for bit
+        rng = np.random.default_rng(17)
+        p = _random_float_poly(rng, 3, 4)
+        E, V, _ = term_matrix([p])
+        dmap = DerivativeMap(E)
+        for scale in (1.0, -3.7, 1e-9):
+            q = Poly(3, {e: scale * c for e, c in p.terms.items()}, FLOAT64)
+            assert dmap(V[0] * scale).C.tobytes() == Derivatives(q).C.tobytes()
+
+
+class TestTermArrays:
+    def test_term_matrix_keeps_first_seen_order(self):
+        a = Poly(2, {(1, 0): 1.0, (0, 2): 2.0}, FLOAT64)
+        b = Poly(2, {(0, 2): 3.0, (2, 0): 4.0}, FLOAT64)
+        E, V, P = term_matrix([a, b])
+        assert E.tolist() == [[1, 0], [0, 2], [2, 0]]
+        assert V.tolist() == [[1.0, 2.0, 0.0], [0.0, 3.0, 4.0]]
+        assert P[0, :2].tolist() == [0, 1] and P[1, 1:].tolist() == [0, 1]
+
+    def test_poly_sum_replays_poly_addition(self):
+        # random sums of polynomials with small integer coefficients cancel
+        # terms exactly; the replay keeps the values and the term order
+        rng = np.random.default_rng(23)
+        exps = monomial_exponents(3, 2)
+        for _ in range(200):
+            polys = [Poly(2, {e: float(v) for e, v in zip(exps, rng.integers(-2, 3, len(exps)))
+                              if rng.random() < 0.5}, FLOAT64) for _ in range(4)]
+            polys = [p for p in polys if p.terms] or [Poly.constant(2, 1.0, FLOAT64)]
+            total = Poly.zero(2, FLOAT64)
+            for q in polys:
+                total = total + q
+            E, V, P = term_matrix(polys)
+            sums, order = poly_sum(V, P)
+            assert [tuple(e) for e in E[order].tolist()] == list(total.terms)
+            assert sums[order].tolist() == list(total.terms.values())
+            assert not np.any(np.delete(sums, order))
 
 
 class TestPolyBatch:

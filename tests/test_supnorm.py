@@ -443,9 +443,9 @@ class TestChamberGrid:
     def test_the_input_decides(self):
         td = build_td(4).polynomial.to_float64()
         lopsided = td + Poly.monomial((1, 0, 0, 0)).to_float64()
-        assert supnorm._search_grid(td, simplex(4), 6).tobytes() == \
+        assert supnorm._grid_values(td, simplex(4), 6)[0].tobytes() == \
             supnorm._chamber_grid(simplex(4), 6).tobytes()
-        assert supnorm._search_grid(lopsided, simplex(4), 6).tobytes() == \
+        assert supnorm._grid_values(lopsided, simplex(4), 6)[0].tobytes() == \
             sample_domain(simplex(4), 6).tobytes()
 
     def test_resolution_below_one_raises(self):
@@ -657,6 +657,119 @@ class TestFusedKernel:
         assert [v for _, v in cps] == pytest.approx(p.eval_grid(pts).tolist(), abs=1e-14)
         vertices = [v for pt, v in cps if sorted(pt) in ([0, 0, 0], [0, 0, 1])]
         assert sorted(vertices) == [0.0, 0.0, 0.3, 0.5]
+
+
+def _explicit(target, basis, coeffs):
+    """target - sum_k c_k phi_k built as a Poly, term by term."""
+    return target.to_float64() - bestapprox._combination(
+        coeffs, [phi.to_float64() for phi in basis])
+
+
+def _chart_terms(dmap, table, coefs):
+    """A planned chart's terms as a Poly's terms map, in its order."""
+    return dict(zip(map(tuple, table.exps.T.tolist()), coefs.tolist()))
+
+
+class TestSearchPlan:
+    """A bound plan is the residual f - sum_k c_k phi_k that Poly arithmetic
+    builds, term for term and in the same order, so that searching it is
+    searching that Poly, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["simplex_sym", "simplex_full", "ball", "sphere",
+                                      "simplex_face"])
+    def test_matches_the_explicit_residual(self, case):
+        rng = np.random.default_rng(41)
+        target, dom, degree, kind = {
+            "simplex_sym": ((1, 1, 1), simplex(3), 2, "symmetric"),
+            "simplex_full": ((1, 2, 1), simplex(3), 3, "full"),
+            "ball": ((2, 1, 1), ball(3), 2, "full"),
+            "sphere": ((1, 1, 1), sphere(3), 2, "full"),
+            "simplex_face": ((2, 2), simplex_face(3), 3, "full"),
+        }[case]
+        target = Poly.monomial(target)
+        basis = bestapprox.invariant_basis(degree, target.nvars, kind,
+                                           for_sphere=dom.kind == "sphere")
+        plan = supnorm.SearchPlan(target, basis)
+        for c in (0.05 * rng.normal(size=len(basis)), 0.01 * rng.normal(size=len(basis))):
+            bound, explicit = plan.bind(c), _explicit(target, basis, c)
+            assert list(bound.terms.items()) == list(explicit.terms.items())
+            assert supnorm._symmetric(bound) == supnorm._symmetric(explicit) \
+                == (case == "simplex_sym")
+            got = sup_norm(bound, dom, 8, seed=0)
+            want = sup_norm(explicit, dom, 8, seed=0)
+            assert got.value.hex() == want.value.hex() and got.argmax == want.argmax
+            assert got.grid_value.hex() == want.grid_value.hex()
+            assert got.critical_points == want.critical_points
+            assert len(got.critical_points) > 0
+            assert bound.eval(got.argmax) == explicit.eval(got.argmax)
+
+    def test_a_poly_is_a_plan_of_itself(self):
+        p = build_td(4).polynomial
+        bound = supnorm.SearchPlan(p).bind()
+        assert bound.terms == p.to_float64().terms and supnorm._symmetric(bound)
+        got, want = sup_norm(bound, simplex(4), 8), sup_norm(p, simplex(4), 8)
+        assert got.value.hex() == want.value.hex() and got.argmax == want.argmax
+        assert got.critical_points == want.critical_points
+
+    @pytest.mark.parametrize("nvars", [2, 3, 4])
+    def test_charts_replay_restrict_to_face(self, nvars):
+        # small integer coefficients cancel exactly on the faces, so terms
+        # drop out of the charts and come back at the end of their order
+        rng = np.random.default_rng(50 + nvars)
+        exps = polycore.monomial_exponents(4, nvars)
+        basis = [Poly(nvars, {e: int(v) for e, v in zip(exps, rng.integers(-2, 3, len(exps)))
+                              if rng.random() < 0.4}) for _ in range(4)]
+        target = Poly.monomial((1,) * nvars)
+        plan = supnorm.SearchPlan(target, basis)
+        for c in ([1, -1, 0.5, 2], [0.5, 0.25, -1, 0], [0, 0, 0, 0]):
+            bound, explicit = plan.bind(c), _explicit(target, basis, c)
+            assert list(bound.terms.items()) == list(explicit.terms.items())
+            for zeros, sum_active in supnorm.simplex_faces(nvars):
+                q = plan.chart(zeros, sum_active).restrict(bound.a, bound.order)
+                want = supnorm.restrict_to_face(explicit, zeros, sum_active)
+                assert list(_chart_terms(*q).items()) == list(want.terms.items())
+
+    def test_cancelled_terms_come_back_last(self):
+        # (x1 + x2) - x1 + x1: x1 cancels at the second step and returns
+        # after x2 at the third, as in the Poly sum
+        x1, x2 = Poly.monomial((1, 0)), Poly.monomial((0, 1))
+        target, basis = Poly.constant(2, Fraction(1, 2)), [x1 + x2, -x1, x1]
+        bound = supnorm.SearchPlan(target, basis).bind([1.0, 1.0, 1.0])
+        assert list(bound.terms) == [(0, 0), (0, 1), (1, 0)]
+        assert list(bound.terms.items()) == list(_explicit(target, basis, [1, 1, 1]).terms.items())
+
+    @pytest.mark.parametrize("c,symmetric", [((0.25, 0.0), True), ((0.25, 1e-300), False),
+                                             ((0.0, 0.5), False)])
+    def test_chamber_exactly_when_the_residual_is_symmetric(self, c, symmetric):
+        # x1 x2 x3 and x1^2 + x2^2 + x3^2 are symmetric, x1 is not
+        target = Poly.monomial((1, 1, 1))
+        basis = [Poly.monomial((2, 0, 0)) + Poly.monomial((0, 2, 0)) + Poly.monomial((0, 0, 2)),
+                 Poly.monomial((1, 0, 0))]
+        bound = supnorm.SearchPlan(target, basis).bind(c)
+        assert supnorm._symmetric(bound) == supnorm._symmetric(_explicit(target, basis, c)) \
+            == symmetric
+        grid = supnorm._grid_values(bound, simplex(3), 6)[0]
+        chamber = supnorm._chamber_grid(simplex(3), 6)
+        assert grid.tobytes() == (chamber if symmetric else sample_domain(simplex(3), 6)).tobytes()
+        pts = np.array([pt for pt, _ in critical_points(bound, simplex(3), seed=0)])
+        assert (len(_nonincreasing_rows(pts)) == len(pts)) == symmetric
+
+    def test_a_cancellation_can_make_the_residual_symmetric(self):
+        # x1 + 2 x2 - 1.0 x2 = x1 + x2, with equal coefficients and no arithmetic left
+        target = Poly.monomial((1, 0)) + 2 * Poly.monomial((0, 1))
+        bound = supnorm.SearchPlan(target, [Poly.monomial((0, 1))]).bind([1.0])
+        assert supnorm._symmetric(bound)
+
+    def test_bound_plans_compare_by_plan_and_coefficients(self):
+        plan = supnorm.SearchPlan(Poly.monomial((1, 1)), [Poly.monomial((1, 0))])
+        assert plan.bind([0.5]) == plan.bind(np.array([0.5]))
+        assert plan.bind([0.5]) != plan.bind([0.25])
+        assert plan.bind([0.5]) != supnorm.SearchPlan(Poly.monomial((1, 1)),
+                                                      [Poly.monomial((1, 0))]).bind([0.5])
+        with pytest.raises(polycore.PolyError):
+            plan.bind([1.0, 2.0])
+        with pytest.raises(polycore.PolyError):
+            supnorm.SearchPlan(Poly.monomial((1, 1)), [Poly.monomial((1,))])
 
 
 class TestBatchedSolve:

@@ -14,7 +14,7 @@ import pytest
 
 import chebydev.cli  # noqa: F401  (the tracer wraps cli functions too)
 from chebydev import bestapprox, lp, supnorm
-from chebydev.domains import simplex
+from chebydev.domains import ball, simplex
 from chebydev.polycore import Poly
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -113,3 +113,35 @@ def test_install_and_uninstall_restore_every_target():
     finally:
         tracer.uninstall()
     assert all(_resolve(*key) is fn for key, fn in before.items())
+
+
+@pytest.mark.parametrize("domain", [simplex(3), ball(3)], ids=lambda d: d.kind)
+def test_planned_searches_stay_visible(monkeypatch, domain):
+    # an exchange searches its residuals through one plan; the tracer still
+    # counts each search and the Newton starts of each, as recorded on an
+    # untraced run of the same exchange
+    prob = bestapprox.ApproxProblem(Poly.monomial((1, 1, 1)), 2, domain, "symmetric", 8)
+    searches, starts = [], []
+
+    def recording(fn, log, count):
+        def recorded(*args, **kwargs):
+            log.append(count(args))
+            return fn(*args, **kwargs)
+        return recorded
+
+    with monkeypatch.context() as m:
+        m.setattr(bestapprox, "sup_norm", recording(bestapprox.sup_norm, searches, lambda a: 1))
+        for name in ("_newton_critical_points", "_sphere_critical_points"):
+            m.setattr(supnorm, name, recording(getattr(supnorm, name), starts, lambda a: len(a[1])))
+        res = bestapprox.remez_exchange(prob, seed=0)
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer()
+    try:
+        tracer.install()
+        traced = bestapprox.remez_exchange(prob, seed=0)
+    finally:
+        tracer.uninstall()
+    assert traced.gap_log == res.gap_log and res.exchange_iterations > 1
+    assert tracer.counts["supnorm.sup_norm.calls"] == len(searches) >= res.exchange_iterations
+    assert tracer.counts["supnorm.critical_points.calls"] == len(searches)
+    assert tracer.counts["supnorm.newton.starts"] == sum(starts) > 0
