@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ApproxProblem:
 class ApproxResult:
     deviation: float                     # minimax value over the solved point set
     coefficients: np.ndarray             # over `basis_polys` (original coordinates)
-    basis_polys: list
+    basis_polys: tuple
     residual_extrema: list               # (point, sign) pairs from the optimal dual
     iterations: int                      # simplex iterations (last solve)
     equioscillation_count: int = 0
@@ -118,24 +118,26 @@ def _graded_monomials(n: int, d: int, even: bool = False,
     return mons
 
 
+@lru_cache(maxsize=64)
 def invariant_basis(n: int, d: int, kind: str = "full",
-                    for_sphere: bool = False) -> list[Poly]:
+                    for_sphere: bool = False) -> tuple[Poly, ...]:
     """Basis of the degree-<= n approximant space, restricted by invariance.
 
     ``full``: all monomials; ``symmetric``: monomial symmetric polynomials per
     partition; ``even``: even exponents only; ``even-symmetric``: both.  On
     the sphere the monomial basis is reduced modulo |x|^2 = 1 (exponent of the
     last variable <= 1); symmetric kinds are reduced numerically by dropping
-    functions dependent on a generic sphere sample.
+    functions dependent on a generic sphere sample.  Cached: problems of one
+    basis share its Polys, which are immutable.
     """
     if kind not in BASIS_KINDS:
         raise PolyError(f"unknown basis kind {kind!r}")
     if kind == "full":
-        return [Poly.monomial(e) for e in
-                _graded_monomials(n, d, sphere_reduced=for_sphere)]
+        return tuple(Poly.monomial(e) for e in
+                     _graded_monomials(n, d, sphere_reduced=for_sphere))
     if kind == "even":
-        return [Poly.monomial(e) for e in
-                _graded_monomials(n, d, even=True, sphere_reduced=for_sphere)]
+        return tuple(Poly.monomial(e) for e in
+                     _graded_monomials(n, d, even=True, sphere_reduced=for_sphere))
     parts = partitions_upto(n, d)
     if kind == "even-symmetric":
         parts = [p for p in parts if all(v % 2 == 0 for v in p)]
@@ -149,7 +151,7 @@ def invariant_basis(n: int, d: int, kind: str = "full",
         sample = np.vstack([sample, extra])
         keep = _independent_columns(PolyBatch(basis)(sample))
         basis = [basis[i] for i in keep]
-    return basis
+    return tuple(basis)
 
 
 def _independent_columns(Phi: np.ndarray) -> list[int]:
@@ -172,7 +174,11 @@ def _independent_columns(Phi: np.ndarray) -> list[int]:
     return keep
 
 
-def _scaled_basis(basis: list[Poly], domain: Domain):
+class SpanError(PolyError):
+    """The basis is not closed under the affine change to box coordinates."""
+
+
+def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
     """Affine conditioning: on simplex-type domains the basis is re-expressed
     in box coordinates u = 2x - 1; the exact change-of-basis matrix maps LP
     coefficients back to the original basis.  Returns (scaled basis polys,
@@ -185,17 +191,17 @@ def _scaled_basis(basis: list[Poly], domain: Domain):
     # exact coordinates of each scaled function in the original basis: each
     # basis function is identified by its graded-lex-leading exponent, and the
     # expansion is verified by exact reconstruction
-    keys = [b.sorted_terms()[-1][0] for b in basis]
-    M = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
+    index = {b.sorted_terms()[-1][0]: i for i, b in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)))
     for j, s in enumerate(scaled):
-        recon = Poly.zero(d)
-        for i, key in enumerate(keys):
-            M[i][j] = Fraction(s.coefficient(key))
-            if M[i][j]:
-                recon = recon + M[i][j] * basis[i]
-        if recon != s:
-            raise PolyError("affine rescaling left the basis span")
-    return scaled, np.array([[float(v) for v in row] for row in M])
+        rest = dict(s.terms)
+        for i, c in ((index[key], c) for key, c in s.terms.items() if key in index):
+            M[i, j] = float(c)
+            for e, b in basis[i].terms.items():
+                rest[e] = rest.get(e, 0) - c * b
+        if any(rest.values()):
+            raise SpanError("affine rescaling left the basis span")
+    return scaled, M
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
 class _ProblemBasis:
     """What stays fixed while one problem is solved on growing point sets."""
     target_f: Poly
-    basis: list[Poly]            # original coordinates
+    basis: tuple[Poly, ...]      # original coordinates
     basis_f: list[Poly]
     scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones

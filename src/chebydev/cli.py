@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    from .bestapprox import ApproxProblem, remez_exchange
+    from .bestapprox import ApproxProblem, SpanError, remez_exchange
     from .polycore import Poly
     try:
         exponents = tuple(int(v) for v in args.monomial.split(","))
@@ -307,6 +307,9 @@ def cmd_approx(args) -> int:
                          domain=domain, basis=basis, grid=args.grid)
     try:
         res = remez_exchange(prob, seed=args.seed)
+    except SpanError as exc:
+        sys.stderr.write(f"approx: --basis {basis} on {domain.label()}: {exc}\n")
+        return EXIT_USAGE
     except (LPError, PolyError) as exc:
         sys.stderr.write(f"approx: solver failed: {exc}\n")
         return EXIT_NUMERICAL

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
+from operator import add
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -65,6 +66,21 @@ def eval_terms(terms: Mapping[Exponent, Scalar], xs: Sequence, total):
                 term *= v ** e
         total += term
     return total
+
+
+def _mul_terms(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar]) -> dict:
+    """Product terms in the order first reached; zero sums dropped at the end."""
+    out: dict[Exponent, Scalar] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out[key] + ca * cb if key in out else ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _plain(c: Scalar) -> Scalar:
+    """c, as an int if it is an integral Fraction: ints multiply faster."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def grlex_key(exp: Exponent) -> tuple[int, Exponent]:
@@ -206,13 +222,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_compatible(other)
-            out: dict[Exponent, Scalar] = {}
-            zero = _coerce(self.field, 0)
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(a + b for a, b in zip(ea, eb))
-                    out[key] = out.get(key, zero) + ca * cb
-            return Poly(self.nvars, out, self.field)
+            return Poly(self.nvars, _mul_terms(self.terms, other.terms), self.field)
         s = _coerce(self.field, other)
         return Poly(self.nvars, {e: c * s for e, c in self.terms.items()}, self.field)
 
@@ -284,22 +294,23 @@ class Poly:
         if ref.field != self.field:
             raise FieldMismatchError(
                 f"field mismatch: outer {self.field}, inner {ref.field}")
-        # memoized powers of each inner polynomial
-        pow_cache: list[dict[int, Poly]] = [
-            {0: Poly.constant(ref.nvars, 1, ref.field)} for _ in inners]
-        def inner_pow(i: int, e: int) -> Poly:
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = inner_pow(i, e - 1) * inners[i]
-            return cache[e]
-        total = Poly.zero(ref.nvars, ref.field)
+        # plain term dicts, exact integers as ints; inner powers memoized
+        one = (0,) * ref.nvars
+        powers = [[{one: 1}, {e: _plain(c) for e, c in q.terms.items()}] for q in inners]
+        total: dict[Exponent, Scalar] = {}
         for exp, coef in self.sorted_terms():
-            term = Poly.constant(ref.nvars, coef, ref.field)
-            for i, e in enumerate(exp):
+            term = {one: _plain(coef)}
+            for cache, e in zip(powers, exp):
+                while len(cache) <= e:
+                    cache.append(_mul_terms(cache[-1], cache[1]))
                 if e:
-                    term = term * inner_pow(i, e)
-            total = total + term
-        return total
+                    term = _mul_terms(term, cache[e])
+            # as Poly addition: a cancelled term leaves, and comes back last
+            for key, c in term.items():
+                total[key] = total.get(key, 0) + c
+                if not total[key]:
+                    del total[key]
+        return Poly(ref.nvars, total, ref.field)
 
     def to_float64(self) -> "Poly":
         """Lossy-free downcast of exact coefficients to binary64."""

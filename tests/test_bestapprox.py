@@ -10,7 +10,7 @@ from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
-from chebydev.domains import BALL, ball, simplex, sphere
+from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev.lp import LPError
 from chebydev.polycore import Poly, PolyError
 from chebydev.signatures import (Certificate, build_l_functional,
@@ -376,6 +376,38 @@ class TestRemezExchange:
         lowers = [entry[0] for entry in res.gap_log]
         assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
         assert all(entry[1] >= entry[0] - 1e-12 for entry in res.gap_log)
+
+
+class TestScaledBasis:
+    """The exact change to box coordinates u = 2x - 1 on simplex domains."""
+
+    @pytest.mark.parametrize("kind", bestapprox.BASIS_KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("face", [False, True])
+    def test_scaled_functions_and_matrix(self, kind, d, face):
+        domain = simplex_face(d) if face else simplex(d)
+        inners = [2 * Poly.variable(d, i) - 1 for i in range(d)]
+        for degree in range(7):
+            basis = invariant_basis(degree, d, kind)
+            if kind.startswith("even") and degree >= 2:
+                # (2x - 1)^2 has a term in x
+                with pytest.raises(bestapprox.SpanError, match="left the basis span"):
+                    bestapprox._scaled_basis(basis, domain)
+                continue
+            scaled, M = bestapprox._scaled_basis(basis, domain)
+            assert [list(s.terms.items()) for s in scaled] == [
+                list(b.compose(inners).terms.items()) for b in basis]
+            keys = [b.sorted_terms()[-1][0] for b in basis]
+            dense = [[float(Fraction(s.coefficient(key))) for s in scaled] for key in keys]
+            assert np.array_equal(M, np.array(dense))
+            for j, s in enumerate(scaled):
+                recon = Poly.zero(d)
+                for i in np.flatnonzero(M[:, j]):
+                    recon = recon + Fraction(M[i, j]) * basis[i]
+                assert recon == s
+
+    def test_span_error_is_a_poly_error(self):
+        assert issubclass(bestapprox.SpanError, PolyError)
 
 
 class TestProblemOnce:

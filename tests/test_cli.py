@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chebydev import cli
+from chebydev import __version__, cli
 from chebydev.constructions import compute_rd
 from chebydev.domains import simplex
 
@@ -169,6 +173,43 @@ class TestApprox:
         code = cli.main(["approx", "--monomial", "1,1", "--degree", "1",
                          "--grid", "4"])
         assert code == 3
+
+    def test_basis_outside_the_span_is_a_usage_error(self, capsys, monkeypatch):
+        # the even basis is not closed under u = 2x - 1: refused before any LP
+        import chebydev.bestapprox as ba
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(ba, "simplex_solve", no_solve)
+        code = cli.main(["approx", "--monomial", "2,2,2", "--degree", "4",
+                         "--basis", "even"])
+        assert code == 2
+        assert "left the basis span" in capsys.readouterr().err
+
+    def test_even_constants_on_the_simplex(self, capsys):
+        code, out = run(["approx", "--monomial", "2,2,2", "--degree", "1",
+                         "--basis", "even", "--grid", "8"], capsys)
+        assert code == 0 and len(json.loads(out)["coefficients"]) == 1
+
+
+class TestModuleEntry:
+    """python -m chebydev from a source checkout."""
+
+    def run_module(self, *args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run([sys.executable, "-m", "chebydev", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0 and proc.stdout.strip() == __version__
+
+    def test_usage_error_exit_code(self):
+        proc = self.run_module("approx", "--monomial", "2,2,2", "--degree", "4",
+                               "--basis", "even")
+        assert proc.returncode == 2 and "left the basis span" in proc.stderr
 
 
 class TestTables:

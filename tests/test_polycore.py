@@ -323,6 +323,13 @@ class TestArithmetic:
         assert z.is_zero() and z.terms == {}
         assert z.degree() == -math.inf
 
+    def test_product_term_order(self):
+        # first reached, first stored; t^3 cancels midway and keeps its place
+        a = Poly(1, {(3,): -1, (0,): -1, (1,): -1})
+        b = Poly(1, {(3,): 1, (2,): -1, (0,): -1})
+        assert list((a * b).terms.items()) == [
+            ((6,), -1), ((5,), 1), ((3,), 1), ((2,), 1), ((0,), 1), ((4,), -1), ((1,), 1)]
+
     def test_mixed_field_rejected(self):
         p = elementary_symmetric(2, 3)
         with pytest.raises(FieldMismatchError):
@@ -348,6 +355,63 @@ class TestArithmetic:
         # multiplication commutes and respects evaluation on a spot check
         a, b = rand_poly(), rand_poly()
         assert a * b == b * a
+
+
+def compose_reference(p, inners):
+    """sum coef * prod inners[i]^e_i in Poly operators, each power built one
+    factor at a time, terms in graded order."""
+    m, field = inners[0].nvars, p.field
+    total = Poly.zero(m, field)
+    for exp, coef in p.sorted_terms():
+        term = Poly.constant(m, coef, field)
+        for q, e in zip(inners, exp):
+            if e:
+                power = Poly.constant(m, 1, field)
+                for _ in range(e):
+                    power = power * q
+                term = term * power
+        total = total + term
+    return total
+
+
+def typed_items(p):
+    return [(exp, type(c), c) for exp, c in p.terms.items()]
+
+
+class TestCompose:
+    def random_poly(self, rng, nvars, field, top):
+        coefs = ([1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2), Fraction(4, 2)]
+                 if field == "rational" else [1.0, -1.0, 0.1, -0.3, 2.5, 1e-3, 1 / 3])
+        terms = {tuple(rng.randint(0, top) for _ in range(nvars)): rng.choice(coefs)
+                 for _ in range(rng.randint(1, 6))}
+        return Poly(nvars, terms, field)
+
+    @pytest.mark.parametrize("field", ["rational", FLOAT64])
+    def test_same_terms_order_and_types_as_operators(self, field):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            p = self.random_poly(rng, n, field, 3)
+            inners = [self.random_poly(rng, m, field, 2) for _ in range(n)]
+            assert typed_items(p.compose(inners)) == typed_items(compose_reference(p, inners))
+
+    @pytest.mark.parametrize("field", ["rational", FLOAT64])
+    def test_a_cancelled_term_comes_back_last(self, field):
+        # z -> t + 1 puts t first; -y cancels it; x brings it back after 1
+        t = Poly.variable(1, 0, field)
+        p = Poly(3, {(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): 1}, field)
+        inners = [t, t, t + 1]
+        assert list((t + 1).terms) == [(1,), (0,)]
+        out = p.compose(inners)
+        assert list(out.terms) == [(0,), (1,)]
+        assert typed_items(out) == typed_items(compose_reference(p, inners))
+
+    def test_exact_integers_stay_fractions(self):
+        x = Poly.variable(2, 0)
+        out = Poly.monomial((3, 1)).compose([2 * x - 1, x + Fraction(1, 2)])
+        assert all(type(c) is Fraction for c in out.terms.values())
+        assert typed_items(out) == typed_items(compose_reference(
+            Poly.monomial((3, 1)), [2 * x - 1, x + Fraction(1, 2)]))
 
 
 class TestCalculus:
