@@ -434,6 +434,15 @@ def _grid_max(p, domain: Domain, resolution: int) -> float:
     return float(np.max(np.abs(_grid_values(p, domain, resolution)[1])))
 
 
+def _fit_decided(fit, rep, domain: Domain, resolution: int) -> bool:
+    """True when the fit's sup reaches rep.value, so searching it cannot give
+    a smaller one: |fit| at a critical point of rep's search bounds the fit's
+    continuum sup from below, and its maximum on the grid that its own
+    search samples bounds that search from below."""
+    return (any(abs(fit.eval(pt)) >= rep.value for pt, _ in rep.critical_points)
+            or _grid_max(fit, domain, resolution) >= rep.value)
+
+
 def _near_extremal(rep, resid, level: float, rel: float) -> list:
     """(point, value) pairs: the residual's critical points with |value| >=
     (1 - rel) * level, then the argmax of its sup-norm search."""
@@ -452,8 +461,9 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     Each iteration also re-fits the coefficients on the refined extremal
     candidates by least squares (the LP picks the active set; the fit removes
     the coordinate noise a degenerate vertex basis leaves in the multipliers)
-    and keeps the fit when its continuum sup is smaller; a fit whose maximum
-    on the search grid already reaches the current sup is not searched.
+    and keeps the fit when its continuum sup is smaller; a fit that already
+    reaches the current sup on the search grid or at one of the current
+    iterate's critical points is not searched.
     Stops when the sandwich gap reaches rounding level, when the deviation
     has stabilized (change below ``DEV_CHANGE_TOL``) and the gap stops
     improving, when refinement yields no new points, at ``max_iter``, or
@@ -506,8 +516,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             sg = np.sign([val for _, val in extremal])
             try:
                 c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
-                # a search never comes out below the maximum on its own grid
-                if _grid_max(plan.bind(c2), search_domain, search_res) < rep.value:
+                if not _fit_decided(plan.bind(c2), rep, search_domain, search_res):
                     resid2, rep2 = search(c2)
                     if rep2.value < rep.value:
                         result.coefficients = np.asarray(c2)

@@ -56,6 +56,19 @@ def _coerce(field: str, value: Scalar):
     return float(value)
 
 
+def _exponent(exp, nvars: int) -> Exponent:
+    """exp as a tuple of nvars nonnegative ints, or the error that says why not."""
+    ints = tuple(int(e) for e in exp)
+    if ints != tuple(exp):
+        raise PolyError(f"non-integral exponent in {exp}")
+    if len(ints) != nvars:
+        raise DimensionMismatchError(
+            f"exponent {ints} has length {len(ints)}, expected {nvars}")
+    if any(e < 0 for e in ints):
+        raise PolyError(f"negative exponent in {ints}")
+    return ints
+
+
 def eval_terms(terms: Mapping[Exponent, Scalar], xs: Sequence, total):
     """total plus each term's coefficient times its monomial at xs, in the
     terms' order: the sum Poly.eval takes."""
@@ -103,18 +116,15 @@ class Poly:
             raise PolyError(f"nvars must be nonnegative, got {nvars}")
         if field not in (RATIONAL, FLOAT64):
             raise PolyError(f"unknown coefficient field {field!r}")
+        ctype = Fraction if field == RATIONAL else float
         clean: dict[Exponent, Scalar] = {}
         for exp, coef in (terms or {}).items():
-            ints = tuple(int(e) for e in exp)
-            if ints != tuple(exp):
-                raise PolyError(f"non-integral exponent in {exp}")
-            exp = ints
-            if len(exp) != nvars:
-                raise DimensionMismatchError(
-                    f"exponent {exp} has length {len(exp)}, expected {nvars}")
-            if any(e < 0 for e in exp):
-                raise PolyError(f"negative exponent in {exp}")
-            c = _coerce(field, coef)
+            # canonical input (a tuple of nvars nonnegative ints, a coefficient
+            # of the field's type) is kept as it is; the rest is converted
+            if not (type(exp) is tuple and len(exp) == nvars
+                    and all(type(e) is int and e >= 0 for e in exp)):
+                exp = _exponent(exp, nvars)
+            c = coef if type(coef) is ctype else _coerce(field, coef)
             if c != 0:  # numerically equal keys are one key, so no two exps collide
                 clean[exp] = c
         object.__setattr__(self, "nvars", nvars)

@@ -26,7 +26,7 @@ from .polycore import (FLOAT64, RATIONAL, Poly, PolyError,
                        monomial_exponents,  # re-exported: signatures' public API
                        poly_from_json_dict, poly_to_json_dict, real_roots)
 from .constructions import R5Constants
-from .symfun import distinct_permutations, partitions_upto
+from .symfun import partitions_upto
 
 Point = tuple
 
@@ -96,8 +96,33 @@ class Certificate:
 
 
 def orbit(base: Sequence) -> list[Point]:
-    """All distinct coordinate permutations of a point, canonically ordered."""
-    return sorted(distinct_permutations(tuple(base)))
+    """All distinct coordinate permutations of a point, canonically ordered.
+
+    Next-permutation on the multiset, stepped on the ranks of the sorted
+    coordinates: each distinct arrangement comes once, in lexicographic
+    order, which is sorted(set(permutations(base))) without its n! tuples.
+    """
+    values = sorted(base)
+    distinct = values[:1]
+    ranks = [0] * len(values)
+    for i, v in enumerate(values[1:], 1):
+        if v != distinct[-1]:
+            distinct.append(v)
+        ranks[i] = len(distinct) - 1
+    out = []
+    last = len(ranks) - 1
+    while True:
+        out.append(tuple([distinct[r] for r in ranks]))
+        i = last - 1
+        while i >= 0 and ranks[i] >= ranks[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while ranks[j] <= ranks[i]:
+            j -= 1
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        ranks[i + 1:] = ranks[:i:-1]
 
 
 def uniform_support_point(j: int, d: int) -> Point:
@@ -360,28 +385,44 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     freedom (most-annihilating selection); this tie-break is what makes the
     returned weights canonical.  Rational inputs are solved exactly in object
     arrays by Gaussian elimination, float inputs by SVD with a singular-value
-    cutoff; the steps are the same in both fields.
+    cutoff; the steps are the same in both fields.  A rational condition row
+    is summed in integers: each orbit is scaled once over the common
+    denominator m of its coordinates, and an entry of a degree-k monomial is
+    one Fraction(integer sum, m^k), the same exact value as the Fraction sum.
     """
     orbits = _group_orbits(s_plus, 1) + _group_orbits(s_minus, -1)
     reps = [rep for rep, _, _ in orbits]
     sizes = [len(pts) for _, pts, _ in orbits]
     signs = [sg for _, _, sg in orbits]
     rational = all(isinstance(c, Rational) for rep in reps for c in rep)
-    num, dtype = (Fraction, object) if rational else (float, float)
+    dtype = object if rational else float
     mass_floor = 0 if rational else 1e-14
+
+    # rational orbits as integer points over the common denominator m of
+    # their coordinates, float orbits as they are (m None)
+    scaled = []
+    for rep, pts, sg in orbits:
+        if rational:
+            m = math.lcm(*(Fraction(c).denominator for c in rep))
+            pts = [tuple([int(Fraction(c) * m) for c in p]) for p in pts]
+        else:
+            m, pts = None, [tuple([float(c) for c in p]) for p in pts]
+        scaled.append((m, pts, sg))
 
     def condition_rows(degree_lo: int, degree_hi: int) -> np.ndarray:
         # Orbits are permutation-closed, so the condition row of a monomial
-        # depends only on its exponent multiset: one row per partition.
+        # depends only on its exponent multiset: one row per partition, the
+        # monomial x_1^part_1 x_2^part_2 ...
         rows = []
         for part in partitions_upto(degree_hi, d):
-            if sum(part) < degree_lo:
+            deg = sum(part)
+            if deg < degree_lo:
                 continue
-            mon = tuple(part) + (0,) * (d - len(part))
-            # start=num(1): the constant row must be exact in the rational field
-            rows.append([sg * sum(math.prod((num(c) ** e for c, e in zip(p, mon) if e),
-                                            start=num(1)) for p in pts)
-                         for _, pts, sg in orbits])
+            row = []
+            for m, pts, sg in scaled:
+                total = sum(math.prod([c ** e for c, e in zip(p, part)]) for p in pts)
+                row.append(sg * total if m is None else Fraction(sg * total, m ** deg))
+            rows.append(row)
         return np.array(rows, dtype=dtype)
 
     A = condition_rows(0, n)

@@ -61,6 +61,14 @@ def chebyshev_t_shifted(n: int, field: str = RATIONAL) -> Poly:
 
 
 def distinct_permutations(exp: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct rearrangements of an exponent tuple, as a set.
+
+    It stays a set, iterated in its hash order, and is not replaced by the
+    ordered multiset enumeration of ``signatures.orbit``: monomial_symmetric
+    and symmetrize take their term order from this iteration, PolyBatch sums
+    a polynomial's terms in that order, and another order moves float bits of
+    the minimax LP columns and the sup-norm search.
+    """
     return set(permutations(exp))
 
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from math import comb
 
@@ -253,10 +252,15 @@ class TestRemezExchange:
         ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16),
         ApproxProblem(Poly.monomial((2, 2)), 3, simplex(2), "full", grid=12),
         ApproxProblem(Poly.monomial((1, 1, 1)), 2, sphere(3), "symmetric", grid=40),
-    ], ids=["simplex3_sym_g16", "simplex2_x1sq_x2sq_deg3_full_g12", "sphere3_sym_g40"])
+        # the problem of ball_mixed_monomial_check(1, 2, grid=10): most of its
+        # fits reach the sup at a critical point of the iterate
+        ApproxProblem(Poly.monomial((1, 1, 0)), 1, ball(3), "full", grid=10),
+    ], ids=["simplex3_sym_g16", "simplex2_x1sq_x2sq_deg3_full_g12", "sphere3_sym_g40",
+            "ball3_mixed_1_2_g10"])
     def test_skipping_decided_fits_changes_no_output(self, monkeypatch, prob):
-        # a fit whose grid maximum reaches the current sup is rejected by its
-        # search anyway, so leaving that search out moves no bit
+        # a fit whose sup reaches the current one, on the search grid or at a
+        # critical point of the iterate, is rejected by its search anyway, so
+        # leaving that search out moves no bit
         searched = []
         original = bestapprox.sup_norm
 
@@ -268,7 +272,7 @@ class TestRemezExchange:
         got = remez_exchange(prob, seed=0)
         n_skipping = len(searched)
         searched.clear()
-        monkeypatch.setattr(bestapprox, "_grid_max", lambda *args: -math.inf)
+        monkeypatch.setattr(bestapprox, "_fit_decided", lambda *args: False)
         want = remez_exchange(prob, seed=0)
         assert len(searched) > n_skipping
         assert got.coefficients.tobytes() == want.coefficients.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -264,6 +265,21 @@ class TestDeterminism:
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # sha256 of reports with exact numbers only (no floats, so the same on
+    # every platform), recorded from the Fraction-based orbit, condition-row
+    # and constructor code that the integer versions replaced.  The reports
+    # embed the library version, so a version bump re-records them.
+    @pytest.mark.parametrize("args, digest", [
+        (["construct", "--family", "td", "--d", "10"],
+         "f2c21b909a6fa09b1432cfb27e987ec9f866cc2a7a4948dbf4e402ff88d599a8"),
+        (["verify", "--suite", "signature", "--d", "4..7"],
+         "d58ec5714cbf35371b9246ed10646f19d90a6ab78efdf87e622cfd0b5f014a60"),
+    ], ids=["construct_td_d10", "verify_signature_d4_7"])
+    def test_exact_reports_keep_their_bytes(self, tmp_path, args, digest):
+        out = tmp_path / "report.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_reports_embed_config(self, capsys):
         code, out = run(["verify", "--suite", "cubature", "--d", "3"], capsys)

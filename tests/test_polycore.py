@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -299,6 +300,78 @@ class TestPolyBatch:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             PolyBatch([Poly.variable(2, 0)])(np.zeros((4, 3)))
+
+
+def constructor_reference(nvars, terms, field):
+    """The terms the Poly constructor keeps, converted one by one: exponents
+    re-tupled as ints and checked, coefficients coerced into the field."""
+    clean = {}
+    for exp, coef in terms.items():
+        ints = tuple(int(e) for e in exp)
+        if ints != tuple(exp):
+            raise PolyError(f"non-integral exponent in {exp}")
+        if len(ints) != nvars:
+            raise DimensionMismatchError(
+                f"exponent {ints} has length {len(ints)}, expected {nvars}")
+        if any(e < 0 for e in ints):
+            raise PolyError(f"negative exponent in {ints}")
+        if field == FLOAT64:
+            c = float(coef)
+        elif isinstance(coef, Rational):
+            c = Fraction(coef)
+        else:
+            raise FieldMismatchError(f"cannot use {coef!r} as an exact rational coefficient")
+        if c != 0:
+            clean[ints] = c
+    return clean
+
+
+class TestConstructorInput:
+    def typed(self, terms):
+        return [(tuple(map(type, e)), e, type(c), c) for e, c in terms.items()]
+
+    @pytest.mark.parametrize("field", ["rational", FLOAT64])
+    def test_non_canonical_input_is_converted(self, field):
+        inputs = [
+            {(True, False): 3, (0, 2): Fraction(1, 2)},
+            {(np.int64(2), np.int64(0)): 1, (1, 1): -2},
+            {(1, 0): 2, (0, 1): Fraction(-3, 4), (0, 0): True, (2, 2): 0, (3, 0): Fraction(0)},
+            {(2.0, 1): 5},
+            {(1, 0): Fraction(5), (0, 1): 7},
+        ]
+        if field == FLOAT64:
+            inputs.append({(1, 0): np.float64(0.25), (0, 1): 1.5, (1, 1): -0.0})
+        for terms in inputs:
+            p = Poly(2, terms, field)
+            assert self.typed(p.terms) == self.typed(constructor_reference(2, terms, field))
+            assert {type(c) for c in p.terms.values()} <= {Fraction if field != FLOAT64 else float}
+
+    def test_float_coefficient_in_the_rational_field_is_rejected(self):
+        for coef in (np.float64(0.5), 0.5):
+            with pytest.raises(FieldMismatchError, match="exact rational coefficient"):
+                Poly(2, {(1, 0): coef})
+
+    @pytest.mark.parametrize("field", ["rational", FLOAT64])
+    @pytest.mark.parametrize("exp, error", [
+        ((1, -1), PolyError), ((-1, np.int64(0)), PolyError),
+        ((1.5, 0), PolyError), ((1.5, -1), PolyError),
+        ((1, 0, 0), DimensionMismatchError), ((-1, 0, 0), DimensionMismatchError),
+        ((True,), DimensionMismatchError),
+    ])
+    def test_invalid_exponents_raise_as_before(self, field, exp, error):
+        with pytest.raises(error) as want:
+            constructor_reference(2, {exp: 1}, field)
+        with pytest.raises(error) as got:
+            Poly(2, {exp: 1}, field)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_canonical_input_is_kept(self):
+        c = Fraction(2, 3)
+        p = Poly(2, {(1, 0): c, (0, 0): Fraction(0)})
+        assert list(p.terms) == [(1, 0)] and p.terms[(1, 0)] == c
+        q = Poly(2, {(1, 0): 0.5, (0, 1): 0.0}, FLOAT64)
+        assert self.typed(q.terms) == [((int, int), (1, 0), float, 0.5)]
 
 
 class TestArithmetic:

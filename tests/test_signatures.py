@@ -1,13 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
+import numpy as np
 import pytest
+
+from chebydev import signatures
 
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import simplex
 from chebydev.polycore import Poly, PolyError
+from chebydev.symfun import partitions_upto
 from chebydev.signatures import (
     Certificate, SignedPointSet, annihilation_residual, build_extremal_sets,
     build_l_functional, certificate_from_json_dict, certificate_to_json_dict,
@@ -37,6 +42,42 @@ class TestOrbit:
     def test_canonical_order_and_dedup(self):
         o = orbit((0, 1, 0))
         assert o == sorted(o) and len(set(o)) == 3
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_uniform_points_match_sorted_permutation_set(self, d):
+        # The reference permutes the coordinates' ranks, 0 for 0 and 1 for
+        # 1/j: hashing 9! tuples of Fractions per point takes seconds, and
+        # the rank map keeps order and equality, so mapping the sorted rank
+        # set back gives sorted(set(permutations(base))).  repr compares the
+        # coordinates' types and values too.
+        for j in range(1, d + 1):
+            base = uniform_support_point(j, d)
+            value = {1: base[0], 0: base[-1]}
+            ranks = (1,) * j + (0,) * (d - j)
+            want = [tuple(value[r] for r in p) for p in sorted(set(permutations(ranks)))]
+            assert repr(orbit(base)) == repr(want)
+            assert len(orbit(base)) == comb(d, j)
+
+    def test_r5_float_orbits_match_sorted_permutation_set(self, consts):
+        t_plus, t_minus = r5_diagonal_parameters(consts)
+        s = math.sqrt(2.0)
+        bases = [(1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.5, 0.5, 0.0),
+                 (t_plus, t_plus, 1 - 2 * t_plus), ((2 - s) / 4, (2 + s) / 4, 0.0),
+                 (t_minus, t_minus, 1 - 2 * t_minus)]
+        for base in bases:
+            assert repr(orbit(base)) == repr(sorted(set(permutations(base))))
+
+    @pytest.mark.parametrize("base", [
+        (), (5,), (0, 0, 0), (2, 1, 2, 1), (0, 3, 0, 3, 0),
+        (Fraction(1, 3), 0, Fraction(1, 3), 0),
+        (0, Fraction(0), 1, Fraction(1, 2), 1),
+        (1, Fraction(1), 0, Fraction(2, 3)),
+    ])
+    def test_multisets_match_sorted_permutation_set(self, base):
+        # an int and an equal Fraction are one set element, so only the
+        # values are compared: which of the two the set keeps depends on
+        # the order permutations() yields them in
+        assert orbit(base) == sorted(set(permutations(base)))
 
 
 class TestExtremalSets:
@@ -277,6 +318,40 @@ class TestSolveWeights:
             # at n = 0 the degree-1 rows are proportional to the constant row,
             # so the float extension must not keep rounding noise as rank
             assert approx.extension_degree == exact.extension_degree
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_condition_rows_match_fraction_sums(self, monkeypatch, d):
+        # every exact system the solver reduces (A, then each E @ N of the
+        # extension) equals the one built from Fraction sums over the orbits
+        s_plus, s_minus = build_extremal_sets(d)
+        orbits = (signatures._group_orbits(s_plus, 1)
+                  + signatures._group_orbits(s_minus, -1))
+
+        def reference(lo, hi):
+            rows = [[sg * sum(math.prod([Fraction(c) ** e for c, e in zip(p, part)])
+                              for p in pts) for _, pts, sg in orbits]
+                    for part in partitions_upto(hi, d) if sum(part) >= lo]
+            return np.array(rows, dtype=object)
+
+        reduced = []
+        original = signatures._rational_nullspace
+
+        def recorded(M):
+            reduced.append((M, original(M)))
+            return reduced[-1][1]
+
+        monkeypatch.setattr(signatures, "_rational_nullspace", recorded)
+        for n in (1, d - 1):
+            reduced.clear()
+            sol = solve_signature_weights(s_plus, s_minus, n, d)
+            A, N = reduced[0]
+            want = reference(0, n)
+            assert A.shape == want.shape and (A == want).all()
+            assert all(type(v) is Fraction for v in A.flat)
+            for k, (M, N2) in enumerate(reduced[1:], n + 1):
+                assert (M == reference(k, k) @ N).all()
+                N = N @ N2
+            assert sol.extension_degree == n + len(reduced) - 1 or not sol.feasible
 
 
 def _td_certificate(d):
