@@ -435,12 +435,14 @@ def _grid_max(p, domain: Domain, resolution: int) -> float:
 
 
 def _fit_decided(fit, rep, domain: Domain, resolution: int) -> bool:
-    """True when the fit's sup reaches rep.value, so searching it cannot give
-    a smaller one: |fit| at a critical point of rep's search bounds the fit's
+    """True when the fit's sup reaches rep.value less rounding (NOISE
+    relative), so searching it cannot give a sup that wins (one below that
+    level): |fit| at a critical point of rep's search bounds the fit's
     continuum sup from below, and its maximum on the grid that its own
     search samples bounds that search from below."""
-    return (any(abs(fit.eval(pt)) >= rep.value for pt, _ in rep.critical_points)
-            or _grid_max(fit, domain, resolution) >= rep.value)
+    level = rep.value * (1 - NOISE)
+    return (any(abs(fit.eval(pt)) >= level for pt, _ in rep.critical_points)
+            or _grid_max(fit, domain, resolution) >= level)
 
 
 def _near_extremal(rep, resid, level: float, rel: float) -> list:
@@ -461,9 +463,11 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     Each iteration also re-fits the coefficients on the refined extremal
     candidates by least squares (the LP picks the active set; the fit removes
     the coordinate noise a degenerate vertex basis leaves in the multipliers)
-    and keeps the fit when its continuum sup is smaller; a fit that already
-    reaches the current sup on the search grid or at one of the current
-    iterate's critical points is not searched.
+    and keeps the fit when its continuum sup is smaller by more than
+    rounding (``NOISE`` relative: a tie between two sums of the same values
+    is no gain); a fit that already reaches the current sup less that on
+    the search grid or at one of the current iterate's critical points is
+    not searched.
     Stops when the sandwich gap reaches rounding level, when the deviation
     has stabilized (change below ``DEV_CHANGE_TOL``) and the gap stops
     improving, when refinement yields no new points, at ``max_iter``, or
@@ -518,7 +522,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
                 c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
                 if not _fit_decided(plan.bind(c2), rep, search_domain, search_res):
                     resid2, rep2 = search(c2)
-                    if rep2.value < rep.value:
+                    if rep2.value < rep.value * (1 - NOISE):
                         result.coefficients = np.asarray(c2)
                         resid, rep = resid2, rep2
             except np.linalg.LinAlgError:

@@ -14,8 +14,10 @@ out the infeasibility it leaves, as they do any left by a starting basis or
 by rounding, so the basic values of an optimal basis are feasible to
 ``FEAS_TOL`` plus their rounding error.  A later
 degenerate run turns the ratio test lexicographic until the objective
-moves, which rules out cycling whatever the pricing.  No external solver is
-used, so runs are bit-reproducible.
+moves, which rules out cycling whatever the pricing.  A solve whose
+objective has not risen above its best value so far for ``STALLED_PIVOTS``
+pivots is stalled in rounding noise and raises ``LPError``.  No external
+solver is used, so runs are bit-reproducible.
 
 A caller that knows a feasible basis passes it and the solve starts in
 phase 2; otherwise phase 1 runs over artificial columns.  The discrete
@@ -48,6 +50,11 @@ START_TOL = 1e-6
 # consecutive degenerate pivots that count as a stall: the first stall
 # shifts the basic values, a later one turns the ratio test lexicographic
 STALL_AFTER = 30
+# pivots in a row, primal or dual, that leave the objective at or below its
+# best value so far (within its rounding level): a solve that makes this
+# many has stalled in rounding noise (solves that reach optimal make at
+# most a few hundred)
+STALLED_PIVOTS = 2000
 # size of that shift, relative to max|b|
 SHIFT = 1e-7
 # rounds of dual pivots that may restore the feasibility of an optimal basis
@@ -78,6 +85,7 @@ class _Basis:
         self.A, self.b, self.cols = A, b, cols
         self.a_scale = float(np.abs(A).max())
         self.pivots = 0
+        self.idle = 0       # pivots since the objective last rose past its best
         self.refactor()
 
     def matrix(self) -> np.ndarray:
@@ -125,6 +133,8 @@ class _Basis:
 def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
     """Column ``col`` (with a = B^-1 A_col) enters at basis row ``row`` with
     step ``theta``: a rank-one update of the inverse and the basic values."""
+    if basis.idle == STALLED_PIVOTS:
+        raise LPError(f"no progress in {STALLED_PIVOTS} simplex pivots")
     inv = basis.inv
     basis.x -= theta * a
     basis.x[row] = theta
@@ -134,6 +144,7 @@ def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
     inv -= np.outer(others, inv[row])
     basis.cols[row] = col
     basis.pivots += 1
+    basis.idle += 1
     basis.since_refactor += 1
     if basis.since_refactor >= REFACTOR_EVERY:
         basis.refactor()
@@ -152,6 +163,7 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
     shifted = False
     restores = 0
     degenerate_run = 0
+    best = -np.inf
     while True:
         if degenerate_run == STALL_AFTER and not shifted:
             # the first stall: raise every basic value by a small
@@ -166,6 +178,10 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         if degenerate_run == STALL_AFTER:
             reference = basis.matrix()
         y, reduced, opt_tol = basis.price(cost)
+        objective = float(y @ basis.b)
+        level = 1e-12 * max(abs(objective), c_scale)   # rounding level of the objective
+        if objective > best + level:
+            best, basis.idle = objective, 0
         col = int(np.argmax(reduced))
         if reduced[col] <= opt_tol:
             if basis.b is not b:
@@ -215,9 +231,7 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         theta = max(float(basis.x[row]), 0.0) / float(a[row])
         _pivot(basis, row, col, a, theta)
         # degenerate: the objective moves by no more than its rounding level
-        gain = theta * float(reduced[col])
-        objective = abs(float(y @ basis.b))
-        degenerate_run = degenerate_run + 1 if gain <= 1e-12 * max(objective, c_scale) else 0
+        degenerate_run = degenerate_run + 1 if theta * float(reduced[col]) <= level else 0
 
 
 def _restore_feasibility(basis: _Basis, cost: np.ndarray, feas_tol: float,
@@ -264,8 +278,8 @@ def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     ``basis``, if given, lists m columns of A that form a feasible basis;
     the solve then starts from it in phase 2.  Without it, phase 1 finds a
     feasible basis over artificial columns.  A given basis that is singular
-    or infeasible, a run past the pivot limit, or an optimal basis that
-    keeps losing feasibility raises ``LPError``.
+    or infeasible, a run past the pivot limit, a stalled run, or an optimal
+    basis that keeps losing feasibility raises ``LPError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -9,13 +9,19 @@ appear in the search / LP layers, which convert via :meth:`Poly.to_float64`
 Terms are kept in canonical form: no zero coefficients are stored and every
 exponent tuple has length ``nvars``.  Serialization and equality order terms
 by graded lexicographic order on the exponent tuples.
+
+Term order is never an input of a float result: a float64 polynomial holds
+its terms in graded lexicographic order, sorted once when it is built, and
+every float evaluation (``eval``, ``eval_grid``, ``PolyBatch``, the
+derivative tables) sums the nonzero terms in that order.  So a float term
+map gives the same bits however it was inserted.  Exact polynomials keep
+insertion order, which no exact result depends on.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from numbers import Rational
 from operator import add
 from typing import Mapping, Sequence, Union
@@ -69,18 +75,6 @@ def _exponent(exp, nvars: int) -> Exponent:
     return ints
 
 
-def eval_terms(terms: Mapping[Exponent, Scalar], xs: Sequence, total):
-    """total plus each term's coefficient times its monomial at xs, in the
-    terms' order: the sum Poly.eval takes."""
-    for exp, coef in terms.items():
-        term = coef
-        for e, v in zip(exp, xs):
-            if e:
-                term *= v ** e
-        total += term
-    return total
-
-
 def _mul_terms(a: Mapping[Exponent, Scalar], b: Mapping[Exponent, Scalar]) -> dict:
     """Product terms in the order first reached; zero sums dropped at the end."""
     out: dict[Exponent, Scalar] = {}
@@ -127,6 +121,8 @@ class Poly:
             c = coef if type(coef) is ctype else _coerce(field, coef)
             if c != 0:  # numerically equal keys are one key, so no two exps collide
                 clean[exp] = c
+        if field == FLOAT64:
+            clean = dict(sorted(clean.items(), key=lambda kv: grlex_key(kv[0])))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", clean)
@@ -267,7 +263,14 @@ class Poly:
             xs = [Fraction(v) for v in pt]
         else:
             xs = [float(v) for v in pt]
-        return eval_terms(self.terms, xs, _coerce(self.field, 0))
+        total = _coerce(self.field, 0)
+        for exp, coef in self.terms.items():   # in term order: graded for floats
+            term = coef
+            for e, v in zip(exp, xs):
+                if e:
+                    term *= v ** e
+            total += term
+        return total
 
     def eval_grid(self, points: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation at an (N, nvars) array of points."""
@@ -304,22 +307,22 @@ class Poly:
         if ref.field != self.field:
             raise FieldMismatchError(
                 f"field mismatch: outer {self.field}, inner {ref.field}")
-        # plain term dicts, exact integers as ints; inner powers memoized
+        # plain term dicts, exact integers as ints; inner powers memoized; a
+        # float product takes graded order, as the Poly operators give it
         one = (0,) * ref.nvars
+        mul = _mul_terms if ref.field == RATIONAL else (
+            lambda a, b: Poly(ref.nvars, _mul_terms(a, b), FLOAT64).terms)
         powers = [[{one: 1}, {e: _plain(c) for e, c in q.terms.items()}] for q in inners]
         total: dict[Exponent, Scalar] = {}
         for exp, coef in self.sorted_terms():
             term = {one: _plain(coef)}
             for cache, e in zip(powers, exp):
                 while len(cache) <= e:
-                    cache.append(_mul_terms(cache[-1], cache[1]))
+                    cache.append(mul(cache[-1], cache[1]))
                 if e:
-                    term = _mul_terms(term, cache[e])
-            # as Poly addition: a cancelled term leaves, and comes back last
+                    term = mul(term, cache[e])
             for key, c in term.items():
                 total[key] = total.get(key, 0) + c
-                if not total[key]:
-                    del total[key]
         return Poly(ref.nvars, total, ref.field)
 
     def to_float64(self) -> "Poly":
@@ -364,27 +367,33 @@ class MonomialTable:
         return out
 
 
-def _exponent_rows(exps, nvars: int) -> np.ndarray:
-    """The exponent tuples of an iterable as the rows of an int64 array."""
-    exps = list(exps)
-    return np.fromiter(chain.from_iterable(exps), np.int64,
-                       len(exps) * nvars).reshape(len(exps), nvars)
+def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of polynomials in the same variables, as float64: the rows of
+    E are the union of their exponents in graded lexicographic order, and
+    V[k] holds the coefficients of polys[k] there (0.0 where it has no such
+    term), so its nonzero entries come in polys[k]'s own term order."""
+    polys = [p.to_float64() for p in polys]
+    exps = sorted(set().union(*[p.terms for p in polys]), key=grlex_key)
+    cols = {e: j for j, e in enumerate(exps)}
+    V = np.zeros((len(polys), len(exps)))
+    for k, p in enumerate(polys):
+        V[k, [cols[e] for e in p.terms]] = list(p.terms.values())
+    return np.array(exps, dtype=np.int64).reshape(len(exps), polys[0].nvars), V
 
 
 class PolyBatch(MonomialTable):
     """Float64 values of several polynomials in the same variables, read from
-    one monomial table per EVAL_CHUNK points.  Column k equals the k-th
-    polynomial's ``eval_grid`` bit for bit: its term columns are gathered
-    C-contiguous (an F-ordered gather takes another BLAS kernel and rounding)
-    and summed by one matrix-vector product; a batch of one reads the table."""
+    one monomial table per EVAL_CHUNK points over the graded union of their
+    exponents (term_matrix).  Column k equals the k-th polynomial's
+    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous (an
+    F-ordered gather takes another BLAS kernel and rounding) and summed by
+    one matrix-vector product; a batch of one reads the table."""
 
     def __init__(self, polys: Sequence[Poly]):
-        polys = [p.to_float64() for p in polys]
-        self.coefs = [np.array(list(p.terms.values()), dtype=float) for p in polys]
-        cols: dict[Exponent, int] = {}  # table column of each exponent
-        self.index = [np.array([cols.setdefault(e, len(cols)) for e in p.terms], dtype=np.intp)
-                      for p in polys] if len(polys) > 1 else [slice(None)]
-        super().__init__(_exponent_rows(cols or polys[0].terms, polys[0].nvars))
+        E, V = term_matrix(polys)
+        self.index = [np.flatnonzero(v) for v in V] if len(V) > 1 else [slice(None)]
+        self.coefs = [v[idx] for v, idx in zip(V, self.index)]
+        super().__init__(E)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), len(self.coefs)))
@@ -394,47 +403,13 @@ class PolyBatch(MonomialTable):
         return out
 
 
-def poly_sum(V: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A chain of Poly additions replayed on coefficient vectors.  Step s adds
-    the terms V[s, j] != 0, in the order pos[s, j] among them, to a running
-    sum that (like Poly) drops a term whose sum becomes 0 and appends a term
-    added to a missing key.  Returns the sums, added in step order, and the
-    keys of the nonzero ones in the order the final Poly holds them."""
-    if not len(V):
-        return np.zeros(V.shape[1]), np.zeros(0, dtype=np.intp)
-    S = np.add.accumulate(V, axis=0)
-    inserted = V != 0
-    inserted[1:] &= S[:-1] == 0
-    last = len(V) - 1 - np.argmax(inserted[::-1], axis=0)   # last step that (re)inserted
-    keep = np.flatnonzero(S[-1])
-    return S[-1], keep[np.lexsort((pos[last[keep], keep], last[keep]))]
-
-
-def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(E, V, P) of float64 polynomials in the same variables: the rows of E
-    are the union of their exponents in first-seen order, V[k] holds the
-    coefficients of polys[k] there (0.0 where it has no such term) and P[k]
-    each term's place in polys[k]'s term order."""
-    cols: dict[Exponent, int] = {}
-    for p in polys:
-        for e in p.terms:
-            cols.setdefault(e, len(cols))
-    V = np.zeros((len(polys), len(cols)))
-    P = np.zeros((len(polys), len(cols)), dtype=np.intp)
-    for k, p in enumerate(polys):
-        idx = [cols[e] for e in p.terms]
-        V[k, idx] = list(p.terms.values())
-        P[k, idx] = np.arange(len(idx))
-    return _exponent_rows(cols, polys[0].nvars), V, P
-
-
 class DerivativeMap:
     """The formal gradient and upper-triangle Hessian of the polynomials with
     exponent rows E, as a map from their coefficient vectors to Derivatives.
-    C has a row per monomial of the partials, in the order of their terms
-    (the terms of E, partial after partial: the gradient, then the Hessian's
-    upper triangle row by row) and a column per partial; each coefficient is
-    the product (c e_i) e_j, as the formal derivatives compute it."""
+    C has a row per distinct monomial of the partials, in graded
+    lexicographic order, and a column per partial (the gradient, then the
+    Hessian's upper triangle row by row); each coefficient is the product
+    (c e_i) e_j, as the formal derivatives compute it."""
 
     def __init__(self, E: np.ndarray):
         k = E.shape[1]
@@ -450,45 +425,30 @@ class DerivativeMap:
         rows[np.arange(len(rows)), i[self.cols]] -= 1
         hess = np.flatnonzero(j[self.cols] >= 0)
         rows[hess, j[self.cols[hess]]] -= 1
-        # C's rows: the partials' distinct exponents in first-seen order (a
-        # stable sort keeps each run of equal rows in first-seen order)
-        order = np.lexsort(rows.T) if k else np.arange(len(rows))
+        # C's rows: the partials' distinct exponents in graded lexicographic
+        # order (by degree, then by the exponents), a run of equal rows one row
+        order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
         run = np.ones(len(rows), dtype=bool)
         run[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-        firsts = order[run]
-        rank = np.empty(len(firsts), dtype=np.intp)
-        rank[np.argsort(firsts)] = np.arange(len(firsts))
-        self.rows = np.empty(len(rows), dtype=np.intp)
-        self.rows[order] = rank[np.cumsum(run) - 1]
-        self.shape = (len(firsts), len(i))
-        self.table = MonomialTable(rows[np.sort(firsts)])
+        self.rows = (np.cumsum(run) - 1)[np.argsort(order)]
+        self.shape = (int(run.sum()), len(i))
+        self.table = MonomialTable(rows[order[run]])
 
     def __call__(self, coefs: np.ndarray) -> "Derivatives":
         C = np.zeros(self.shape)
         C[self.rows, self.cols] = (coefs[self.src] * self.f1) * self.f2
-        return Derivatives.from_matrix(self.table, C)
+        return Derivatives(self.table, C)
 
 
 class Derivatives:
     """Gradient and upper-triangle Hessian of a polynomial in float64: one
-    monomial table per EVAL_CHUNK points times a fixed coefficient matrix C, a
-    column per entry (see DerivativeMap).  The sums run in BLAS order, so an
-    entry agrees with its partial's ``eval_grid`` to rounding, not bit for
-    bit; a vanishing one is 0."""
+    monomial table per EVAL_CHUNK points, its monomials in graded
+    lexicographic order, times a fixed coefficient matrix C, a column per
+    entry (see DerivativeMap).  The sums run in BLAS order over every table
+    column, so an entry agrees with its partial's ``eval_grid`` to rounding,
+    not bit for bit; a vanishing one is 0."""
 
-    def __init__(self, p: Poly):
-        E, V, _ = term_matrix([p.to_float64()])
-        ders = DerivativeMap(E)(V[0])
-        self._set(ders.batch, ders.C)
-
-    @classmethod
-    def from_matrix(cls, table: MonomialTable, C: np.ndarray) -> "Derivatives":
-        """The derivatives whose coefficient matrix C has a row per table column."""
-        ders = cls.__new__(cls)
-        ders._set(table, C)
-        return ders
-
-    def _set(self, table: MonomialTable, C: np.ndarray):
+    def __init__(self, table: MonomialTable, C: np.ndarray):
         self.nvars, (self.i, self.j) = table.nvars, np.triu_indices(table.nvars)
         self.batch, self.C = table, C
 

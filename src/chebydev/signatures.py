@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import comb
 from numbers import Rational
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .polycore import (FLOAT64, RATIONAL, Poly, PolyError,
                        monomial_exponents,  # re-exported: signatures' public API
                        poly_from_json_dict, poly_to_json_dict, real_roots)
 from .constructions import R5Constants
-from .symfun import partitions_upto
+from .symfun import distinct_permutations as orbit, partitions_upto
 
 Point = tuple
 
@@ -93,36 +92,6 @@ class Certificate:
 # --------------------------------------------------------------------------
 # orbits and the T_d extremal data
 # --------------------------------------------------------------------------
-
-
-def orbit(base: Sequence) -> list[Point]:
-    """All distinct coordinate permutations of a point, canonically ordered.
-
-    Next-permutation on the multiset, stepped on the ranks of the sorted
-    coordinates: each distinct arrangement comes once, in lexicographic
-    order, which is sorted(set(permutations(base))) without its n! tuples.
-    """
-    values = sorted(base)
-    distinct = values[:1]
-    ranks = [0] * len(values)
-    for i, v in enumerate(values[1:], 1):
-        if v != distinct[-1]:
-            distinct.append(v)
-        ranks[i] = len(distinct) - 1
-    out = []
-    last = len(ranks) - 1
-    while True:
-        out.append(tuple([distinct[r] for r in ranks]))
-        i = last - 1
-        while i >= 0 and ranks[i] >= ranks[i + 1]:
-            i -= 1
-        if i < 0:
-            return out
-        j = last
-        while ranks[j] <= ranks[i]:
-            j -= 1
-        ranks[i], ranks[j] = ranks[j], ranks[i]
-        ranks[i + 1:] = ranks[:i:-1]
 
 
 def uniform_support_point(j: int, d: int) -> Point:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
-                       eval_terms, grlex_key, monomial_exponents, poly_sum,
-                       restrict_affine_last, restrict_zero, term_matrix)
+                       monomial_exponents, restrict_affine_last, restrict_zero, term_matrix)
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
@@ -222,19 +221,16 @@ def _lockstep(Z: np.ndarray, evaluate, advance, tol: float, max_iter: int):
     return converged
 
 
-def _derivatives(q) -> Derivatives:
-    return q if isinstance(q, Derivatives) else Derivatives(q)
-
-
-def _newton_critical_points(q, starts: np.ndarray, feasible, grad_tol: float):
-    """Multi-start Newton for grad q = 0 inside a chart (q a Poly or its
-    Derivatives), each step capped at length 1 + |x|; rows with singular
-    Hessians die.  feasible maps an (n, k) array of chart points to a row
-    mask.  Returns deduplicated chart points."""
-    k = q.nvars
+def _newton_critical_points(ders: Derivatives, starts: np.ndarray, feasible,
+                            grad_tol: float):
+    """Multi-start Newton for grad q = 0 inside a chart (ders: the
+    Derivatives of q), each step capped at length 1 + |x|; rows with
+    singular Hessians die.  feasible maps an (n, k) array of chart points to
+    a row mask.  Returns deduplicated chart points; a chart of no variables
+    is its one point."""
+    k = ders.nvars
     if k == 0:
         return [()]
-    ders = _derivatives(q)
     X = np.array(starts, dtype=float).reshape(-1, k)
 
     def advance(X, s):
@@ -250,12 +246,11 @@ def _newton_critical_points(q, starts: np.ndarray, feasible, grad_tol: float):
     return [found[i] for i in dedup_points(found)]
 
 
-def _sphere_critical_points(p, starts: np.ndarray, grad_tol: float):
+def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: float):
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1
-    (p a Poly or its Derivatives), solved by Newton on the bordered system in
+    (ders: the Derivatives of p), solved by Newton on the bordered system in
     the rows (x, lambda)."""
-    d = p.nvars
-    ders = _derivatives(p)
+    d = ders.nvars
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
@@ -351,90 +346,53 @@ def _draw_starts(dom: Domain, seed: int, interior_only: bool, chamber: bool) -> 
 # --------------------------------------------------------------------------
 
 
-def _expansions(k: int, top: int) -> list:
-    """(exponent, coefficient) pairs of (1 - y_1 - ... - y_k)^n for n = 0,
-    ..., top, each in the term order restrict_affine_last's compose builds
-    it: n factors multiplied in one at a time."""
-    last = Poly.constant(k, 1.0, FLOAT64)
-    for i in range(k):
-        last = last - Poly.variable(k, i, FLOAT64)
-    powers = [Poly.constant(k, 1.0, FLOAT64)]
-    while len(powers) <= top:
-        powers.append(powers[-1] * last)
-    return [list(power.terms.items()) for power in powers]
+def _row_sum(X: np.ndarray) -> np.ndarray:
+    """The rows of X added one after another, as a chain of Poly additions
+    adds each term's contributions."""
+    return np.add.accumulate(X, axis=0)[-1] if len(X) else np.zeros(X.shape[1])
 
 
 class _Chart:
-    """One face chart of a plan: restrict_to_face replayed on the coefficient
-    vectors of the plan's terms.  The faces x_i = 0 keep the terms without
-    x_i; the face sum x = 1 then expands each kept term, in graded order,
-    through _expansions (B[t, j]: the coefficient of chart term j in term t's
-    expansion, P[t, j] its place there); a sum face with one free variable
-    is the sum of the coefficients.  Each term order the restriction takes
-    gets its DerivativeMap and value table once."""
+    """One face chart of a plan: restrict_to_face as a fixed linear map on
+    the coefficient vectors of the plan's terms.  The faces x_i = 0 keep the
+    terms without x_i (sel); the face sum x = 1 then sends each kept term to
+    its exact restriction, B[t] (multinomial coefficients over the chart's
+    terms), the contributions added term after term in graded order, as
+    restrict_to_face's compose adds them.  The chart's terms are in graded
+    order, with one DerivativeMap and one value table."""
 
-    def __init__(self, U: np.ndarray, rank: np.ndarray, zeros: tuple, sum_active: bool):
+    def __init__(self, U: np.ndarray, zeros: tuple, sum_active: bool):
         free = [i for i in range(U.shape[1]) if i not in zeros]
         self.sel = np.flatnonzero(~U[:, list(zeros)].any(axis=1))
-        self.index = np.full(len(U), -1)
-        self.index[self.sel] = np.arange(len(self.sel))
-        self.exps = U[np.ix_(self.sel, free)]
-        self.affine, self.point = sum_active and len(free) >= 2, sum_active and len(free) == 1
-        if self.point:
-            self.exps = np.zeros((1, 0), dtype=np.int64)
-        elif self.affine:
-            k, keys, cells = len(free) - 1, {}, []
-            expansions = _expansions(k, int(self.exps[:, k].max(initial=0)))
-            for t, row in enumerate(self.exps.tolist()):
-                for pos, (e, b) in enumerate(expansions[row[k]]):
-                    key = tuple(u + v for u, v in zip(row[:k], e))
-                    cells.append((t, keys.setdefault(key, len(keys)), b, pos))
-            self.B = np.zeros((len(self.sel), len(keys)))
-            self.P = np.zeros((len(self.sel), len(keys)), dtype=np.intp)
-            if cells:
-                t, j, b, pos = zip(*cells)
-                self.B[t, j], self.P[t, j] = b, pos
-            self.exps = np.array(list(keys), dtype=np.int64).reshape(len(keys), k)
-            self.rank = rank[self.sel]
-        self.maps: dict = {}
+        exps, self.B = U[np.ix_(self.sel, free)], None
+        if sum_active:   # B[t]: kept term t's exact restriction
+            rows = [restrict_to_face(Poly.monomial(e), (), True) for e in exps.tolist()]
+            exps, self.B = term_matrix(rows or [Poly.zero(len(free) - 1)])
+        self.table, self.dmap = MonomialTable(exps), DerivativeMap(exps)
 
-    def restrict(self, a: np.ndarray, order: np.ndarray):
-        """(DerivativeMap, value table, coefficients) of the chart of the
-        polynomial with coefficients a, whose nonzero terms come in the
-        order ``order``."""
-        on = self.index[order]
-        on = on[on >= 0]
-        coefs = vals = a[self.sel]
-        if self.affine:
-            steps = on[np.argsort(self.rank[on])]
-            coefs, on = poly_sum(vals[steps, None] * self.B[steps], self.P[steps])
-        elif self.point:
-            coefs = np.add.accumulate(vals[on])[-1:] if len(on) else np.zeros(1)
-            on = np.flatnonzero(coefs)
-        E = self.exps[on]
-        return (*_memo(self.maps, on.tobytes(), lambda: (DerivativeMap(E), MonomialTable(E))),
-                coefs[on])
+    def restrict(self, a: np.ndarray) -> np.ndarray:
+        """The chart's coefficients of the polynomial with coefficients a."""
+        return a[self.sel] if self.B is None else _row_sum(a[self.sel, None] * self.B)
 
 
 class SearchPlan:
     """What the searches of the residuals f - sum_k c_k phi_k of one problem
     share across coefficient vectors c, each built on first use: the terms
-    of f and the phi_k as coefficient vectors (a row per function, P[k] each
-    term's place in phi_k), each face chart, each grid with its monomial
-    table, each seed's Newton starts.  A search takes a bound plan,
+    of f and the phi_k as the rows of M over the union of their exponents U,
+    in graded lexicographic order; each face chart; each grid's monomial
+    table; each seed's Newton starts.  A search takes a bound plan,
     plan.bind(c); a Poly p searched alone is SearchPlan(p).bind().  The
-    residual's coefficients and term order are those of the Poly arithmetic
-    f - (c_1 phi_1 + c_2 phi_2 + ...), so a planned search is bit for bit
-    the search of that residual Poly."""
+    residual's coefficients are those of the Poly arithmetic f - (c_1 phi_1
+    + c_2 phi_2 + ...), and both sum their terms in graded order, so a
+    planned search is bit for bit the search of that residual Poly when
+    every term of U survives in it."""
 
     def __init__(self, target: Poly, basis=()):
         members = [p.to_float64() for p in [target, *basis]]
         self.nvars = members[0].nvars
         if any(p.nvars != self.nvars for p in members):
             raise PolyError("the target and the basis of a search plan need the same variables")
-        self.U, self.M, self.P = term_matrix(members)
-        self.exps = [tuple(e) for e in self.U.tolist()]
-        self.rank = np.argsort(sorted(range(len(self.exps)), key=lambda j: grlex_key(self.exps[j])))
+        self.U, self.M = term_matrix(members)
         self.charts, self.grids, self.starts = {}, {}, {}
 
     def bind(self, coeffs=()) -> "BoundPlan":
@@ -442,43 +400,37 @@ class SearchPlan:
         c = np.asarray(coeffs, dtype=float).reshape(-1)
         if len(c) != len(self.M) - 1:
             raise PolyError(f"a plan of {len(self.M) - 1} basis functions needs as many coefficients")
-        a, order = poly_sum(self.M[:1], self.P[:1])
-        if len(c):
-            s, s_order = poly_sum(c[:, None] * self.M[1:], self.P[1:])
-            place = np.zeros(len(s), dtype=np.intp)
-            place[s_order] = np.arange(len(s_order))
-            a, order = poly_sum(np.vstack([self.M[0], -s]), np.vstack([self.P[0], place]))
-        return BoundPlan(self, c, a, order)
+        return BoundPlan(self, c, self.M[0] - _row_sum(c[:, None] * self.M[1:]))
 
     def chart(self, zeros: tuple, sum_active: bool) -> _Chart:
         return _memo(self.charts, (zeros, sum_active),
-                     lambda: _Chart(self.U, self.rank, zeros, sum_active))
+                     lambda: _Chart(self.U, zeros, sum_active))
 
-    def grid(self, dom: Domain, resolution: int, chamber: bool, order: np.ndarray):
+    def grid(self, dom: Domain, resolution: int, chamber: bool):
         """The search grid, the chamber's or the whole one, and the monomial
-        table there of the terms ``order``, a (first row, table) pair per chunk."""
-        key = (dom, resolution, chamber)
-        pts = _memo(self.grids, key, lambda: (_chamber_grid if chamber else sample_domain)(
-            dom, resolution))
-        return pts, _memo(self.grids, key + (order.tobytes(),),
-                          lambda: list(MonomialTable(self.U[order]).tables(pts)))
+        table of the plan's terms there (the interior chart's), a (first row,
+        table) pair per chunk."""
+        def build():
+            pts = (_chamber_grid if chamber else sample_domain)(dom, resolution)
+            return pts, list(self.chart((), False).table.tables(pts))
+        return _memo(self.grids, (dom, resolution, chamber), build)
 
 
 class BoundPlan:
     """A residual f - sum_k c_k phi_k of a plan: its coefficients a over the
-    plan's terms and the order of its nonzero terms.  ``terms`` holds them as
-    a Poly would, so the residual's symmetry is decided as a Poly's; equal
-    bound plans share the plan and the coefficients."""
+    plan's terms.  ``poly`` is the residual Poly of the nonzero ones, whose
+    terms and values are the bound plan's, so the residual's symmetry is
+    decided as a Poly's; equal bound plans share the plan and the
+    coefficients."""
 
     __hash__ = None
 
-    def __init__(self, plan: SearchPlan, coeffs: np.ndarray, a: np.ndarray, order: np.ndarray):
-        self.plan, self.coeffs, self.a, self.order = plan, coeffs, a, order
-        self.nvars = plan.nvars
-        self.terms = dict(zip([plan.exps[j] for j in order], a[order].tolist()))
-
-    def eval(self, point) -> float:
-        return eval_terms(self.terms, [float(v) for v in point], 0.0)
+    def __init__(self, plan: SearchPlan, coeffs: np.ndarray, a: np.ndarray):
+        self.plan, self.coeffs, self.a = plan, coeffs, a
+        on = np.flatnonzero(a)
+        self.poly = Poly(plan.nvars, dict(zip(map(tuple, plan.U[on].tolist()), a[on].tolist())),
+                         FLOAT64)
+        self.nvars, self.terms, self.eval = plan.nvars, self.poly.terms, self.poly.eval
 
     def __eq__(self, other):
         if not isinstance(other, BoundPlan):
@@ -523,15 +475,15 @@ def critical_points(p, dom: Domain, seed: int = 0,
             return np.all(Y > 1e-9, axis=1) & (Y.sum(axis=1) < 1 - 1e-9)
 
         for (zeros, sum_active), st in starts:
-            dmap, table, c = plan.chart(zeros, sum_active).restrict(b.a, b.order)
-            ys = [()]
-            if table.nvars:
-                ys = _newton_critical_points(dmap(c), st, feasible, 1e-11 * _grad_scale(c))
+            chart = plan.chart(zeros, sum_active)
+            c, ys = chart.restrict(b.a), [()]
+            if chart.table.nvars:
+                ys = _newton_critical_points(chart.dmap(c), st, feasible, 1e-11 * _grad_scale(c))
             results.extend((embed_from_face(y, zeros, sum_active, d), v)
-                           for y, v in _with_values(table, c, ys))
+                           for y, v in _with_values(chart.table, c, ys))
     else:
-        dmap, table, c = plan.chart((), False).restrict(b.a, b.order)
-        ders, tol = dmap(c), 1e-11 * _grad_scale(c)
+        chart, c = plan.chart((), False), b.a   # the interior chart: the identity map
+        table, ders, tol = chart.table, chart.dmap(c), 1e-11 * _grad_scale(c)
         if dom.kind == BALL:
             inside = _newton_critical_points(
                 ders, starts[0], lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
@@ -561,17 +513,18 @@ def sup_norm(p, dom: Domain, resolution: int,
     refinement fails everywhere.  A symmetric p is sampled and searched on
     its chamber only, so the argmax and the critical points are orbit
     representatives."""
-    return _refine_grid(p, dom, resolution, critical_points(p, dom, seed=seed))
+    b = _bound(p)
+    return _refine_grid(b, dom, resolution, critical_points(b, dom, seed=seed))
 
 
 def _grid_values(p, dom: Domain, resolution: int):
     """The grid sup_norm samples p on, its chamber when p is symmetric, and
     the values of p there."""
     b = _bound(p)
-    grid, tables = b.plan.grid(dom, resolution, _symmetric(b), b.order)
-    values, coefs = np.empty(len(grid)), b.a[b.order]
+    grid, tables = b.plan.grid(dom, resolution, _symmetric(b))
+    values = np.empty(len(grid))
     for lo, table in tables:
-        values[lo:lo + len(table)] = table @ coefs
+        values[lo:lo + len(table)] = table @ b.a
     return grid, values
 
 
@@ -600,7 +553,8 @@ def signed_max(p, dom: Domain, resolution: int, seed: int = 0) -> tuple:
     as in sup_norm."""
     if dom.kind not in (SIMPLEX, BALL):
         raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
-    pts, vals, _ = _candidates(p, dom, resolution, critical_points(p, dom, seed=seed))
+    b = _bound(p)
+    pts, vals, _ = _candidates(b, dom, resolution, critical_points(b, dom, seed=seed))
     if dom.kind == SIMPLEX:
         rim = np.any(pts <= 1e-12, axis=1) | (pts.sum(axis=1) >= 1 - 1e-12)
     else:
@@ -633,7 +587,7 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
         tdf = td.to_float64()
         interior = critical_points(tdf, Domain(SIMPLEX, k), seed=seed, interior_only=True)
         interior_max = max((abs(v) for _, v in interior), default=0.0)
-        chart, chart_dom = restrict_affine_last(tdf), Domain(SIMPLEX, k - 1)
+        chart, chart_dom = SearchPlan(restrict_affine_last(tdf)).bind(), Domain(SIMPLEX, k - 1)
         face = _refine_grid(chart, chart_dom, resolution, critical_points(
             chart, chart_dom, seed=seed, interior_only=True))
         if k == d:
@@ -687,20 +641,19 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
     def closed(Y):
         return np.all(Y > -1e-9, axis=1) & (Y.sum(axis=1) <= 1 + 1e-9)
 
-    found = []
+    plan, found = SearchPlan(g), []
     for zeros, sum_active in simplex_faces(d):
-        q = restrict_to_face(g, zeros, sum_active)
-        E, V, _ = term_matrix([q])
-        table = MonomialTable(E)
-        lattice = _simplex_lattice(q.nvars, max(4, resolution // (1 + len(zeros))))
-        mags = np.abs(table.dot(lattice, V[0]))
+        chart = plan.chart(zeros, sum_active)
+        c = chart.restrict(plan.M[0])
+        lattice = _simplex_lattice(chart.table.nvars, max(4, resolution // (1 + len(zeros))))
+        mags = np.abs(chart.table.dot(lattice, c))
         if mags.max() > r + tol:
             raise PolyError(f"|f - p| reaches {float(mags.max())!r} > r = {r!r} on the lattice")
         band = np.abs(mags - r)
         near = band <= max(10 * tol, 4 * float(np.min(band)), 0.05 * r)
-        ys = _newton_critical_points(q, lattice[near], closed, 1e-12 * _grad_scale(V[0]))
+        ys = _newton_critical_points(chart.dmap(c), lattice[near], closed, 1e-12 * _grad_scale(c))
         found += [embed_from_face(y, zeros, sum_active, d)
-                  for y, v in _with_values(table, V[0], ys) if abs(abs(v) - r) <= tol / 10]
+                  for y, v in _with_values(chart.table, c, ys) if abs(abs(v) - r) <= tol / 10]
     found.sort()
     out = [found[i] for i in dedup_points(found)]
     if face_mode:

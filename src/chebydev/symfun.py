@@ -7,7 +7,7 @@ symmetric-group averaging.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .polycore import RATIONAL, Poly, PolyError
 
@@ -60,16 +60,36 @@ def chebyshev_t_shifted(n: int, field: str = RATIONAL) -> Poly:
     return chebyshev_t(n, field).compose([inner])
 
 
-def distinct_permutations(exp: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The distinct rearrangements of an exponent tuple, as a set.
+def distinct_permutations(base) -> list[tuple]:
+    """All distinct coordinate permutations of a tuple, canonically ordered.
 
-    It stays a set, iterated in its hash order, and is not replaced by the
-    ordered multiset enumeration of ``signatures.orbit``: monomial_symmetric
-    and symmetrize take their term order from this iteration, PolyBatch sums
-    a polynomial's terms in that order, and another order moves float bits of
-    the minimax LP columns and the sup-norm search.
+    Next-permutation on the multiset, stepped on the ranks of the sorted
+    coordinates: each distinct arrangement comes once, in lexicographic
+    order, which is sorted(set(permutations(base))) without its n! tuples.
+    Exponent tuples and points alike; no float result depends on the order,
+    since float polynomials sum their terms in graded lexicographic order.
     """
-    return set(permutations(exp))
+    values = sorted(base)
+    distinct = values[:1]
+    ranks = [0] * len(values)
+    for i, v in enumerate(values[1:], 1):
+        if v != distinct[-1]:
+            distinct.append(v)
+        ranks[i] = len(distinct) - 1
+    out = []
+    last = len(ranks) - 1
+    while True:
+        out.append(tuple([distinct[r] for r in ranks]))
+        i = last - 1
+        while i >= 0 and ranks[i] >= ranks[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while ranks[j] <= ranks[i]:
+            j -= 1
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        ranks[i + 1:] = ranks[:i:-1]
 
 
 def symmetrize(p: Poly) -> Poly:

@@ -28,6 +28,12 @@ def full_search(monkeypatch):
     monkeypatch.setattr(supnorm, "_symmetric", lambda p: False)
 
 
+def _derivatives(p):
+    """The Derivatives of p, from the interior chart of its search plan."""
+    plan = supnorm.SearchPlan(p)
+    return plan.chart((), False).dmap(plan.M[0])
+
+
 def _full(monkeypatch, search):
     """search() with the symmetry reduction switched off."""
     with monkeypatch.context() as m:
@@ -288,8 +294,10 @@ class TestTdBound:
         interior = [dom for _, dom, only in searches if only]
         assert sorted(interior, key=lambda dom: dom.dimension) == [
             simplex(k) for k in (2, 3, 3, 4, 4, 5, 5, 6)]
-        full = [(q.to_float64(), dom) for q, dom, only in searches if not only]
-        assert full == t3_faces
+        # sup_norm binds its Poly once and searches the bound plan, whose
+        # terms are the Poly's, in the same graded order
+        full = [(list(b.terms.items()), dom) for b, dom, only in searches if not only]
+        assert full == [(list(q.terms.items()), dom) for q, dom in t3_faces]
         assert [(q.to_float64(), dom) for q, dom in sup_norms] == t3_faces
 
     @pytest.mark.parametrize("d", [4, 6])
@@ -332,10 +340,10 @@ class TestSubharmonicity:
     @pytest.mark.parametrize("d,sign,total,boundary", [
         (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (4, 1, "0x1.000000000000ap+0", "0x1.000000000000ap+0"),
+        (4, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
         (4, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (5, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
-        (5, -1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
+        (5, 1, "0x1.0000000000008p+0", "0x1.0000000000008p+0"),
+        (5, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
     ])
     def test_signed_max_bits(self, full_search, d, sign, total, boundary):
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
@@ -345,15 +353,15 @@ class TestSubharmonicity:
     def test_ball_signed_max_bits(self):
         p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
         got = signed_max(p, ball(2), 6, seed=0)
-        assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.0000000000000p-52"]
+        assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.1000000000000p-52"]
 
 
     @pytest.mark.parametrize("d,sign,total,boundary", [
-        (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (3, 1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (4, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (4, -1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
-        (5, 1, "0x1.0000000000008p+0", "0x1.0000000000008p+0"),
+        (4, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+        (5, 1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
         (5, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ])
     def test_signed_max_bits_on_the_chamber(self, d, sign, total, boundary):
@@ -364,18 +372,18 @@ class TestSubharmonicity:
 
 def test_sup_norm_bits(full_search):
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
-    assert rep.value.hex() == "0x1.000000000000ap+0"
+    assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
-        "0x1.5555555555555p-2", "0x1.5555555555555p-2", "0x1.5555555555556p-2", "0x0.0p+0"]
+        "0x1.5555555559cf4p-2", "0x1.5555555557ea0p-2", "0x0.0p+0", "0x1.555555554e46cp-2"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
 def test_sup_norm_bits_on_the_chamber():
     # the argmax is the centroid of the face sum x = 1, its coordinates non-increasing
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
-    assert rep.value.hex() == "0x1.0000000000004p+0"
+    assert rep.value.hex() == "0x1.0000000000002p+0"
     assert [v.hex() for v in rep.argmax] == [
-        "0x1.000000000000dp-2", "0x1.000000000000cp-2", "0x1.ffffffffffff8p-3", "0x1.fffffffffffd6p-3"]
+        "0x1.000000000000ep-2", "0x1.000000000000dp-2", "0x1.ffffffffffffdp-3", "0x1.fffffffffffcfp-3"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
@@ -547,19 +555,20 @@ def _r5_level_inputs(consts):
 
 class TestBatchedLevelSet:
     def test_one_derivatives_build_per_chart(self, consts, monkeypatch):
-        # the criterion-05 inputs: the 2-simplex chart of sum x_i = 1 has four
-        # faces of positive dimension (interior and three edges)
+        # the criterion-05 inputs: the 2-simplex chart of sum x_i = 1 has
+        # seven faces (interior, three edges, three vertices), each searched
+        # through one chart of one plan, with one derivative map
         built = []
-        init = polycore.Derivatives.__init__
+        init = polycore.DerivativeMap.__init__
 
-        def counting_init(self, q):
-            built.append(q)
-            init(self, q)
+        def counting_init(self, E):
+            built.append(E.shape[1])
+            init(self, E)
 
-        monkeypatch.setattr(polycore.Derivatives, "__init__", counting_init)
+        monkeypatch.setattr(polycore.DerivativeMap, "__init__", counting_init)
         f, p, r = _r5_level_inputs(consts)
         level_set(f, p, r, simplex_face(3), tol=1e-9, resolution=48, seed=0)
-        assert len(built) == 4
+        assert sorted(built) == [0, 0, 0, 1, 1, 1, 2]
 
     @pytest.mark.parametrize("case", ["r5_face", "t3_simplex"])
     def test_matches_the_exact_extremal_points(self, consts, case):
@@ -598,11 +607,11 @@ class TestBatchedLevelSet:
             shapes.append(Y.shape)
             return np.ones(len(Y), dtype=bool)
 
-        found = supnorm._newton_critical_points(q, starts, keep_all, 1e-12)
+        found = supnorm._newton_critical_points(_derivatives(q), starts, keep_all, 1e-12)
         assert shapes == [(3, 2)]
         assert np.allclose(found, [(0.3, 0.4)])
         assert supnorm._newton_critical_points(
-            q, starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12) == []
+            _derivatives(q), starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12) == []
 
 
 class TestFusedKernel:
@@ -627,14 +636,14 @@ class TestFusedKernel:
         monkeypatch.setattr(supnorm, "_lockstep", counted_lockstep)
         rng = np.random.default_rng(3)
         q = build_td(4).polynomial.to_float64()
-        supnorm._newton_critical_points(q, supnorm._simplex_starts(rng, 4, 40),
+        supnorm._newton_critical_points(_derivatives(q), supnorm._simplex_starts(rng, 4, 40),
                                         lambda Y: np.ones(len(Y), dtype=bool), 1e-11)
         assert len(iterations) > 2 and calls == iterations
         # the sphere search evaluates once more, for the starting multipliers
         calls.clear()
         iterations.clear()
         p = Poly.monomial((1, 1, 1)).to_float64()
-        supnorm._sphere_critical_points(p, rng.normal(size=(30, 3)), 1e-11)
+        supnorm._sphere_critical_points(_derivatives(p), rng.normal(size=(30, 3)), 1e-11)
         assert len(iterations) > 2 and calls == [30] + iterations
 
     @pytest.mark.parametrize("dom", [simplex(3), ball(3), sphere(3)], ids=lambda d: d.kind)
@@ -665,15 +674,15 @@ def _explicit(target, basis, coeffs):
         coeffs, [phi.to_float64() for phi in basis])
 
 
-def _chart_terms(dmap, table, coefs):
-    """A planned chart's terms as a Poly's terms map, in its order."""
-    return dict(zip(map(tuple, table.exps.T.tolist()), coefs.tolist()))
+def _chart_terms(chart, coefs):
+    """A planned chart's nonzero terms as a Poly's terms map, in its order."""
+    return {tuple(e): c for e, c in zip(chart.table.exps.T.tolist(), coefs.tolist()) if c}
 
 
 class TestSearchPlan:
     """A bound plan is the residual f - sum_k c_k phi_k that Poly arithmetic
-    builds, term for term and in the same order, so that searching it is
-    searching that Poly, bit for bit."""
+    builds, term for term and in the same graded order, so that searching it
+    is searching that Poly, bit for bit."""
 
     @pytest.mark.parametrize("case", ["simplex_sym", "simplex_full", "ball", "sphere",
                                       "simplex_face"])
@@ -714,24 +723,25 @@ class TestSearchPlan:
     @pytest.mark.parametrize("nvars", [2, 3, 4])
     def test_charts_replay_restrict_to_face(self, nvars):
         # small integer coefficients cancel exactly on the faces, so terms
-        # drop out of the charts and come back at the end of their order
+        # drop out of the charts; the others are restrict_to_face's, exactly
         rng = np.random.default_rng(50 + nvars)
         exps = polycore.monomial_exponents(4, nvars)
         basis = [Poly(nvars, {e: int(v) for e, v in zip(exps, rng.integers(-2, 3, len(exps)))
                               if rng.random() < 0.4}) for _ in range(4)]
         target = Poly.monomial((1,) * nvars)
         plan = supnorm.SearchPlan(target, basis)
-        for c in ([1, -1, 0.5, 2], [0.5, 0.25, -1, 0], [0, 0, 0, 0]):
+        for c in ([1, -1, 0.5, 2], [0.5, 0.25, -1, 0], [0, 0, 0, 0], rng.normal(size=4)):
             bound, explicit = plan.bind(c), _explicit(target, basis, c)
             assert list(bound.terms.items()) == list(explicit.terms.items())
             for zeros, sum_active in supnorm.simplex_faces(nvars):
-                q = plan.chart(zeros, sum_active).restrict(bound.a, bound.order)
+                chart = plan.chart(zeros, sum_active)
                 want = supnorm.restrict_to_face(explicit, zeros, sum_active)
-                assert list(_chart_terms(*q).items()) == list(want.terms.items())
+                got = _chart_terms(chart, chart.restrict(bound.a))
+                assert list(got.items()) == list(want.terms.items())
 
     def test_cancelled_terms_come_back_last(self):
-        # (x1 + x2) - x1 + x1: x1 cancels at the second step and returns
-        # after x2 at the third, as in the Poly sum
+        # (x1 + x2) - x1 + x1: x1 cancels at the second step and returns at
+        # the third, in its graded place after x2, as in the Poly sum
         x1, x2 = Poly.monomial((1, 0)), Poly.monomial((0, 1))
         target, basis = Poly.constant(2, Fraction(1, 2)), [x1 + x2, -x1, x1]
         bound = supnorm.SearchPlan(target, basis).bind([1.0, 1.0, 1.0])
