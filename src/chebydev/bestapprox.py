@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import NOISE, LPError, simplex_solve
-from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
+from .polycore import FLOAT64, Poly, PolyBatch, PolyError, _plain, monomial_exponents
 from .supnorm import (DEDUP_TOL, SearchPlan, _grid_values, _lattice, _unique_rows,
                       dedup_points, sample_domain, sup_norm)
 from .symfun import monomial_symmetric, partitions_upto
@@ -43,7 +44,7 @@ BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
 # the exchange counts as stalled once the deviation moves by less than this
 # and the gap has stopped shrinking
 DEV_CHANGE_TOL = 1e-10
-# a basis column counts as independent when Gram-Schmidt keeps more than this
+# a basis column counts as independent when its QR diagonal entry exceeds this
 # fraction of its norm
 INDEPENDENCE_TOL = 1e-9
 # a point lies on the face x_i = 0 (or sum x = 1, or |x| = 1) within this
@@ -149,33 +150,34 @@ def invariant_basis(n: int, d: int, kind: str = "full",
         extra = rng.normal(size=(4 * len(basis) + 8, d))
         extra /= np.linalg.norm(extra, axis=1, keepdims=True)
         sample = np.vstack([sample, extra])
-        keep = _independent_columns(PolyBatch(basis)(sample))
+        keep, _ = _independent_columns(PolyBatch(basis)(sample))
         basis = [basis[i] for i in keep]
     return tuple(basis)
 
 
-def _independent_columns(Phi: np.ndarray) -> list[int]:
-    """Greedy modified Gram-Schmidt: indices of a maximal independent prefix set."""
-    keep: list[int] = []
-    ortho: list[np.ndarray] = []
-    for j in range(Phi.shape[1]):
-        v = Phi[:, j].astype(float).copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            continue
-        for u in ortho:
-            v -= (u @ v) * u
-        # second pass for numerical safety
-        for u in ortho:
-            v -= (u @ v) * u
-        if np.linalg.norm(v) > INDEPENDENCE_TOL * norm0:
-            ortho.append(v / np.linalg.norm(v))
-            keep.append(j)
-    return keep
+def _independent_columns(Phi: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Greedy rank check: the columns independent of the kept ones before
+    them (|R_jj| of a QR above INDEPENDENCE_TOL times the column's norm) and
+    the R of their QR.  The first dependent column is dropped and the rest
+    factorized again, from the first R, whose columns span as Phi's do."""
+    keep, norms = list(range(Phi.shape[1])), np.linalg.norm(Phi, axis=0)
+    R = first = np.linalg.qr(Phi, mode="r")
+    while True:
+        # past N columns, each column depends on the first N
+        small = np.ones(len(keep), dtype=bool)
+        small[:len(R)] = np.abs(np.diagonal(R)) <= INDEPENDENCE_TOL * norms[keep[:len(R)]]
+        if not small.any():
+            return keep, R
+        del keep[int(np.argmax(small))]
+        R = np.linalg.qr(first[:, keep], mode="r")
 
 
 class SpanError(PolyError):
     """The basis is not closed under the affine change to box coordinates."""
+
+
+class RankError(PolyError):
+    """The basis functions are linearly dependent on the grid."""
 
 
 def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
@@ -183,25 +185,33 @@ def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
     in box coordinates u = 2x - 1; the exact change-of-basis matrix maps LP
     coefficients back to the original basis.  Returns (scaled basis polys,
     M with original_coeffs = M @ scaled_coeffs)."""
-    d = basis[0].nvars
     if domain.kind not in (SIMPLEX, SIMPLEX_FACE):
         return basis, np.eye(len(basis))
-    inners = [2 * Poly.variable(d, i) - 1 for i in range(d)]
-    scaled = [b.compose(inners) for b in basis]
+    # (2x - 1)^e = sum_j binom[e][e - j] x^j; each term of each function
+    # expands into integer products, in the order Poly.compose reaches them
+    binom = [[math.comb(e, j) * 2 ** j * (-1) ** (e - j) for j in range(e, -1, -1)]
+             for e in range(max(b.degree() for b in basis) + 1)]
+    plain = [{e: _plain(c) for e, c in b.sorted_terms()} for b in basis]
+    scaled = [{} for _ in basis]
+    for total, terms in zip(scaled, plain):
+        for exp, coef in terms.items():
+            for key, cs in zip(product(*(range(e, -1, -1) for e in exp)),
+                               product(*(binom[e] for e in exp))):
+                total[key] = total.get(key, 0) + coef * math.prod(cs)
     # exact coordinates of each scaled function in the original basis: each
     # basis function is identified by its graded-lex-leading exponent, and the
     # expansion is verified by exact reconstruction
-    index = {b.sorted_terms()[-1][0]: i for i, b in enumerate(basis)}
+    index = {next(reversed(terms)): i for i, terms in enumerate(plain)}
     M = np.zeros((len(basis), len(basis)))
     for j, s in enumerate(scaled):
-        rest = dict(s.terms)
-        for i, c in ((index[key], c) for key, c in s.terms.items() if key in index):
+        rest = dict(s)
+        for i, c in ((index[key], c) for key, c in s.items() if key in index):
             M[i, j] = float(c)
-            for e, b in basis[i].terms.items():
+            for e, b in plain[i].items():
                 rest[e] = rest.get(e, 0) - c * b
         if any(rest.values()):
             raise SpanError("affine rescaling left the basis span")
-    return scaled, M
+    return [Poly(basis[0].nvars, s) for s in scaled], M
 
 
 # --------------------------------------------------------------------------
@@ -270,15 +280,15 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     grid = approx_grid(prob.domain, prob.grid)
     batch = PolyBatch(scaled_f)
     Phi = batch(grid)
-    keep = _independent_columns(Phi)
+    keep, R = _independent_columns(Phi)
     if len(keep) != len(basis):
         dropped = next(j for j in range(len(basis)) if j not in keep)
-        raise PolyError(
+        raise RankError(
             f"basis is rank-deficient on the grid: {basis[dropped]!r} is "
             "dependent on the preceding functions")
     mix = None
     if prob.domain.kind in (BALL, SPHERE):
-        mix = np.linalg.inv(np.linalg.qr(Phi, mode="r")) * math.sqrt(len(grid))
+        mix = np.linalg.inv(R) * math.sqrt(len(grid))
         Phi = Phi @ mix
     target_f = prob.target.to_float64()
     return _ProblemBasis(
@@ -301,14 +311,14 @@ def _crash_basis(Phi: np.ndarray, f: np.ndarray) -> list[int]:
     the weights |lam_i| / sum |lam|, so the basis matrix is nonsingular
     whenever the k rows are independent."""
     N, k = Phi.shape
-    U = Phi.copy()
+    U = Phi.T.copy()   # a row per column of Phi: each step updates one row block
     free = np.ones(N, dtype=bool)
     rows = []
     for j in range(k):
-        p = int(np.argmax(np.where(free, np.abs(U[:, j]), -1.0)))
+        p = int(np.argmax(np.where(free, np.abs(U[j]), -1.0)))
         rows.append(p)
         free[p] = False
-        U[:, j + 1:] -= np.outer(U[:, j] / U[p, j], U[p, j + 1:])
+        U[j + 1:] -= np.outer(U[j + 1:, p], U[j] / U[j, p])
     S = Phi[rows]
     resid = f - Phi @ np.linalg.solve(S, f[rows])
     w = int(np.argmax(np.where(free, np.abs(resid), -1.0)))

@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    from .bestapprox import ApproxProblem, SpanError, remez_exchange
+    from .bestapprox import ApproxProblem, RankError, SpanError, remez_exchange
     from .polycore import Poly
     try:
         exponents = tuple(int(v) for v in args.monomial.split(","))
@@ -309,6 +309,9 @@ def cmd_approx(args) -> int:
         res = remez_exchange(prob, seed=args.seed)
     except SpanError as exc:
         sys.stderr.write(f"approx: --basis {basis} on {domain.label()}: {exc}\n")
+        return EXIT_USAGE
+    except RankError as exc:
+        sys.stderr.write(f"approx: --grid {args.grid} is too coarse, raise it: {exc}\n")
         return EXIT_USAGE
     except (LPError, PolyError) as exc:
         sys.stderr.write(f"approx: solver failed: {exc}\n")

@@ -385,13 +385,17 @@ class PolyBatch(MonomialTable):
     """Float64 values of several polynomials in the same variables, read from
     one monomial table per EVAL_CHUNK points over the graded union of their
     exponents (term_matrix).  Column k equals the k-th polynomial's
-    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous (an
-    F-ordered gather takes another BLAS kernel and rounding) and summed by
-    one matrix-vector product; a batch of one reads the table."""
+    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous by
+    np.take (an F-ordered gather takes another BLAS kernel and rounding) and
+    summed by one matrix-vector product; one with every table column, as a
+    batch of one, reads the table.  That product sums the last N mod 4 rows
+    apart, so a value's last bit can depend on how many points one call
+    evaluates: reported floats rely on the callers' batch sizes, on
+    EVAL_CHUNK being a power of two and on the C-contiguous gather."""
 
     def __init__(self, polys: Sequence[Poly]):
         E, V = term_matrix(polys)
-        self.index = [np.flatnonzero(v) for v in V] if len(V) > 1 else [slice(None)]
+        self.index = [np.flatnonzero(v) for v in V]
         self.coefs = [v[idx] for v, idx in zip(V, self.index)]
         super().__init__(E)
 
@@ -399,7 +403,8 @@ class PolyBatch(MonomialTable):
         out = np.empty((len(points), len(self.coefs)))
         for lo, table in self.tables(points):
             for k, (idx, coefs) in enumerate(zip(self.index, self.coefs)):
-                out[lo:lo + len(table), k] = np.ascontiguousarray(table[:, idx]) @ coefs
+                terms = table if len(idx) == table.shape[1] else np.take(table, idx, axis=1)
+                out[lo:lo + len(table), k] = terms @ coefs
         return out
 
 
@@ -551,25 +556,22 @@ def restrict_affine_last(p: Poly) -> Poly:
     return p.compose(inners + [last])
 
 
+def exponent_array(n: int, d: int) -> np.ndarray:
+    """All exponents of total degree <= n in d variables, as the rows of an
+    integer array in lexicographic order: each step repeats every prefix
+    once per value its remaining degree allows and appends those values."""
+    rows, left = np.zeros((1, 0), dtype=np.int64), np.array([n])
+    for _ in range(d):
+        counts = np.maximum(left + 1, 0)
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), value])
+        left = np.repeat(left, counts) - value
+    return rows
+
+
 def monomial_exponents(n: int, d: int) -> list[Exponent]:
-    """All exponent tuples of total degree <= n in d variables, in
-    lexicographic order."""
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == d - 1:
-            for e in range(remaining + 1):
-                out.append(tuple(prefix + [e]))
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            rec(prefix, remaining - e, pos + 1)
-            prefix.pop()
-
-    if d == 0:
-        return [()]
-    rec([], n, 0)
-    return out
+    """The rows of exponent_array(n, d) as tuples."""
+    return list(map(tuple, exponent_array(n, d).tolist()))
 
 
 def insert_zero(point: Sequence[Scalar], index: int) -> tuple:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
-                       monomial_exponents, restrict_affine_last, restrict_zero, term_matrix)
+                       exponent_array, restrict_affine_last, restrict_zero, term_matrix)
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
@@ -44,7 +44,7 @@ class SupNormReport:
 
 def _simplex_lattice(d: int, m: int) -> np.ndarray:
     """Barycentric lattice {x >= 0, sum x <= 1} with spacing 1/m."""
-    return np.array(monomial_exponents(m, d), dtype=float) / m
+    return exponent_array(m, d) / m
 
 
 def sample_domain(dom: Domain, resolution: int) -> np.ndarray:

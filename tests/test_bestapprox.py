@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -11,10 +12,10 @@ from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev.lp import LPError
-from chebydev.polycore import Poly, PolyError
+from chebydev.polycore import Poly, PolyBatch, PolyError
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
-from chebydev.supnorm import sup_norm
+from chebydev.supnorm import sample_domain, sup_norm
 
 
 def assert_upper_is_residual_sup(res, prob):
@@ -412,6 +413,155 @@ class TestScaledBasis:
 
     def test_span_error_is_a_poly_error(self):
         assert issubclass(bestapprox.SpanError, PolyError)
+
+    @pytest.mark.parametrize("kind", ["full", "symmetric"])
+    def test_no_compose_call(self, monkeypatch, kind):
+        # the box change expands each term by integer binomial products
+        bases = [invariant_basis(4, d, kind) for d in (2, 3, 4)]
+
+        def no_compose(*args):
+            raise AssertionError("Poly.compose was called")
+
+        monkeypatch.setattr(Poly, "compose", no_compose)
+        for basis in bases:
+            scaled, _ = bestapprox._scaled_basis(basis, simplex(basis[0].nvars))
+            assert len(scaled) == len(basis)
+
+
+def _gram_schmidt_columns(Phi):
+    """The reference rank check: greedy modified Gram-Schmidt with a second
+    pass, a column kept when more than INDEPENDENCE_TOL of its norm stays."""
+    keep, ortho = [], []
+    for j in range(Phi.shape[1]):
+        v = Phi[:, j].astype(float).copy()
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0:
+            continue
+        for _ in range(2):
+            for u in ortho:
+                v -= (u @ v) * u
+        if np.linalg.norm(v) > bestapprox.INDEPENDENCE_TOL * norm0:
+            ortho.append(v / np.linalg.norm(v))
+            keep.append(j)
+    return keep
+
+
+def _outer_product_crash(Phi, f):
+    """The reference crash basis: elimination on the columns of Phi by
+    outer-product updates."""
+    N, k = Phi.shape
+    U = Phi.copy()
+    free = np.ones(N, dtype=bool)
+    rows = []
+    for j in range(k):
+        p = int(np.argmax(np.where(free, np.abs(U[:, j]), -1.0)))
+        rows.append(p)
+        free[p] = False
+        U[:, j + 1:] -= np.outer(U[:, j] / U[p, j], U[p, j + 1:])
+    S = Phi[rows]
+    resid = f - Phi @ np.linalg.solve(S, f[rows])
+    w = int(np.argmax(np.where(free, np.abs(resid), -1.0)))
+    lam = np.append(-np.linalg.solve(S.T, Phi[w]), 1.0)
+    negative = lam * (1.0 if resid[w] >= 0 else -1.0) < 0
+    return [i + N * neg for i, neg in zip(rows + [w], negative)]
+
+
+# the discrete minimax problems of the benchmark's lp workload
+LP_GRIDS = [((2, 2, 2), 5, simplex(3), "symmetric", g) for g in (8, 12, 16, 24)] + [
+    ((2, 2, 2), 5, simplex(3), "full", 8), ((2, 2, 2), 5, simplex(3), "full", 16),
+    ((1, 1, 1), 2, simplex(3), "full", 48), ((1, 1, 1, 1), 3, simplex(4), "full", 8),
+    ((1, 1, 1, 1), 3, simplex(4), "full", 12), ((2, 2, 2), 5, ball(3), "even", 12),
+    ((1, 1, 1), 2, sphere(3), "full", 24), ((1, 1, 1, 1), 3, simplex(4), "symmetric", 16)]
+
+
+def _lp_grid_id(spec):
+    target, degree, domain, basis, grid = spec
+    return f"{''.join(map(str, target))}_deg{degree}_{domain.label()}_{basis}_g{grid}"
+
+
+class TestRankCheck:
+    """The QR rank check keeps the columns the Gram-Schmidt reference keeps."""
+
+    # the reference costs a vector operation per pair of columns, so the
+    # full monomial bases stop at this many functions
+    MAX_COLUMNS = 120
+
+    @pytest.mark.parametrize("kind", ["full", "symmetric", "even-symmetric"])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_sphere_reductions(self, monkeypatch, kind, d):
+        # |x|^2 = 1 makes functions of each basis dependent on the sphere:
+        # invariant_basis reduces the symmetric kinds by the rank check, and
+        # the full monomial basis, which it reduces by exponents, is checked
+        # here on its sphere grid
+        rank_check, dropped = bestapprox._independent_columns, []
+
+        def compared(Phi):
+            keep, R = rank_check(Phi)
+            assert keep == _gram_schmidt_columns(Phi)
+            assert R.shape == (len(keep), len(keep))
+            dropped.append(Phi.shape[1] - len(keep))
+            return keep, R
+
+        monkeypatch.setattr(bestapprox, "_independent_columns", compared)
+        for n in range(9):
+            if kind != "full":
+                invariant_basis.__wrapped__(n, d, kind, for_sphere=True)
+            elif comb(n + d, d) <= self.MAX_COLUMNS:
+                compared(PolyBatch(invariant_basis(n, d, kind))(sample_domain(sphere(d), 3)))
+        assert len(dropped) > 2 and max(dropped) > 2
+
+    def test_zero_column(self):
+        Phi = np.random.default_rng(1).normal(size=(20, 5))
+        Phi[:, 2] = 0.0
+        Phi[:, 4] = Phi[:, 0] - 2 * Phi[:, 3]
+        assert bestapprox._independent_columns(Phi)[0] == _gram_schmidt_columns(Phi) == [0, 1, 3]
+
+    def test_fewer_points_than_functions(self):
+        Phi = np.random.default_rng(2).normal(size=(4, 7))
+        Phi[:, 1] = 3 * Phi[:, 0]
+        keep, R = bestapprox._independent_columns(Phi)
+        assert keep == _gram_schmidt_columns(Phi) == [0, 2, 3, 4]
+        assert R.shape == (4, 4)
+
+    @pytest.mark.parametrize("spec", LP_GRIDS, ids=_lp_grid_id)
+    def test_lp_grids(self, spec):
+        target, degree, domain, basis, grid = spec
+        pb = bestapprox._problem_basis(
+            ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+        Phi = pb.batch(pb.grid)
+        assert bestapprox._independent_columns(Phi)[0] == _gram_schmidt_columns(Phi) \
+            == list(range(len(pb.basis)))
+        assert bestapprox._crash_basis(pb.grid_columns, pb.grid_target) == \
+            _outer_product_crash(pb.grid_columns, pb.grid_target)
+
+    def test_rank_error_names_the_dependent_function(self):
+        assert issubclass(bestapprox.RankError, PolyError)
+        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "full", grid=1)
+        with pytest.raises(bestapprox.RankError, match=r"x2\^2, rational\) is dependent"):
+            discrete_minimax(prob)
+
+
+class TestPinnedBits:
+    # hex deviation and sha256 of the coefficient bytes, recorded from the
+    # Gram-Schmidt rank check, the compose-based box change, the per-column
+    # gather and the column-major crash elimination that the array versions
+    # replaced; ball3 reuses the rank check's R to condition its LP columns
+    @pytest.mark.parametrize("spec, deviation, digest", [
+        (((2, 2, 2), 5, simplex(3), "full", 8), "0x1.a11a7b9611a7bp-15",
+         "f0adedd1e7be5394488f17a973af81061ba8526a0fb46b70332e5a915ed4251f"),
+        (((1, 1, 1, 1), 3, simplex(4), "full", 8), "0x1.1745d1745d173p-10",
+         "0cf8f37d8dbea33e52b3f66ce2c93072449e30d72aa053a2b39a67d98fd26b89"),
+        (((2, 2, 2), 5, ball(3), "even", 12), "0x1.44b647839135ep-7",
+         "269437b5f61f679088c178bd9ddc551fa953d41d5b3f069f339d3a50bb4fb1c1"),
+        (((1, 1, 1), 2, sphere(3), "full", 24), "0x1.8a2345cc04427p-3",
+         "0a114d82b044dc4966020c5e0e487357deec23b6bf64d7744e965fa2af4dc1ed"),
+    ], ids=["sq_deg5_full_g8", "x1x2x3x4_deg3_full_g8", "ball3_sq_deg5_even_g12",
+            "sphere3_x1x2x3_deg2_full_g24"])
+    def test_discrete_minimax_keeps_its_bits(self, spec, deviation, digest):
+        target, degree, domain, basis, grid = spec
+        res = discrete_minimax(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+        assert res.deviation.hex() == deviation
+        assert hashlib.sha256(res.coefficients.tobytes()).hexdigest() == digest
 
 
 class TestProblemOnce:

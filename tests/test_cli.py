@@ -188,6 +188,20 @@ class TestApprox:
         assert code == 2
         assert "left the basis span" in capsys.readouterr().err
 
+    def test_grid_too_coarse_for_the_basis_is_a_usage_error(self, capsys, monkeypatch):
+        # four grid points cannot carry the quadratics: the rank check on the
+        # grid refuses the problem before any LP
+        import chebydev.bestapprox as ba
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(ba, "simplex_solve", no_solve)
+        code = cli.main(["approx", "--monomial", "1,1,1", "--degree", "2", "--grid", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "raise it" in err and "x0^2, rational) is dependent" in err
+
     def test_even_constants_on_the_simplex(self, capsys):
         code, out = run(["approx", "--monomial", "2,2,2", "--degree", "1",
                          "--basis", "even", "--grid", "8"], capsys)

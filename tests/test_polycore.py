@@ -63,6 +63,33 @@ class TestEval:
         assert isinstance(Poly.zero(2, FLOAT64).eval((1, 1)), float)
 
 
+def _recursive_exponents(n, d):
+    """The reference enumeration: exponents of degree <= n in d variables,
+    prefix by prefix in lexicographic order."""
+    out = []
+
+    def rec(prefix, remaining, pos):
+        for e in range(remaining + 1):
+            if pos == d - 1:
+                out.append(tuple(prefix + [e]))
+            else:
+                rec(prefix + [e], remaining - e, pos + 1)
+
+    if d == 0:
+        return [()]
+    rec([], n, 0)
+    return out
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_monomial_exponents_match_the_recursion(d):
+    for n in range(-1, 11):
+        got = monomial_exponents(n, d)
+        assert got == _recursive_exponents(n, d), n
+        assert all(type(v) is int for e in got for v in e)
+        assert polycore.exponent_array(n, d).shape == (len(got), d)
+
+
 def _random_float_poly(rng, nvars, degree):
     exps = monomial_exponents(degree, nvars)
     keep = rng.random(len(exps)) < 0.7

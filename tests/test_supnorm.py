@@ -111,6 +111,18 @@ class TestLatticeBits:
             got, want = sample_domain(dom, m), _reference_sample_domain(dom, m)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
 
+    @pytest.mark.parametrize("dom", [simplex(d) for d in range(1, 6)]
+                             + [simplex_face(d) for d in range(2, 7)],
+                             ids=lambda dom: f"{dom.kind}{dom.dimension}")
+    def test_simplex_grids_match_the_filtered_product(self, dom):
+        # reference: the lexicographic product of 0..m per variable, rows of
+        # sum <= m kept, over m
+        for m in range(1, 33 if dom.nvars <= 3 else 11):
+            want = np.array([e for e in itertools.product(range(m + 1), repeat=dom.nvars)
+                             if sum(e) <= m], dtype=float).reshape(-1, dom.nvars) / m
+            got = sample_domain(dom, m)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), m
+
     @pytest.mark.parametrize("d,resolutions", [(3, range(1, 50)), (4, range(1, 9)),
                                                (5, range(1, 6))])
     def test_approx_grid_matches_product_lattice(self, d, resolutions):
