@@ -8,6 +8,9 @@ minimax oracle built on a from-scratch deterministic simplex LP.
 
 __version__ = "0.1.0"
 
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads; see the README
+
 from .domains import Domain, ball, simplex, simplex_face, sphere
 from .polycore import (FLOAT64, RATIONAL, DimensionMismatchError,
                        FieldMismatchError, Poly, PolyError, insert_zero,

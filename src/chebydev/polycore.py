@@ -350,14 +350,18 @@ class MonomialTable:
             raise DimensionMismatchError(
                 f"grid shape {pts.shape} incompatible with nvars={self.nvars}")
         for lo in range(0, len(pts), EVAL_CHUNK):
-            chunk = pts[lo:lo + EVAL_CHUNK]
-            pows = chunk[:, :, None] ** self.powers
-            # copy the first factor in rather than multiply it into ones: same bits, one pass less
-            table = np.empty((len(chunk), self.exps.shape[1]))
-            table[...] = pows[:, 0, self.exps[0]] if self.nvars else 1.0
-            for i in range(1, self.nvars):
-                table *= pows[:, i, self.exps[i]]
-            yield lo, table
+            yield lo, self.table(pts[lo:lo + EVAL_CHUNK])
+
+    def table(self, points: np.ndarray) -> np.ndarray:
+        """The C-contiguous monomial table at up to EVAL_CHUNK (n, nvars) points."""
+        pts = np.ascontiguousarray(points, dtype=float)
+        pows = pts[:, :, None] ** self.powers
+        # copy the first factor in rather than multiply it into ones: same bits, one pass less
+        table = np.empty((len(pts), self.exps.shape[1]))
+        table[...] = pows[:, 0, self.exps[0]] if self.nvars else 1.0
+        for i in range(1, self.nvars):
+            table *= pows[:, i, self.exps[i]]
+        return table
 
     def dot(self, points: np.ndarray, C: np.ndarray) -> np.ndarray:
         """The monomial table at points times C (a row per table column)."""
@@ -438,31 +442,32 @@ class DerivativeMap:
         self.rows = (np.cumsum(run) - 1)[np.argsort(order)]
         self.shape = (int(run.sum()), len(i))
         self.table = MonomialTable(rows[order[run]])
+        self.hidx = np.empty((k, k), dtype=np.intp)   # the column of Hessian entry (i, j)
+        self.hidx[upper] = self.hidx[upper[::-1]] = np.arange(k, len(i))
 
     def __call__(self, coefs: np.ndarray) -> "Derivatives":
         C = np.zeros(self.shape)
         C[self.rows, self.cols] = (coefs[self.src] * self.f1) * self.f2
-        return Derivatives(self.table, C)
+        return Derivatives(self.table, C, self.hidx)
 
 
 class Derivatives:
     """Gradient and upper-triangle Hessian of a polynomial in float64: one
-    monomial table per EVAL_CHUNK points, its monomials in graded
-    lexicographic order, times a fixed coefficient matrix C, a column per
-    entry (see DerivativeMap).  The sums run in BLAS order over every table
-    column, so an entry agrees with its partial's ``eval_grid`` to rounding,
-    not bit for bit; a vanishing one is 0."""
+    monomial table per EVAL_CHUNK points, its monomials in graded lexicographic
+    order, times a fixed coefficient matrix C, a column per entry (see
+    DerivativeMap), the Hessian gathered by the (k, k) index hidx.  BLAS sums
+    make an entry agree with its partial's ``eval_grid`` to rounding, not bit
+    for bit; a vanishing one is 0.  The table must stay C-contiguous: another
+    layout takes another BLAS kernel and moves last bits."""
 
-    def __init__(self, table: MonomialTable, C: np.ndarray):
-        self.nvars, (self.i, self.j) = table.nvars, np.triu_indices(table.nvars)
-        self.batch, self.C = table, C
+    def __init__(self, table: MonomialTable, C: np.ndarray, hidx: np.ndarray):
+        self.nvars, self.batch, self.C, self.hidx = table.nvars, table, C, hidx
 
     def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradients, Hessians) at an (N, nvars) array of points."""
-        k, out = self.nvars, self.batch.dot(points, self.C)
-        H = np.empty((len(points), k, k))
-        H[:, self.i, self.j] = H[:, self.j, self.i] = out[:, k:]
-        return out[:, :k], H
+        out = (self.batch.table(points) @ self.C if len(points) <= EVAL_CHUNK
+               else self.batch.dot(points, self.C))
+        return out[:, :self.nvars], out[:, self.hidx]
 
 
 # -- module-level operations ------------------------------------------------

@@ -25,6 +25,7 @@ from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly,
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
+DEDUP_BLOCK = 128   # dedup_points compares the points this many rows at a time
 # Newton starts per domain dimension, spread over the faces of a simplex
 STARTS_PER_DIMENSION = 50
 
@@ -118,18 +119,26 @@ def _symmetric(p) -> bool:
 
 def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
     """Indices of the greedy first-wins subset of the points: a point is kept
-    when its max-norm distance to every point already kept is > tol.  The
-    loop runs once per kept point: the next one is the first not yet near."""
+    when its max-norm distance to every point already kept is > tol.  Each
+    block of DEDUP_BLOCK rows is compared once with the points kept before
+    it and with itself; then the loop runs once per kept point."""
     if len(points) == 0:
         return []
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-    unseen = np.ones(len(pts), dtype=bool)  # farther than tol from all kept
     kept: list[int] = []
-    while unseen.any():
-        i = int(np.argmax(unseen))
-        kept.append(i)
-        unseen[i] = False
-        unseen &= np.max(np.abs(pts - pts[i]), axis=1) > tol
+    for lo in range(0, len(pts), DEDUP_BLOCK):
+        block, nk = pts[lo:lo + DEDUP_BLOCK], len(kept)
+        ref = np.vstack([pts[kept], block])    # the points kept so far, then the block
+        dist = np.abs(block[:, None, 0] - ref[:, 0])  # max-norm distances, NaN at a NaN
+        for i in range(1, pts.shape[1]):
+            np.maximum(dist, np.abs(block[:, None, i] - ref[:, i]), out=dist)
+        far = dist > tol
+        unseen = far[:, :nk].all(axis=1)    # far from every point kept before the block
+        while unseen.any():
+            i = int(np.argmax(unseen))
+            kept.append(lo + i)
+            unseen[i] = False
+            unseen &= far[i, nk:]
     return kept
 
 
@@ -205,19 +214,27 @@ def _lockstep(Z: np.ndarray, evaluate, advance, tol: float, max_iter: int):
     converged rows.  evaluate gives the running rows' residuals F and Jacobians
     J from one evaluation; a row converges when max|F| <= tol or when advance,
     given rows and steps -J^-1 F, flags its step as negligible; a row that
-    advance leaves non-finite is dead and is never reported."""
+    advance leaves non-finite is dead and is never reported.  The running
+    rows (indices idx, values R) are written back into Z as they stop."""
     converged = np.zeros(len(Z), dtype=bool)
+    idx = np.flatnonzero(np.isfinite(Z).all(axis=1))
+    R = Z[idx]
     for _ in range(max_iter):
-        run = np.where(~converged & np.isfinite(Z).all(axis=1))[0]
-        if run.size == 0:
+        if idx.size == 0:
             break
-        F, J = evaluate(Z[run])
+        F, J = evaluate(R)
         done = np.max(np.abs(F), axis=1) <= tol
-        converged[run[done]] = True
-        run, F, J = run[~done], F[~done], J[~done]
-        if run.size:
-            Z[run], negligible = advance(Z[run], _batched_solve(J, F))
-            converged[run[negligible]] = True
+        if done.any():
+            Z[idx[done]], converged[idx[done]] = R[done], True
+            idx, R, F, J = idx[~done], R[~done], F[~done], J[~done]
+            if idx.size == 0:
+                break
+        R, negligible = advance(R, _batched_solve(J, F))
+        leave = negligible | ~np.isfinite(R).all(axis=1)
+        if leave.any():
+            Z[idx[leave]], converged[idx[negligible]] = R[leave], True
+            idx, R = idx[~leave], R[~leave]
+    Z[idx] = R
     return converged
 
 
@@ -234,16 +251,17 @@ def _newton_critical_points(ders: Derivatives, starts: np.ndarray, feasible,
     X = np.array(starts, dtype=float).reshape(-1, k)
 
     def advance(X, s):
-        limit = 1.0 + np.linalg.norm(X, axis=1)
-        norms = np.linalg.norm(s, axis=1)
+        limit = 1.0 + np.sqrt(np.add.reduce(X * X, axis=1))
+        norms = np.sqrt(np.add.reduce(s * s, axis=1))
         shrink = norms > limit
-        s[shrink] *= (limit[shrink] / norms[shrink])[:, None]
+        if shrink.any():
+            s[shrink] *= (limit[shrink] / norms[shrink])[:, None]
         X = X + s
-        return X, norms <= 1e-15 * (1.0 + np.linalg.norm(X, axis=1))
+        return X, norms <= 1e-15 * (1.0 + np.sqrt(np.add.reduce(X * X, axis=1)))
 
     ok = _lockstep(X, ders, advance, grad_tol, 60)
-    found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
-    return [found[i] for i in dedup_points(found)]
+    found = X[ok & feasible(X)]
+    return list(map(tuple, found[dedup_points(found)].tolist()))
 
 
 def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: float):
@@ -255,27 +273,31 @@ def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: flo
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
     Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders(X)[0], X)])
+    eye = np.eye(d)
 
     def evaluate(Z):
         X, lam = Z[:, :d], Z[:, d]
         G, H = ders(X)
         J = np.zeros((len(Z), d + 1, d + 1))
-        J[:, :d, :d] = H - 2 * lam[:, None, None] * np.eye(d)
+        J[:, :d, :d] = H - 2 * lam[:, None, None] * eye
         J[:, :d, d] = -2 * X
         J[:, d, :d] = 2 * X
-        return np.concatenate([G - 2 * lam[:, None] * X,
-                               (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1), J
+        F = np.empty((len(Z), d + 1))
+        F[:, :d] = G - 2 * lam[:, None] * X
+        F[:, d] = np.einsum("ij,ij->i", X, X) - 1.0
+        return F, J
 
     def advance(Z, s):
         Z = Z + s
-        n = np.linalg.norm(Z[:, :d], axis=1)
+        X = Z[:, :d]
+        n = np.sqrt(np.add.reduce(X * X, axis=1))
         pos = n > 0
         Z[pos, :d] /= n[pos, None]
-        return Z, np.linalg.norm(s, axis=1) <= 1e-15
+        return Z, np.sqrt(np.add.reduce(s * s, axis=1)) <= 1e-15
 
     ok = _lockstep(Z, evaluate, advance, grad_tol, 80)
-    found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
-    return [found[i] for i in dedup_points(found)]
+    found = Z[ok, :d]
+    return list(map(tuple, found[dedup_points(found)].tolist()))
 
 
 def _simplex_starts(rng: np.random.Generator, k: int, count: int) -> np.ndarray:

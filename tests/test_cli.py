@@ -227,6 +227,21 @@ class TestModuleEntry:
         assert proc.returncode == 2 and "left the basis span" in proc.stderr
 
 
+class TestBlasThreads:
+    """Importing chebydev asks OpenBLAS for one thread unless the variable is set."""
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+    def test_import_sets_one_thread_unless_set(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, chebydev; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.strip() == want
+
+
 class TestTables:
     def test_rd_table_rows(self, capsys):
         code, out = run(["rd-table", "--max-d", "11"], capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
                                     build_u5, derive_r5_constants)
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
-from chebydev import bestapprox, polycore, supnorm
+from chebydev import bestapprox, cli, polycore, supnorm
 from chebydev.polycore import Poly, restrict_zero
 from chebydev.signatures import r5_diagonal_parameters
 from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
@@ -856,3 +857,258 @@ class TestDeterminant:
             for j in range(i + 1, d - 1):
                 v = v * (Poly.variable(d, j) - Poly.variable(d, i))
         assert v == rep["determinant"]
+
+
+# --------------------------------------------------------------------------
+# the Newton kernel against its earlier form: a gather and scatter of the
+# running rows over the whole array each step, the Hessian filled by two
+# fancy assignments, rows converted to tuples before one dedup loop per kept
+# point; the search must give the same bits
+# --------------------------------------------------------------------------
+
+
+def _reference_batched_solve(H, g):
+    k = H.shape[1]
+    with np.errstate(invalid="ignore"):
+        dets = np.linalg.det(H)
+    bad = ~(np.abs(dets) > 1e-14 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-30) ** k)
+    if bad.any():
+        H = H.copy()
+        H[bad] = np.eye(k)
+    step = np.linalg.solve(H, -g[..., None])[..., 0]
+    step[bad] = np.nan
+    return step
+
+
+def _reference_lockstep(Z, evaluate, advance, tol, max_iter):
+    converged = np.zeros(len(Z), dtype=bool)
+    for _ in range(max_iter):
+        run = np.where(~converged & np.isfinite(Z).all(axis=1))[0]
+        if run.size == 0:
+            break
+        F, J = evaluate(Z[run])
+        done = np.max(np.abs(F), axis=1) <= tol
+        converged[run[done]] = True
+        run, F, J = run[~done], F[~done], J[~done]
+        if run.size:
+            Z[run], negligible = advance(Z[run], _reference_batched_solve(J, F))
+            converged[run[negligible]] = True
+    return converged
+
+
+def _reference_dedup_points(points, tol=supnorm.DEDUP_TOL):
+    if len(points) == 0:
+        return []
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    unseen = np.ones(len(pts), dtype=bool)
+    kept = []
+    while unseen.any():
+        i = int(np.argmax(unseen))
+        kept.append(i)
+        unseen[i] = False
+        unseen &= np.max(np.abs(pts - pts[i]), axis=1) > tol
+    return kept
+
+
+def _reference_derivatives_call(self, points):
+    k = self.nvars
+    out = np.empty((len(points), self.C.shape[1]))
+    for lo, table in self.batch.tables(points):
+        out[lo:lo + len(table)] = table @ self.C
+    i, j = np.triu_indices(k)
+    H = np.empty((len(points), k, k))
+    H[:, i, j] = H[:, j, i] = out[:, k:]
+    return out[:, :k], H
+
+
+def _reference_newton_critical_points(ders, starts, feasible, grad_tol):
+    k = ders.nvars
+    if k == 0:
+        return [()]
+    X = np.array(starts, dtype=float).reshape(-1, k)
+
+    def advance(X, s):
+        limit = 1.0 + np.linalg.norm(X, axis=1)
+        norms = np.linalg.norm(s, axis=1)
+        shrink = norms > limit
+        s[shrink] *= (limit[shrink] / norms[shrink])[:, None]
+        X = X + s
+        return X, norms <= 1e-15 * (1.0 + np.linalg.norm(X, axis=1))
+
+    ok = _reference_lockstep(X, ders, advance, grad_tol, 60)
+    found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
+    return [found[i] for i in _reference_dedup_points(found)]
+
+
+def _reference_sphere_critical_points(ders, starts, grad_tol):
+    d = ders.nvars
+    X = np.array(starts, dtype=float).reshape(-1, d)
+    nrm = np.linalg.norm(X, axis=1)
+    X = X[nrm > 0] / nrm[nrm > 0, None]
+    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders(X)[0], X)])
+
+    def evaluate(Z):
+        X, lam = Z[:, :d], Z[:, d]
+        G, H = ders(X)
+        J = np.zeros((len(Z), d + 1, d + 1))
+        J[:, :d, :d] = H - 2 * lam[:, None, None] * np.eye(d)
+        J[:, :d, d] = -2 * X
+        J[:, d, :d] = 2 * X
+        return np.concatenate([G - 2 * lam[:, None] * X,
+                               (np.einsum("ij,ij->i", X, X) - 1.0)[:, None]], axis=1), J
+
+    def advance(Z, s):
+        Z = Z + s
+        n = np.linalg.norm(Z[:, :d], axis=1)
+        pos = n > 0
+        Z[pos, :d] /= n[pos, None]
+        return Z, np.linalg.norm(s, axis=1) <= 1e-15
+
+    ok = _reference_lockstep(Z, evaluate, advance, grad_tol, 80)
+    found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
+    return [found[i] for i in _reference_dedup_points(found)]
+
+
+def _with_reference_kernel(monkeypatch, search):
+    """search() run on the reference Newton kernel and dedup."""
+    with monkeypatch.context() as m:
+        m.setattr(supnorm, "_newton_critical_points", _reference_newton_critical_points)
+        m.setattr(supnorm, "_sphere_critical_points", _reference_sphere_critical_points)
+        m.setattr(supnorm, "dedup_points", _reference_dedup_points)
+        m.setattr(polycore.Derivatives, "__call__", _reference_derivatives_call)
+        return search()
+
+
+def _hex(obj):
+    """obj with every float written as float.hex(), for exact comparison."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_hex(v) for v in obj)
+    return obj
+
+
+def _random_quartic(rng, d, symmetric=False):
+    """A quartic in d variables with every term; with symmetric, the terms of
+    one S_d orbit share a coefficient."""
+    coefs, terms = {}, {}
+    for e in polycore.monomial_exponents(4, d):
+        key = tuple(sorted(e, reverse=True)) if symmetric else e
+        terms[e] = coefs.setdefault(key, float(rng.normal()))
+    return Poly(d, terms, "float64")
+
+
+class TestKernelAgainstReference:
+    CASES = [(d, dom, symmetric) for d in (2, 3, 4)
+             for dom, symmetric in ((simplex, False), (simplex, True), (ball, False),
+                                    (sphere, False))]
+
+    @pytest.mark.parametrize("d, dom, symmetric", CASES,
+                             ids=[f"{dom.__name__}{d}{'_chamber' if s else ''}"
+                                  for d, dom, s in CASES])
+    def test_search_bits(self, monkeypatch, d, dom, symmetric):
+        rng = np.random.default_rng(40 + d)
+        p = _random_quartic(rng, d, symmetric)
+        assert supnorm._symmetric(p) == symmetric
+        domain = dom(d)
+        for seed in (0, 1):
+            want = _with_reference_kernel(monkeypatch, lambda: (
+                critical_points(p, domain, seed=seed), sup_norm(p, domain, 6, seed=seed)))
+            cps, rep = critical_points(p, domain, seed=seed), sup_norm(p, domain, 6, seed=seed)
+            assert len(cps) > 1
+            assert _hex(cps) == _hex(want[0])
+            assert _hex([rep.value, rep.argmax, rep.critical_points, rep.grid_value]) == _hex(
+                [want[1].value, want[1].argmax, want[1].critical_points, want[1].grid_value])
+
+    def test_level_set_bits(self, monkeypatch, consts):
+        # the level set of criterion 05: (x1 x2 x3)^2 - R_5 / leading on the face
+        f, p, r = _r5_level_inputs(consts)
+        want = _with_reference_kernel(monkeypatch, lambda: level_set(
+            f, p, r, simplex_face(3), tol=1e-9, resolution=48, seed=0))
+        got = level_set(f, p, r, simplex_face(3), tol=1e-9, resolution=48, seed=0)
+        assert len(got) == 19 and _hex(got) == _hex(want)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_verify_td_bound_bits(self, monkeypatch, d):
+        want = _with_reference_kernel(monkeypatch, lambda: verify_td_bound(d, resolution=8))
+        got = verify_td_bound(d, resolution=8)
+        assert _hex(list(got.items())) == _hex(list(want.items()))
+
+
+class TestBlockDedup:
+    def test_near_duplicates_across_blocks(self):
+        rng = np.random.default_rng(8)
+        for n, dim in ((3 * supnorm.DEDUP_BLOCK + 17, 3), (2 * supnorm.DEDUP_BLOCK, 5)):
+            base = rng.uniform(size=(n // 4, dim))
+            pts = base[rng.integers(0, len(base), n)] + rng.uniform(-2e-8, 2e-8, (n, dim))
+            kept = dedup_points(pts)
+            assert kept == _reference_dedup_points(pts)
+            assert len(base) // 2 < len(kept) < n
+            assert dedup_points([tuple(p) for p in pts.tolist()]) == kept
+
+    def test_chain_across_the_block_boundary(self):
+        # each point 0.75 tol after the one before: the greedy subset keeps
+        # every other one, the chain running from one block into the next
+        block, tol = supnorm.DEDUP_BLOCK, supnorm.DEDUP_TOL
+        pts = np.random.default_rng(9).uniform(size=(2 * block + 5, 2))
+        chain = range(block - 7, block + 8)
+        pts[list(chain)] = [(0.5, 0.5 + 0.75 * tol * k) for k in range(len(chain))]
+        kept = dedup_points(pts)
+        assert kept == _reference_dedup_points(pts)
+        assert [i for i in kept if i in chain] == list(chain)[::2]
+
+    def test_nan_rows_and_repeats(self):
+        # a distance to a NaN row is NaN, never > tol: a NaN row is near
+        # every point, so it goes unless it comes first, and then it hides
+        # every later row
+        rng = np.random.default_rng(10)
+        pts = rng.uniform(size=(300, 2))
+        pts[250:] = pts[:50]
+        assert dedup_points(pts) == _reference_dedup_points(pts) == list(range(250))
+        pts[200, 1] = np.nan
+        assert dedup_points(pts) == _reference_dedup_points(pts) == [
+            *range(200), *range(201, 250)]
+        pts[0, 0] = np.nan
+        assert dedup_points(pts) == _reference_dedup_points(pts) == [0]
+
+
+class TestTableLayout:
+    def test_newton_table_is_the_chunked_table(self):
+        rng = np.random.default_rng(11)
+        ders = _derivatives(_random_quartic(rng, 3))
+        Z = rng.uniform(-1, 1, size=(40, 4))
+        for X in (Z[:, :3], np.ascontiguousarray(Z[:, :3])):
+            table = ders.batch.table(X)
+            [(lo, whole)] = list(ders.batch.tables(X))
+            assert table.flags.c_contiguous and lo == 0
+            assert table.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 17, 65])
+    def test_derivatives_match_the_chunked_product(self, monkeypatch, n):
+        # up to EVAL_CHUNK points are one table and one product; more go
+        # chunk by chunk through dot, as the reference does
+        monkeypatch.setattr(polycore, "EVAL_CHUNK", 8)
+        rng = np.random.default_rng(12 + n)
+        for d in (1, 2, 4):
+            ders = _derivatives(_random_quartic(rng, d))
+            X = rng.uniform(-1, 1, size=(n, d))
+            G, H = ders(X)
+            G0, H0 = _reference_derivatives_call(ders, X)
+            assert G.tobytes() == G0.tobytes() and H.tobytes() == H0.tobytes()
+
+
+class TestSearchPinnedBits:
+    # recorded before the running rows were carried between steps, the
+    # Hessian gathered by one index and dedup blocked
+    def test_verify_td_bound_5(self):
+        rep = verify_td_bound(5)
+        rows = np.array([pt + (v,) for pt, v in rep["interior_critical_points"]])
+        assert rep["max_abs_estimate"].hex() == "0x1.0000000000000p+0"
+        assert rows.shape == (51, 6)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+            "8b29e4e46fd639bbbf68b743d19ec60326381eb42a441d27b7ef990ecdfbfcca")
+
+    def test_approx_report(self, capsys):
+        assert cli.main(["approx", "--monomial", "2,2,2", "--degree", "5", "--grid", "10"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "3182977db869246f5f7501731fa640a04daf0b69269096e1f03c5268199a3226")
