@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import NOISE, LPError, simplex_solve
-from .polycore import FLOAT64, Poly, PolyBatch, PolyError, _plain, monomial_exponents
+from .polycore import (FLOAT64, Poly, PolyBatch, PolyError, _plain, monomial_exponents,
+                       term_arrays)
 from .supnorm import (DEDUP_TOL, SearchPlan, _grid_values, _lattice, _unique_rows,
                       dedup_points, sample_domain, sup_norm)
 from .symfun import monomial_symmetric, partitions_upto
@@ -143,13 +144,9 @@ def invariant_basis(n: int, d: int, kind: str = "full",
     if kind == "even-symmetric":
         parts = [p for p in parts if all(v % 2 == 0 for v in p)]
     basis = [monomial_symmetric(p, d) for p in parts]
-    if for_sphere:
-        from .domains import sphere as sphere_domain
-        sample = sample_domain(sphere_domain(d), 3)
-        rng = np.random.default_rng(7)
-        extra = rng.normal(size=(4 * len(basis) + 8, d))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        sample = np.vstack([sample, extra])
+    if for_sphere:   # ranked on 4k + 8 random points of the sphere
+        sample = np.random.default_rng(7).normal(size=(4 * len(basis) + 8, d))
+        sample /= np.linalg.norm(sample, axis=1, keepdims=True)
         keep, _ = _independent_columns(PolyBatch(basis)(sample))
         basis = [basis[i] for i in keep]
     return tuple(basis)
@@ -183,10 +180,11 @@ class RankError(PolyError):
 def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
     """Affine conditioning: on simplex-type domains the basis is re-expressed
     in box coordinates u = 2x - 1; the exact change-of-basis matrix maps LP
-    coefficients back to the original basis.  Returns (scaled basis polys,
-    M with original_coeffs = M @ scaled_coeffs)."""
+    coefficients back to the original basis.  Returns (the scaled functions'
+    term maps {exponent: exact integer or Fraction}, zero sums included, M
+    with original_coeffs = M @ scaled_coeffs)."""
     if domain.kind not in (SIMPLEX, SIMPLEX_FACE):
-        return basis, np.eye(len(basis))
+        return [b.terms for b in basis], np.eye(len(basis))
     # (2x - 1)^e = sum_j binom[e][e - j] x^j; each term of each function
     # expands into integer products, in the order Poly.compose reaches them
     binom = [[math.comb(e, j) * 2 ** j * (-1) ** (e - j) for j in range(e, -1, -1)]
@@ -211,7 +209,7 @@ def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
                 rest[e] = rest.get(e, 0) - c * b
         if any(rest.values()):
             raise SpanError("affine rescaling left the basis span")
-    return [Poly(basis[0].nvars, s) for s in scaled], M
+    return scaled, M
 
 
 # --------------------------------------------------------------------------
@@ -251,21 +249,32 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
 
 @dataclass
 class _ProblemBasis:
-    """What stays fixed while one problem is solved on growing point sets."""
+    """What stays fixed while one problem is solved on growing point sets.
+    The LP reads the batch; the exchange's fit builds scaled_f on first use."""
     target_f: Poly
     basis: tuple[Poly, ...]      # original coordinates
-    basis_f: list[Poly]
-    scaled_f: list[Poly]         # conditioned basis, see _scaled_basis
+    scaled: list[dict]           # conditioned basis term maps, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones
     grid: np.ndarray             # every point set the problem is solved on starts with it
-    batch: PolyBatch             # scaled_f at a point set
-    mix: np.ndarray | None       # ball and sphere: LP columns = scaled_f columns @ mix
+    batch: PolyBatch             # the target, then each scaled function, at a point set
+    mix: np.ndarray | None       # ball and sphere: LP columns = scaled columns @ mix
+    grid_target: np.ndarray      # the target on the grid
     grid_columns: np.ndarray     # the LP columns on the grid
-    grid_target: np.ndarray      # target_f on the grid
 
-    def columns(self, points: np.ndarray) -> np.ndarray:
-        Phi = self.batch(points)
-        return Phi if self.mix is None else Phi @ self.mix
+    def columns(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The target's values and the LP columns at points, one batch call."""
+        f, Phi = _split(self.batch(points))
+        return f, (Phi if self.mix is None else Phi @ self.mix)
+
+    @cached_property
+    def scaled_f(self) -> list[Poly]:
+        return [Poly(self.target_f.nvars, s, FLOAT64) for s in self.scaled]
+
+
+def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A problem batch's target column and basis columns, each C-contiguous:
+    a strided operand takes another BLAS or QR kernel and moves last bits."""
+    return np.ascontiguousarray(values[:, 0]), np.ascontiguousarray(values[:, 1:])
 
 
 def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
@@ -276,10 +285,9 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
                             for_sphere=prob.domain.kind == SPHERE)
     scaled, M = _scaled_basis(basis, prob.domain)
-    scaled_f = [b.to_float64() for b in scaled]
     grid = approx_grid(prob.domain, prob.grid)
-    batch = PolyBatch(scaled_f)
-    Phi = batch(grid)
+    batch = PolyBatch(terms=term_arrays([prob.target.terms, *scaled], prob.target.nvars))
+    f, Phi = _split(batch(grid))
     keep, R = _independent_columns(Phi)
     if len(keep) != len(basis):
         dropped = next(j for j in range(len(basis)) if j not in keep)
@@ -290,11 +298,8 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     if prob.domain.kind in (BALL, SPHERE):
         mix = np.linalg.inv(R) * math.sqrt(len(grid))
         Phi = Phi @ mix
-    target_f = prob.target.to_float64()
-    return _ProblemBasis(
-        target_f=target_f, basis=basis, basis_f=[b.to_float64() for b in basis],
-        scaled_f=scaled_f, M=M, grid=grid, batch=batch, mix=mix,
-        grid_columns=Phi, grid_target=target_f.eval_grid(grid))
+    return _ProblemBasis(target_f=prob.target.to_float64(), basis=basis, scaled=scaled,
+                         M=M, grid=grid, batch=batch, mix=mix, grid_target=f, grid_columns=Phi)
 
 
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
@@ -337,9 +342,8 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     k = len(pb.basis)
     Phi, f = pb.grid_columns, pb.grid_target
     if N > len(pb.grid):
-        added = points[len(pb.grid):]
-        Phi = np.vstack([Phi, pb.columns(added)])
-        f = np.concatenate([f, pb.target_f.eval_grid(added)])
+        f_added, Phi_added = pb.columns(points[len(pb.grid):])
+        Phi, f = np.vstack([Phi, Phi_added]), np.concatenate([f, f_added])
     # dual: maximize f.(u - v) s.t. Phi^T (u - v) = 0, sum(u + v) = 1, u, v >= 0
     A = np.zeros((k + 1, 2 * N))
     A[:k, :N] = Phi.T
@@ -419,24 +423,30 @@ def _equioscillation_fit(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray
     The tangency rows matter: extremal configurations can sit inside an
     algebraic hypersurface (for the simplex families, the face sum x_i = 1),
     where value interpolation alone leaves the approximant undetermined."""
-    A_rows = [np.hstack([pb.batch(points), signs[:, None].astype(float)])]
-    rhs_parts = [pb.target_f.eval_grid(points)]
-    G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
-    extra_rows, extra_rhs = [], []
-    for e, pt in enumerate(points):
-        for u in _face_tangent_vectors(np.asarray(pt, dtype=float), domain):
-            slopes = [sum(u[i] * g[i] for i in range(len(u))) for g in G[e]]
-            extra_rows.append(np.array(slopes[1:] + [0.0]))
-            extra_rhs.append(slopes[0])
-    if extra_rows:
-        A_rows.append(np.array(extra_rows))
-        rhs_parts.append(np.array(extra_rhs))
-    A = np.vstack(A_rows)
-    rhs = np.concatenate(rhs_parts)
+    A, rhs = _fit_system(pb, grads, points, signs, domain)
     # row equilibration: value and tangency rows live on different scales
     norms = np.maximum(np.linalg.norm(A, axis=1), 1e-300)
     sol, *_ = np.linalg.lstsq(A / norms[:, None], rhs / norms, rcond=None)
     return pb.M @ sol[:-1], float(sol[-1])
+
+
+def _fit_system(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray,
+                signs: np.ndarray, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """_equioscillation_fit's rows and right-hand side: the value rows, then
+    a tangency row per (point, tangent u) pair, the slopes grad . u summed
+    as 0.0 + u_0 g_0 + u_1 g_1 + ... in that order."""
+    V = pb.batch(points)
+    G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
+    tangents = [(e, u) for e, pt in enumerate(points)
+                for u in _face_tangent_vectors(np.asarray(pt, dtype=float), domain)]
+    rows = np.array([e for e, _ in tangents], dtype=np.intp)
+    U = np.array([u for _, u in tangents]).reshape(len(tangents), points.shape[1])
+    slopes = np.zeros((len(rows), G.shape[1]))
+    for i in range(U.shape[1]):
+        slopes += U[:, None, i] * G[rows, :, i]
+    A = np.vstack([np.hstack([V[:, 1:], signs[:, None].astype(float)]),
+                   np.hstack([slopes[:, 1:], np.zeros((len(rows), 1))])])
+    return A, np.concatenate([V[:, 0], slopes[:, 0]])
 
 
 def _grid_max(p, domain: Domain, resolution: int) -> float:
@@ -497,7 +507,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)
     search_res = max(8, prob.grid // 2)
     # every residual f - sum_k c_k phi_k is searched through one plan
-    plan = SearchPlan(pb.target_f, pb.basis_f)
+    plan = SearchPlan(pb.target_f, pb.basis)
 
     searched = {}   # coefficient bytes -> (resid, rep): search each vector once
 

@@ -79,22 +79,21 @@ class LPResult:
 
 class _Basis:
     """A basis of A x = b (column n + i stands for the artificial unit
-    column e_i), its explicit inverse and its basic values."""
+    column e_i), its matrix B, gathered from A once and then kept by
+    replacing the column that each pivot changes, B's explicit inverse and
+    the basic values."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
         self.A, self.b, self.cols = A, b, cols
+        m, n = A.shape
+        self.B = np.zeros((m, m))
+        real = cols < n
+        self.B[:, real] = A[:, cols[real]]
+        self.B[cols[~real] - n, np.flatnonzero(~real)] = 1.0
         self.a_scale = float(np.abs(A).max())
         self.pivots = 0
         self.idle = 0       # pivots since the objective last rose past its best
         self.refactor()
-
-    def matrix(self) -> np.ndarray:
-        m, n = self.A.shape
-        B = np.zeros((m, m))
-        real = self.cols < n
-        B[:, real] = self.A[:, self.cols[real]]
-        B[self.cols[~real] - n, np.flatnonzero(~real)] = 1.0
-        return B
 
     def multipliers(self, cost: np.ndarray) -> np.ndarray:
         """y with y B = c_B, from the inverse plus one step of iterative
@@ -102,7 +101,7 @@ class _Basis:
         ill-conditioned (a column equal to a basic one then prices to 0)."""
         c_b = cost[self.cols]
         y = c_b @ self.inv
-        return y + (c_b - y @ self.matrix()) @ self.inv
+        return y + (c_b - y @ self.B) @ self.inv
 
     def price(self, cost: np.ndarray):
         """y, the reduced costs of the real columns (0 on the basic ones)
@@ -120,12 +119,12 @@ class _Basis:
     def infeasible(self, feas_tol: float) -> np.ndarray:
         """Basic values below -feas_tol by more than their rounding error,
         NOISE |B^-1| (|B| |x| + |b|), which grows with the condition of B."""
-        slack = NOISE * (np.abs(self.inv) @ (np.abs(self.matrix()) @ np.abs(self.x)
+        slack = NOISE * (np.abs(self.inv) @ (np.abs(self.B) @ np.abs(self.x)
                                              + np.abs(self.b)))
         return self.x + slack < -feas_tol
 
     def refactor(self):
-        self.inv = np.linalg.inv(self.matrix())
+        self.inv = np.linalg.inv(self.B)
         self.x = self.inv @ self.b
         self.since_refactor = 0
 
@@ -142,6 +141,7 @@ def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
     others = a.copy()
     others[row] = 0.0
     inv -= np.outer(others, inv[row])
+    basis.B[:, row] = basis.A[:, col]   # only real columns enter
     basis.cols[row] = col
     basis.pivots += 1
     basis.idle += 1
@@ -170,13 +170,13 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
             # pseudo-random amount, that is, solve for b + B delta
             delta = SHIFT * max(float(np.abs(b).max()), 1.0) * \
                 (1 + np.random.default_rng(0).random(m))
-            basis.b = b + basis.matrix() @ delta
+            basis.b = b + basis.B @ delta
             basis.refactor()
             shifted = True
             degenerate_run = 0
         lex = degenerate_run >= STALL_AFTER
         if degenerate_run == STALL_AFTER:
-            reference = basis.matrix()
+            reference = basis.B.copy()
         y, reduced, opt_tol = basis.price(cost)
         objective = float(y @ basis.b)
         level = 1e-12 * max(abs(objective), c_scale)   # rounding level of the objective
@@ -334,10 +334,9 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         return LPResult("unbounded", float("inf"), np.zeros(n),
                         basis.cols.tolist(), np.zeros(m), basis.pivots)
     # the reported point and multipliers come from a fresh factorization
-    B = basis.matrix()
     x = np.zeros(n)
     real = basis.cols < n
-    x[basis.cols[real]] = np.maximum(np.linalg.solve(B, b)[real], 0.0)
-    y = np.linalg.solve(B.T, cost[basis.cols]) * sign
+    x[basis.cols[real]] = np.maximum(np.linalg.solve(basis.B, b)[real], 0.0)
+    y = np.linalg.solve(basis.B.T, cost[basis.cols]) * sign
     return LPResult("optimal", float(c @ x), x, basis.cols[real].tolist(), y,
                     basis.pivots)

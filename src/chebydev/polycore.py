@@ -4,7 +4,7 @@ A polynomial is a map from exponent tuples to coefficients.  Two coefficient
 fields are supported: exact rationals (``fractions.Fraction``) and binary64
 floats.  All construction-time algebra in this package is exact; floats only
 appear in the search / LP layers, which convert via :meth:`Poly.to_float64`
-(the reverse conversion is deliberately not provided).
+or :func:`term_arrays` (the reverse conversion is deliberately not provided).
 
 Terms are kept in canonical form: no zero coefficients are stored and every
 exponent tuple has length ``nvars``.  Serialization and equality order terms
@@ -371,25 +371,42 @@ class MonomialTable:
         return out
 
 
-def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of polynomials in the same variables, as float64: the rows of
-    E are the union of their exponents in graded lexicographic order, and
-    V[k] holds the coefficients of polys[k] there (0.0 where it has no such
-    term), so its nonzero entries come in polys[k]'s own term order."""
-    polys = [p.to_float64() for p in polys]
-    exps = sorted(set().union(*[p.terms for p in polys]), key=grlex_key)
+def term_arrays(maps: Sequence[Mapping], nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, V) of term maps {exponent tuple: coefficient} in nvars variables,
+    as float64: each coefficient converted by float() and the zero ones
+    dropped, the rows of E the union of the exponents left in graded
+    lexicographic order, and V[k] the coefficients of maps[k] there (0.0
+    where it has no such term), so its nonzero entries come in graded order."""
+    rows = [{e: f for e, f in ((e, float(c)) for e, c in m.items()) if f} for m in maps]
+    exps = sorted(set().union(*rows), key=grlex_key)
     cols = {e: j for j, e in enumerate(exps)}
-    V = np.zeros((len(polys), len(exps)))
-    for k, p in enumerate(polys):
-        V[k, [cols[e] for e in p.terms]] = list(p.terms.values())
-    return np.array(exps, dtype=np.int64).reshape(len(exps), polys[0].nvars), V
+    V = np.zeros((len(rows), len(exps)))
+    for k, row in enumerate(rows):
+        V[k, [cols[e] for e in row]] = list(row.values())
+    return np.array(exps, dtype=np.int64).reshape(len(exps), nvars), V
+
+
+def grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer exponent array in graded lexicographic
+    order (by degree, then by the exponents; a run of equal rows is one row)
+    and the index there of each row."""
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    run = np.ones(len(rows), dtype=bool)
+    run[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    return rows[order[run]], (np.cumsum(run) - 1)[np.argsort(order)]
+
+
+def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
+    """term_arrays of the terms of polynomials in the same variables."""
+    return term_arrays([p.terms for p in polys], polys[0].nvars)
 
 
 class PolyBatch(MonomialTable):
     """Float64 values of several polynomials in the same variables, read from
     one monomial table per EVAL_CHUNK points over the graded union of their
-    exponents (term_matrix).  Column k equals the k-th polynomial's
-    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous by
+    exponents (term_matrix, or term_arrays given as ``terms``).  Column k
+    equals the k-th polynomial's ``eval_grid`` bit for bit: its term columns
+    are gathered C-contiguous by
     np.take (an F-ordered gather takes another BLAS kernel and rounding) and
     summed by one matrix-vector product; one with every table column, as a
     batch of one, reads the table.  That product sums the last N mod 4 rows
@@ -397,8 +414,8 @@ class PolyBatch(MonomialTable):
     evaluates: reported floats rely on the callers' batch sizes, on
     EVAL_CHUNK being a power of two and on the C-contiguous gather."""
 
-    def __init__(self, polys: Sequence[Poly]):
-        E, V = term_matrix(polys)
+    def __init__(self, polys: Sequence[Poly] = (), terms=None):
+        E, V = term_matrix(polys) if terms is None else terms
         self.index = [np.flatnonzero(v) for v in V]
         self.coefs = [v[idx] for v, idx in zip(V, self.index)]
         super().__init__(E)
@@ -434,14 +451,10 @@ class DerivativeMap:
         rows[np.arange(len(rows)), i[self.cols]] -= 1
         hess = np.flatnonzero(j[self.cols] >= 0)
         rows[hess, j[self.cols[hess]]] -= 1
-        # C's rows: the partials' distinct exponents in graded lexicographic
-        # order (by degree, then by the exponents), a run of equal rows one row
-        order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
-        run = np.ones(len(rows), dtype=bool)
-        run[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
-        self.rows = (np.cumsum(run) - 1)[np.argsort(order)]
-        self.shape = (int(run.sum()), len(i))
-        self.table = MonomialTable(rows[order[run]])
+        # C's rows: the partials' distinct exponents in graded lexicographic order
+        distinct, self.rows = grlex_unique(rows)
+        self.shape = (len(distinct), len(i))
+        self.table = MonomialTable(distinct)
         self.hidx = np.empty((k, k), dtype=np.intp)   # the column of Hessian entry (i, j)
         self.hidx[upper] = self.hidx[upper[::-1]] = np.arange(k, len(i))
 

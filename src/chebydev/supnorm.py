@@ -21,7 +21,8 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
-                       exponent_array, restrict_affine_last, restrict_zero, term_matrix)
+                       exponent_array, grlex_unique, restrict_affine_last, restrict_zero,
+                       term_matrix)
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
@@ -374,22 +375,39 @@ def _row_sum(X: np.ndarray) -> np.ndarray:
     return np.add.accumulate(X, axis=0)[-1] if len(X) else np.zeros(X.shape[1])
 
 
+def _sum_face_rows(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """term_matrix of restrict_to_face of the monomials y^e x^m (the rows of
+    exps) on x = 1 - sum y: x^m = sum over |b| <= m of (-1)^|b| m! / ((m -
+    |b|)! b!) y^b, so row t of B holds these integers (exact in float64
+    below 2^53) at the graded columns E of the exponents e + b."""
+    m, top = exps[:, -1], int(exps[:, -1].max(initial=0))
+    b = exponent_array(top, exps.shape[1] - 1)
+    size = b.sum(axis=1)
+    t, j = np.nonzero(size <= m[:, None])    # every (term, b) pair
+    fact = np.array([math.factorial(i) for i in range(top + 1)],
+                    dtype=np.int64 if top <= 20 else object)   # 20! < 2^63
+    coef = fact[m[t]] // (fact[m[t] - size[j]] * np.prod(fact[b[j]], axis=1))
+    E, col = grlex_unique(exps[t, :-1] + b[j])
+    B = np.zeros((len(exps), len(E)))
+    B[t, col] = np.where(size[j] % 2, -coef, coef)
+    return E, B
+
+
 class _Chart:
     """One face chart of a plan: restrict_to_face as a fixed linear map on
     the coefficient vectors of the plan's terms.  The faces x_i = 0 keep the
     terms without x_i (sel); the face sum x = 1 then sends each kept term to
-    its exact restriction, B[t] (multinomial coefficients over the chart's
-    terms), the contributions added term after term in graded order, as
-    restrict_to_face's compose adds them.  The chart's terms are in graded
-    order, with one DerivativeMap and one value table."""
+    its exact restriction, B[t] (_sum_face_rows), the contributions added
+    term after term in graded order, as restrict_to_face's compose adds
+    them.  The chart's terms are in graded order, with one DerivativeMap and
+    one value table."""
 
     def __init__(self, U: np.ndarray, zeros: tuple, sum_active: bool):
         free = [i for i in range(U.shape[1]) if i not in zeros]
         self.sel = np.flatnonzero(~U[:, list(zeros)].any(axis=1))
         exps, self.B = U[np.ix_(self.sel, free)], None
-        if sum_active:   # B[t]: kept term t's exact restriction
-            rows = [restrict_to_face(Poly.monomial(e), (), True) for e in exps.tolist()]
-            exps, self.B = term_matrix(rows or [Poly.zero(len(free) - 1)])
+        if sum_active:
+            exps, self.B = _sum_face_rows(exps)
         self.table, self.dmap = MonomialTable(exps), DerivativeMap(exps)
 
     def restrict(self, a: np.ndarray) -> np.ndarray:

@@ -5,17 +5,18 @@ from math import comb
 import numpy as np
 import pytest
 
-from chebydev import bestapprox, supnorm
+from chebydev import bestapprox, lp, supnorm
 from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev.lp import LPError
-from chebydev.polycore import Poly, PolyBatch, PolyError
+from chebydev.polycore import Poly, PolyBatch, PolyError, term_arrays, term_matrix
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
 from chebydev.supnorm import sample_domain, sup_norm
+from chebydev.symfun import monomial_symmetric, partitions_upto
 
 
 def assert_upper_is_residual_sup(res, prob):
@@ -50,6 +51,33 @@ class TestBases:
         sym = invariant_basis(2, 3, "symmetric", for_sphere=True)
         # 1, e_1, e_2 survive; the power sum m_2 is constant on the sphere
         assert len(sym) == 3
+
+    # the partitions whose monomial symmetric functions the sphere's rank
+    # check drops in dimension d, up to degree 8, as it dropped them when it
+    # also ranked on the resolution-3 sphere grid; a degree-n basis drops
+    # those of degree <= n, and the even-symmetric one the even ones
+    SPHERE_DROPPED = {
+        3: [(2,), (2, 1), (2, 2), (2, 1, 1), (3, 2), (3, 1, 1), (2, 2, 1), (4, 2), (3, 3),
+            (3, 2, 1), (2, 2, 2), (5, 2), (4, 3), (4, 2, 1), (3, 3, 1), (3, 2, 2), (6, 2),
+            (5, 3), (5, 2, 1), (4, 4), (4, 3, 1), (4, 2, 2), (3, 3, 2)],
+        4: [(2,), (2, 1), (2, 2), (2, 1, 1), (3, 2), (2, 2, 1), (2, 1, 1, 1), (4, 2),
+            (3, 2, 1), (3, 1, 1, 1), (2, 2, 2), (2, 2, 1, 1), (5, 2), (4, 2, 1), (3, 3, 1),
+            (3, 2, 2), (3, 2, 1, 1), (2, 2, 2, 1), (6, 2), (5, 2, 1), (4, 3, 1), (4, 2, 2),
+            (4, 2, 1, 1), (3, 3, 2), (3, 3, 1, 1), (3, 2, 2, 1), (2, 2, 2, 2)],
+        5: [(2,), (2, 1), (2, 2), (2, 1, 1), (3, 2), (2, 2, 1), (2, 1, 1, 1), (4, 2),
+            (3, 2, 1), (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (5, 2), (4, 2, 1), (3, 2, 2),
+            (3, 2, 1, 1), (3, 1, 1, 1, 1), (2, 2, 2, 1), (2, 2, 1, 1, 1), (6, 2), (5, 2, 1),
+            (4, 2, 2), (4, 2, 1, 1), (3, 3, 2), (3, 3, 1, 1), (3, 2, 2, 1), (3, 2, 1, 1, 1),
+            (2, 2, 2, 2), (2, 2, 2, 1, 1)]}
+
+    @pytest.mark.parametrize("kind", ["symmetric", "even-symmetric"])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_sphere_reduction_keeps_its_functions(self, kind, d):
+        for n in range(1, 9):
+            parts = [p for p in partitions_upto(n, d)
+                     if kind == "symmetric" or all(v % 2 == 0 for v in p)]
+            want = [monomial_symmetric(p, d) for p in parts if p not in self.SPHERE_DROPPED[d]]
+            assert list(invariant_basis.__wrapped__(n, d, kind, for_sphere=True)) == want
 
 
 class TestDiscreteMinimax:
@@ -100,7 +128,7 @@ class TestDiscreteMinimax:
             want = want @ pb.mix
         else:
             assert pb.mix is None
-        got = pb.columns(pb.grid)
+        _, got = pb.columns(pb.grid)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_full_and_symmetric_agree_for_symmetric_target(self):
@@ -399,17 +427,18 @@ class TestScaledBasis:
                 with pytest.raises(bestapprox.SpanError, match="left the basis span"):
                     bestapprox._scaled_basis(basis, domain)
                 continue
+            # the term maps keep their zero sums, which Poly drops
             scaled, M = bestapprox._scaled_basis(basis, domain)
-            assert [list(s.terms.items()) for s in scaled] == [
+            assert [[(e, c) for e, c in s.items() if c] for s in scaled] == [
                 list(b.compose(inners).terms.items()) for b in basis]
             keys = [b.sorted_terms()[-1][0] for b in basis]
-            dense = [[float(Fraction(s.coefficient(key))) for s in scaled] for key in keys]
+            dense = [[float(Fraction(s.get(key, 0))) for s in scaled] for key in keys]
             assert np.array_equal(M, np.array(dense))
             for j, s in enumerate(scaled):
                 recon = Poly.zero(d)
                 for i in np.flatnonzero(M[:, j]):
                     recon = recon + Fraction(M[i, j]) * basis[i]
-                assert recon == s
+                assert recon == Poly(d, s)
 
     def test_span_error_is_a_poly_error(self):
         assert issubclass(bestapprox.SpanError, PolyError)
@@ -528,7 +557,7 @@ class TestRankCheck:
         target, degree, domain, basis, grid = spec
         pb = bestapprox._problem_basis(
             ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
-        Phi = pb.batch(pb.grid)
+        Phi = np.ascontiguousarray(pb.batch(pb.grid)[:, 1:])   # after the target's column
         assert bestapprox._independent_columns(Phi)[0] == _gram_schmidt_columns(Phi) \
             == list(range(len(pb.basis)))
         assert bestapprox._crash_basis(pb.grid_columns, pb.grid_target) == \
@@ -541,7 +570,95 @@ class TestRankCheck:
             discrete_minimax(prob)
 
 
+def _fit_rows_loop(pb, grads, points, signs, domain):
+    """The reference fit system: value rows from a batch of the scaled
+    functions and the target's eval_grid, a tangency row per (point,
+    tangent) pair summed by Python's sum."""
+    A_rows = [np.hstack([PolyBatch(pb.scaled_f)(points), signs[:, None].astype(float)])]
+    rhs_parts = [pb.target_f.eval_grid(points)]
+    G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
+    extra_rows, extra_rhs = [], []
+    for e, pt in enumerate(points):
+        for u in bestapprox._face_tangent_vectors(np.asarray(pt, dtype=float), domain):
+            slopes = [sum(u[i] * g[i] for i in range(len(u))) for g in G[e]]
+            extra_rows.append(np.array(slopes[1:] + [0.0]))
+            extra_rhs.append(slopes[0])
+    if extra_rows:
+        A_rows.append(np.array(extra_rows))
+        rhs_parts.append(np.array(extra_rhs))
+    return np.vstack(A_rows), np.concatenate(rhs_parts)
+
+
+# the exchange problems of the benchmark's oracle workload
+ORACLE_PROBLEMS = [((1, 1, 1), 2, simplex(3), "symmetric", 16),
+                   ((2, 2, 2), 5, simplex(3), "symmetric", 10),
+                   ((1, 1, 1), 2, sphere(3), "symmetric", 40),
+                   ((1, 1, 0), 1, ball(3), "full", 10), ((2, 1, 0), 2, ball(3), "full", 6)]
+
+
+class TestProblemBatch:
+    """The LP and the fit read the target and the basis from one batch of
+    exact term maps; the simplex keeps its basis matrix."""
+
+    @pytest.mark.parametrize("spec", LP_GRIDS, ids=_lp_grid_id)
+    def test_problem_batch_is_the_float_polys(self, spec):
+        # the target and the scaled functions, from their exact term maps,
+        # as term_matrix and PolyBatch read the float Polys of the same maps
+        target, degree, domain, basis, grid = spec
+        pb = bestapprox._problem_basis(
+            ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+        polys = [Poly.monomial(target).to_float64()] + [
+            Poly(len(target), s).to_float64() for s in pb.scaled]
+        E, V = term_arrays([Poly.monomial(target).terms, *pb.scaled], len(target))
+        want_E, want_V = term_matrix(polys)
+        assert E.shape == want_E.shape and E.tobytes() == want_E.tobytes()
+        assert V.shape == want_V.shape and V.tobytes() == want_V.tobytes()
+        assert pb.batch(pb.grid).tobytes() == PolyBatch(polys)(pb.grid).tobytes()
+
+    @pytest.mark.parametrize("spec", LP_GRIDS, ids=_lp_grid_id)
+    def test_kept_basis_matrix(self, monkeypatch, spec):
+        # after every pivot the simplex's kept B is the matrix gathered from
+        # A; a crash basis starts the solve, so no artificial is basic
+        pivot, pivots = lp._pivot, []
+
+        def checked(basis, *args):
+            pivot(basis, *args)
+            assert basis.cols.max() < basis.A.shape[1]
+            assert basis.B.tobytes() == np.ascontiguousarray(basis.A[:, basis.cols]).tobytes()
+            pivots.append(1)
+
+        monkeypatch.setattr(lp, "_pivot", checked)
+        target, degree, domain, basis, grid = spec
+        try:
+            discrete_minimax(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+        except LPError:
+            pass    # the two known full-basis faults, after their pivots
+        assert pivots
+
+    def test_fit_system_is_the_python_loop(self, monkeypatch):
+        fit_system, tangency = bestapprox._fit_system, []
+
+        def compared(*args):
+            A, rhs = fit_system(*args)
+            want_A, want_rhs = _fit_rows_loop(*args)
+            assert A.shape == want_A.shape and A.tobytes() == want_A.tobytes()
+            assert rhs.shape == want_rhs.shape and rhs.tobytes() == want_rhs.tobytes()
+            tangency[-1].append(len(A) - len(args[2]))
+            return A, rhs
+
+        monkeypatch.setattr(bestapprox, "_fit_system", compared)
+        for target, degree, domain, basis, grid in ORACLE_PROBLEMS:
+            tangency.append([])
+            remez_exchange(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid),
+                           seed=0)
+        # x1^2 x2 on the ball never has enough extremal points to fit
+        assert [min(rows, default=0) > 0 for rows in tangency] == [True] * 4 + [False]
+
+
 class TestPinnedBits:
+    """Hex literals and digests recorded on an AVX512_SPR host: numpy picks
+    its power kernel by CPU features, so they hold per host class (README)."""
+
     # hex deviation and sha256 of the coefficient bytes, recorded from the
     # Gram-Schmidt rank check, the compose-based box change, the per-column
     # gather and the column-major crash elimination that the array versions
@@ -569,9 +686,8 @@ class TestProblemOnce:
     once per search or per solve."""
 
     def test_each_face_chart_is_built_once(self, monkeypatch):
-        # each chart's restriction map is built once per exchange, from the
-        # restrictions of single monomials; no search restricts a residual
-        # Poly to a face
+        # each chart's restriction map is built once per exchange, in closed
+        # form; no search restricts a Poly to a face
         prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
         built, restricted = [], []
         init, restrict = supnorm._Chart.__init__, supnorm.restrict_to_face
@@ -589,7 +705,7 @@ class TestProblemOnce:
         res = remez_exchange(prob, seed=0)
         assert res.exchange_iterations > 1
         assert len(built) == len(set(built)) > 1
-        assert set(restricted) == {1}
+        assert restricted == []
 
     def test_grid_lp_columns_are_evaluated_once(self, monkeypatch):
         # each solve evaluates only the rows after the grid
@@ -616,8 +732,9 @@ class TestProblemOnce:
         for domain in (simplex(3), ball(3), sphere(3)):
             pb = bestapprox._problem_basis(ApproxProblem(
                 Poly.monomial((1, 1, 1)), 2, domain, "full", grid=8))
-            assert pb.grid_columns.tobytes() == pb.columns(pb.grid).tobytes()
-            assert pb.grid_target.tobytes() == pb.target_f.eval_grid(pb.grid).tobytes()
+            f, Phi = pb.columns(pb.grid)
+            assert pb.grid_columns.tobytes() == Phi.tobytes()
+            assert pb.grid_target.tobytes() == f.tobytes() == pb.target_f.eval_grid(pb.grid).tobytes()
 
 
 def _adjoin_pointwise(points, new):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chebydev import bestapprox
+from chebydev import bestapprox, lp
 from chebydev.bestapprox import ApproxProblem, discrete_minimax, remez_exchange
 from chebydev.constructions import derive_r5_constants
 from chebydev.domains import simplex
@@ -87,7 +87,7 @@ def _grid_columns(prob):
     """The problem basis of a discrete minimax problem, and its LP columns
     Phi and target values f on the grid, as bestapprox builds them."""
     pb = bestapprox._problem_basis(prob)
-    Phi = pb.columns(pb.grid)
+    _, Phi = pb.columns(pb.grid)
     f = pb.target_f.eval_grid(pb.grid)
     return pb, Phi, f
 
@@ -198,3 +198,31 @@ class TestStartingBasis:
         A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
         with pytest.raises(LPError, match=match):
             simplex_solve(A, np.array([4.0, -6.0]), np.zeros(4), basis=basis)
+
+
+class TestKeptBasisMatrix:
+    """_Basis keeps B by replacing one column per pivot; after every pivot
+    it is the matrix gathered from A (and the artificial unit columns)."""
+
+    def test_random_lps_with_phase_one(self, monkeypatch):
+        pivot, artificial = lp._pivot, []
+
+        def checked(basis, *args):
+            pivot(basis, *args)
+            m, n = basis.A.shape
+            real = basis.cols < n
+            B = np.zeros((m, m))
+            B[:, real] = basis.A[:, basis.cols[real]]
+            B[basis.cols[~real] - n, np.flatnonzero(~real)] = 1.0
+            assert basis.B.tobytes() == B.tobytes()
+            artificial.append(int((~real).sum()))
+
+        monkeypatch.setattr(lp, "_pivot", checked)
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            m, n = rng.integers(2, 7), rng.integers(8, 30)
+            # a row of ones keeps the feasible set bounded; signed rows flip in phase 1
+            A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+            b = A @ rng.random(n)
+            assert simplex_solve(A, b, rng.normal(size=n)).status == "optimal"
+        assert max(artificial) > 0 and min(artificial) == 0

@@ -359,11 +359,13 @@ class TestSubharmonicity:
         (5, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
     ])
     def test_signed_max_bits(self, full_search, d, sign, total, boundary):
+        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
         got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert [v.hex() for v in got] == [total, boundary]
 
     def test_ball_signed_max_bits(self):
+        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
         p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
         got = signed_max(p, ball(2), 6, seed=0)
         assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.1000000000000p-52"]
@@ -378,12 +380,14 @@ class TestSubharmonicity:
         (5, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ])
     def test_signed_max_bits_on_the_chamber(self, d, sign, total, boundary):
+        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
         got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert [v.hex() for v in got] == [total, boundary]
 
 
 def test_sup_norm_bits(full_search):
+    """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
     assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
@@ -392,6 +396,7 @@ def test_sup_norm_bits(full_search):
 
 
 def test_sup_norm_bits_on_the_chamber():
+    """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
     # the argmax is the centroid of the face sum x = 1, its coordinates non-increasing
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
     assert rep.value.hex() == "0x1.0000000000002p+0"
@@ -795,6 +800,32 @@ class TestSearchPlan:
             supnorm.SearchPlan(Poly.monomial((1, 1)), [Poly.monomial((1,))])
 
 
+class TestSumFaceRows:
+    """The closed-form restriction of monomials to the face sum x = 1."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_closed_form_is_the_compose_route(self, k):
+        # every exponent of degree <= 7, those of the top degree alone and
+        # none at all, against restrict_to_face of each monomial
+        for degree in range(8):
+            exps = polycore.exponent_array(degree, k)
+            for rows in (exps, exps[exps.sum(axis=1) == degree], exps[:0]):
+                want_E, want_B = polycore.term_matrix(
+                    [supnorm.restrict_to_face(Poly.monomial(e), (), True) for e in rows.tolist()]
+                    or [Poly.zero(k - 1)])
+                E, B = supnorm._sum_face_rows(rows)
+                assert E.shape == want_E.shape and E.tobytes() == want_E.tobytes()
+                assert B.tobytes() == want_B.tobytes()
+
+    def test_factorials_past_int64(self):
+        rows = polycore.exponent_array(23, 3)
+        rows = rows[rows[:, -1] >= 21]   # 21! > 2^63
+        want_E, want_B = polycore.term_matrix(
+            [supnorm.restrict_to_face(Poly.monomial(e), (), True) for e in rows.tolist()])
+        E, B = supnorm._sum_face_rows(rows)
+        assert E.tobytes() == want_E.tobytes() and B.tobytes() == want_B.tobytes()
+
+
 class TestBatchedSolve:
     def test_one_variable(self):
         H = np.array([[[2.0]], [[0.0]], [[np.nan]], [[np.inf]], [[-4.0]]])
@@ -1098,6 +1129,9 @@ class TestTableLayout:
 
 
 class TestSearchPinnedBits:
+    """Hex literals and digests recorded on an AVX512_SPR host: numpy picks
+    its power kernel by CPU features, so they hold per host class (README)."""
+
     # recorded before the running rows were carried between steps, the
     # Hessian gathered by one index and dedup blocked
     def test_verify_td_bound_5(self):
