@@ -103,15 +103,14 @@ class _Basis:
         y = c_b @ self.inv
         return y + (c_b - y @ self.B) @ self.inv
 
-    def price(self, cost: np.ndarray):
+    def price(self, cost: np.ndarray, c_scale: float):
         """y, the reduced costs of the real columns (0 on the basic ones)
         and the tolerance below which a reduced cost counts as zero: the
-        rounding error of y.A, at least OPT_TOL max|c|."""
+        rounding error of y.A, at least OPT_TOL c_scale (max|cost|)."""
         n = self.A.shape[1]
         y = self.multipliers(cost)
         reduced = cost[:n] - y @ self.A
         reduced[self.cols[self.cols < n]] = 0.0
-        c_scale = float(np.abs(cost).max())
         tol = max(OPT_TOL * c_scale,
                   NOISE * (float(np.abs(y).sum()) * self.a_scale + c_scale))
         return y, reduced, tol
@@ -177,7 +176,7 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         lex = degenerate_run >= STALL_AFTER
         if degenerate_run == STALL_AFTER:
             reference = basis.B.copy()
-        y, reduced, opt_tol = basis.price(cost)
+        y, reduced, opt_tol = basis.price(cost, c_scale)
         objective = float(y @ basis.b)
         level = 1e-12 * max(abs(objective), c_scale)   # rounding level of the objective
         if objective > best + level:
@@ -198,7 +197,7 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
                 if restores == MAX_RESTORES:
                     raise LPError("the optimal basis keeps losing feasibility")
                 restores += 1
-                _restore_feasibility(basis, cost, feas_tol, max_pivots)
+                _restore_feasibility(basis, cost, c_scale, feas_tol, max_pivots)
             else:
                 return "optimal"
             continue
@@ -234,8 +233,8 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
         degenerate_run = degenerate_run + 1 if theta * float(reduced[col]) <= level else 0
 
 
-def _restore_feasibility(basis: _Basis, cost: np.ndarray, feas_tol: float,
-                         max_pivots: int):
+def _restore_feasibility(basis: _Basis, cost: np.ndarray, c_scale: float,
+                         feas_tol: float, max_pivots: int):
     """Dual simplex pivots from a dual-feasible basis until no basic value
     is infeasible: the most negative infeasible one leaves.  The entering
     column is Harris's: the largest pivot among the columns whose ratio
@@ -247,7 +246,7 @@ def _restore_feasibility(basis: _Basis, cost: np.ndarray, feas_tol: float,
         if not infeasible.any():
             return
         row = int(np.argmin(np.where(infeasible, basis.x, 0.0)))
-        _, reduced, opt_tol = basis.price(cost)
+        _, reduced, opt_tol = basis.price(cost, c_scale)
         # how far each reduced cost may rise before it passes the tolerance
         slack = np.maximum(opt_tol - reduced, 0.0)
         alpha = basis.inv[row] @ A

@@ -342,6 +342,8 @@ class MonomialTable:
         self.nvars = exps.shape[1]
         self.exps = np.ascontiguousarray(np.asarray(exps, dtype=np.int64).T)
         self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
+        # row i: where x_i^e sits in a point's powers, flattened variable by variable
+        self.flat = self.exps + (np.arange(self.nvars) * len(self.powers))[:, None]
 
     def tables(self, points: np.ndarray):
         """(first row, monomial table) of each EVAL_CHUNK rows of points."""
@@ -355,12 +357,13 @@ class MonomialTable:
     def table(self, points: np.ndarray) -> np.ndarray:
         """The C-contiguous monomial table at up to EVAL_CHUNK (n, nvars) points."""
         pts = np.ascontiguousarray(points, dtype=float)
-        pows = pts[:, :, None] ** self.powers
-        # copy the first factor in rather than multiply it into ones: same bits, one pass less
-        table = np.empty((len(pts), self.exps.shape[1]))
-        table[...] = pows[:, 0, self.exps[0]] if self.nvars else 1.0
+        if not self.nvars:
+            return np.ones((len(pts), self.exps.shape[1]))
+        pows = (pts[:, :, None] ** self.powers).reshape(len(pts), self.nvars * len(self.powers))
+        # the first factor is the table, the others multiply into it in place
+        table = np.take(pows, self.flat[0], axis=1)
         for i in range(1, self.nvars):
-            table *= pows[:, i, self.exps[i]]
+            table *= np.take(pows, self.flat[i], axis=1)
         return table
 
     def dot(self, points: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
+from numpy.linalg import _umath_linalg   # private: the gufuncs of np.linalg.det and solve
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
@@ -197,15 +198,16 @@ def _chart_dim(zeros: tuple, sum_active: bool, d: int) -> int:
 
 def _batched_solve(H: np.ndarray, g: np.ndarray):
     """Solve H x = -g per row; a row whose H is non-finite (its scale is then
-    inf or NaN) or singular, |det H| <= 1e-14 max|H|^k, gets a NaN step."""
+    inf or NaN) or singular, |det H| <= 1e-14 max|H|^k, gets a NaN step.
+    The LAPACK gufuncs behind np.linalg.det and np.linalg.solve are called
+    directly, without the wrappers' per-call checks: each row is its own LU,
+    so the steps are those of the wrappers bit for bit, and a singular row,
+    which the solve fills with NaN, is a NaN step anyway."""
     k = H.shape[1]
-    with np.errstate(invalid="ignore"):
-        dets = np.linalg.det(H)
-    bad = ~(np.abs(dets) > 1e-14 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-30) ** k)
-    if bad.any():
-        H = H.copy()
-        H[bad] = np.eye(k)
-    step = np.linalg.solve(H, -g[..., None])[..., 0]
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        dets = _umath_linalg.det(H, signature="d->d")
+        bad = ~(np.abs(dets) > 1e-14 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-30) ** k)
+        step = _umath_linalg.solve1(H, -g, signature="dd->d")
     step[bad] = np.nan
     return step
 
@@ -268,17 +270,21 @@ def _newton_critical_points(ders: Derivatives, starts: np.ndarray, feasible,
 def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: float):
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1
     (ders: the Derivatives of p), solved by Newton on the bordered system in
-    the rows (x, lambda)."""
+    the rows (x, lambda).  The derivatives at the normalized starts give
+    lambda's start and serve the first step too, when every row runs in it."""
     d = ders.nvars
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
     X = X[nrm > 0] / nrm[nrm > 0, None]
-    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", ders(X)[0], X)])
+    first = [ders(X)]
+    Z = np.column_stack([X, 0.5 * np.einsum("ij,ij->i", first[0][0], X)])
     eye = np.eye(d)
 
     def evaluate(Z):
         X, lam = Z[:, :d], Z[:, d]
-        G, H = ders(X)
+        # the first step runs every row unless some start's lambda is not finite
+        G, H = first.pop() if first and len(first[0][0]) == len(Z) else ders(X)
+        first.clear()
         J = np.zeros((len(Z), d + 1, d + 1))
         J[:, :d, :d] = H - 2 * lam[:, None, None] * eye
         J[:, :d, d] = -2 * X
@@ -569,21 +575,28 @@ def _grid_values(p, dom: Domain, resolution: int):
 
 
 def _candidates(p, dom: Domain, resolution: int, crits: list):
-    """The grid rows followed by the critical points, the value of p at each,
-    and the number of grid rows."""
+    """The grid rows followed by the critical points, and the value of p at each."""
     grid, values = _grid_values(p, dom, resolution)
     pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
     vals = np.concatenate([values, [val for _, val in crits]])
-    return np.vstack([grid, pts]), vals, len(grid)
+    return np.vstack([grid, pts]), vals
 
 
 def _refine_grid(p, dom: Domain, resolution: int, crits: list) -> SupNormReport:
-    """The first maximum of |p| over the grid rows, then the critical points."""
-    pts, vals, n_grid = _candidates(p, dom, resolution, crits)
-    mags = np.abs(vals)
+    """The first maximum of |p| over the grid rows, then the critical points:
+    a critical value replaces the grid's maximum only when it is larger (or
+    NaN, which np.argmax takes first)."""
+    grid, values = _grid_values(p, dom, resolution)
+    mags = np.abs(values)
     i = int(np.argmax(mags))
-    return SupNormReport(value=float(mags[i]), argmax=tuple(float(v) for v in pts[i]),
-                         critical_points=crits, grid_value=float(np.max(mags[:n_grid])))
+    grid_value = value = float(mags[i])
+    argmax = tuple(float(v) for v in grid[i])
+    if crits:
+        crit_mags = np.abs(np.array([val for _, val in crits], dtype=float))
+        j = int(np.argmax(crit_mags))
+        if not (crit_mags[j] <= value or math.isnan(value)):
+            value, argmax = float(crit_mags[j]), tuple(float(v) for v in crits[j][0])
+    return SupNormReport(value=value, argmax=argmax, critical_points=crits, grid_value=grid_value)
 
 
 def signed_max(p, dom: Domain, resolution: int, seed: int = 0) -> tuple:
@@ -594,7 +607,7 @@ def signed_max(p, dom: Domain, resolution: int, seed: int = 0) -> tuple:
     if dom.kind not in (SIMPLEX, BALL):
         raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
     b = _bound(p)
-    pts, vals, _ = _candidates(b, dom, resolution, critical_points(b, dom, seed=seed))
+    pts, vals = _candidates(b, dom, resolution, critical_points(b, dom, seed=seed))
     if dom.kind == SIMPLEX:
         rim = np.any(pts <= 1e-12, axis=1) | (pts.sum(axis=1) >= 1 - 1e-12)
     else:

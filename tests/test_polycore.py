@@ -326,6 +326,48 @@ class TestPolyBatch:
             PolyBatch([Poly.variable(2, 0)])(np.zeros((4, 3)))
 
 
+def table_reference(mt, points):
+    """MonomialTable.table as a gather from the (n, nvars, powers) array, one
+    variable at a time."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    pows = pts[:, :, None] ** mt.powers
+    table = np.empty((len(pts), mt.exps.shape[1]))
+    table[...] = pows[:, 0, mt.exps[0]] if mt.nvars else 1.0
+    for i in range(1, mt.nvars):
+        table *= pows[:, i, mt.exps[i]]
+    return table
+
+
+class TestMonomialTable:
+    """The table takes each variable's factor from the flattened powers and
+    multiplies them in variable order: the same bytes as the 3-D gather."""
+
+    def assert_matches(self, mt, X):
+        got = mt.table(X)
+        assert got.flags.c_contiguous and got.shape == (len(X), mt.exps.shape[1])
+        assert got.tobytes() == table_reference(mt, X).tobytes()
+
+    @pytest.mark.parametrize("nvars", range(7))
+    def test_matches_the_3d_gather(self, nvars):
+        rng = np.random.default_rng(400 + nvars)
+        for degree in range(8):
+            exps = polycore.exponent_array(degree, nvars)
+            # every monomial, and a shuffled part of them
+            part = exps[rng.permutation(len(exps))[:max(1, len(exps) // 3)]]
+            for mt in (polycore.MonomialTable(exps), polycore.MonomialTable(part)):
+                for n in (0, 1, 3, 7, 33, 128):
+                    X = rng.uniform(-1.5, 1.5, size=(n, nvars))
+                    X[rng.random(X.shape) < 0.1] = 0.0
+                    self.assert_matches(mt, X)
+
+    def test_simplex_grid_at_48(self):
+        from chebydev.domains import simplex
+        from chebydev.supnorm import sample_domain
+        X = sample_domain(simplex(3), 48)
+        assert len(X) == 20825
+        self.assert_matches(polycore.MonomialTable(polycore.exponent_array(6, 3)), X)
+
+
 def constructor_reference(nvars, terms, field):
     """The terms the Poly constructor keeps, converted one by one: exponents
     re-tupled as ints and checked, coefficients coerced into the field; float

@@ -657,12 +657,37 @@ class TestFusedKernel:
         supnorm._newton_critical_points(_derivatives(q), supnorm._simplex_starts(rng, 4, 40),
                                         lambda Y: np.ones(len(Y), dtype=bool), 1e-11)
         assert len(iterations) > 2 and calls == iterations
-        # the sphere search evaluates once more, for the starting multipliers
+        # the sphere search's first step reuses the evaluation that gives
+        # the starting multipliers
         calls.clear()
         iterations.clear()
         p = Poly.monomial((1, 1, 1)).to_float64()
         supnorm._sphere_critical_points(_derivatives(p), rng.normal(size=(30, 3)), 1e-11)
-        assert len(iterations) > 2 and calls == [30] + iterations
+        assert len(iterations) > 2 and calls == iterations and calls[0] == 30
+
+    def test_sphere_start_with_no_multiplier_is_evaluated_again(self):
+        # a start whose multiplier is not finite does not run, so the first
+        # step evaluates the running rows afresh
+        p = Poly.monomial((1, 2, 1)).to_float64()
+        real = _derivatives(p)
+
+        class Marked:
+            nvars, calls = real.nvars, []
+
+            def __call__(self, X):
+                G, H = real(X)
+                if not self.calls:
+                    G = G.copy()
+                    G[1] = np.nan
+                self.calls.append(len(X))
+                return G, H
+
+        starts = np.random.default_rng(8).normal(size=(20, 3))
+        marked = Marked()
+        got = supnorm._sphere_critical_points(marked, starts, 1e-11)
+        assert marked.calls[:2] == [20, 19]
+        want = supnorm._sphere_critical_points(real, np.delete(starts, 1, axis=0), 1e-11)
+        assert got == want and len(got) > 1
 
     @pytest.mark.parametrize("dom", [simplex(3), ball(3), sphere(3)], ids=lambda d: d.kind)
     def test_critical_values_are_eval_grid_of_the_chart(self, dom):
@@ -857,6 +882,104 @@ class TestBatchedSolve:
         assert np.isnan(s[1:5]).all()
         for i in (0, 5, 6):
             assert J[i] @ s[i] == pytest.approx(-F[i], abs=1e-12)
+
+
+def _near_threshold(rng, k, ratio):
+    """A k x k matrix with |det| about ratio * 1e-14 max|H|^k, the singular
+    threshold of _batched_solve: its least singular value set to match."""
+    U, S, Vt = np.linalg.svd(rng.normal(size=(k, k)))
+    for _ in range(4):
+        H = (U * S) @ Vt
+        S[-1] = ratio * 1e-14 * np.abs(H).max() ** k / np.prod(S[:-1])
+    return (U * S) @ Vt
+
+
+class TestBatchedSolveBits:
+    """_batched_solve calls the LAPACK gufuncs directly; its steps and its
+    NaN rows are those of the np.linalg.det / np.linalg.solve version
+    (_reference_batched_solve), bit for bit, and it warns of nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_the_linalg_wrappers(self, k):
+        rng = np.random.default_rng(70 + k)
+        H = rng.normal(size=(64, k, k))
+        H[1] = 0.0
+        H[2] = rng.integers(-3, 4, size=(k, k))
+        H[2, -1] = H[2, 0] if k > 1 else 0.0             # exactly singular
+        H[3, :, 0] = 0.0
+        ratios = [0.2, 0.5, 0.99, 1.01, 2.0, 5.0, 0.9999999, 1.0000001]
+        if k > 1:   # for k = 1, |det| = max|H| is far above the threshold
+            for i, r in enumerate(ratios, start=4):
+                H[i] = _near_threshold(rng, k, r)
+                assert 0.1 <= abs(np.linalg.det(H[i])) / (1e-14 * np.abs(H[i]).max() ** k) <= 10
+        H[20, 0, -1] = np.nan
+        H[21, -1, 0] = np.inf
+        H[22, 0, 0] = -np.inf
+        H[23] = np.nan
+        H[24:28] *= np.array([1e-150, 1e-30, 1e30, 1e60])[:, None, None]
+        g = rng.normal(size=(64, k))
+        g[30, 0], g[31, -1], g[32] = np.nan, np.inf, 0.0
+        kept = H.copy()
+        got, want = supnorm._batched_solve(H, g), _reference_batched_solve(H, g)
+        assert got.shape == want.shape == (64, k) and got.tobytes() == want.tobytes()
+        assert np.array_equal(H, kept, equal_nan=True)
+        bad = np.isnan(got).all(axis=1)
+        assert bad[[1, 2, 3, 20, 21, 22, 23]].all() and not bad[[0, 32, 40]].any()
+        if k > 1:   # the near-threshold rows fall on both sides
+            assert 0 < bad[4:4 + len(ratios)].sum() < len(ratios)
+
+
+def _reference_refine_grid(p, dom, resolution, crits):
+    """_refine_grid as one argmax over the grid rows stacked on the critical points."""
+    grid, values = supnorm._grid_values(p, dom, resolution)
+    pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
+    pts, mags = np.vstack([grid, pts]), np.abs(np.concatenate([values, [v for _, v in crits]]))
+    i = int(np.argmax(mags))
+    return supnorm.SupNormReport(value=float(mags[i]), argmax=tuple(float(v) for v in pts[i]),
+                                 critical_points=crits,
+                                 grid_value=float(np.max(mags[:len(grid)])))
+
+
+class TestRefineGrid:
+    """The first maximum over the grid values, then over the critical
+    values: a tie keeps the grid's point, and of equal critical values the
+    first; the grid is never stacked with the critical points."""
+
+    @pytest.fixture
+    def plan(self):
+        p = Poly(3, {(2, 1, 0): 1.0, (0, 1, 2): -0.7, (1, 0, 0): 0.3, (1, 1, 1): 2.0}, "float64")
+        b = supnorm.SearchPlan(p).bind()
+        grid, values = supnorm._grid_values(b, simplex(3), 8)
+        i = int(np.argmax(np.abs(values)))
+        return b, tuple(grid[i].tolist()), float(abs(values[i]))
+
+    @pytest.mark.parametrize("case", ["none", "below", "tie", "two_equal", "nan", "nan_later"])
+    def test_matches_the_stacked_argmax(self, plan, case, monkeypatch):
+        b, grid_pt, top = plan
+        a, c, e = (0.1, 0.2, 0.3), (0.2, 0.2, 0.2), (0.3, 0.1, 0.1)
+        crits = {
+            "none": [],
+            "below": [(a, 0.5 * top), (c, -0.9 * top)],
+            "tie": [(a, 0.5 * top), (c, -top), (e, top)],
+            "two_equal": [(a, 0.5 * top), (c, -2 * top), (e, 2 * top)],
+            "nan": [(a, 2 * top), (c, math.nan)],
+            "nan_later": [(a, math.nan), (c, math.nan), (e, 3 * top)],
+        }[case]
+        want = _reference_refine_grid(b, simplex(3), 8, crits)
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("the grid was stacked")
+
+        monkeypatch.setattr(np, "vstack", no_stack)
+        got = supnorm._refine_grid(b, simplex(3), 8, crits)
+        monkeypatch.undo()
+        assert got.value.hex() == want.value.hex() or math.isnan(got.value) and math.isnan(
+            want.value)
+        assert got.argmax == want.argmax and got.grid_value.hex() == want.grid_value.hex()
+        assert got.grid_value == top and got.critical_points is crits
+        assert got.argmax == {"none": grid_pt, "below": grid_pt, "tie": grid_pt,
+                              "two_equal": c, "nan": c, "nan_later": a}[case]
 
 
 class TestDeterminant:
