@@ -38,7 +38,10 @@ class Domain:
         return self.dimension
 
     def contains(self, point, tol: float = 1e-12) -> bool:
+        """True iff ``point`` has nvars coordinates and lies within tol of the domain."""
         xs = [float(v) for v in point]
+        if len(xs) != self.nvars:
+            return False
         if self.kind == SIMPLEX:
             return all(v >= -tol for v in xs) and sum(xs) <= 1 + tol
         if self.kind == BALL:

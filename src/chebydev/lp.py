@@ -19,12 +19,12 @@ objective has not risen above its best value so far for ``STALLED_PIVOTS``
 pivots is stalled in rounding noise and raises ``LPError``.  No external
 solver is used, so runs are bit-reproducible.
 
-A caller that knows a feasible basis passes it and the solve starts in
-phase 2; otherwise phase 1 runs over artificial columns.  The discrete
-Chebyshev duals of :mod:`chebydev.bestapprox` (k + 1 rows for k basis
-functions, a column pair (+-Phi_i, 1) per point) are small-by-wide; there
-Dantzig's rule prices each pair as |f_i - Phi_i c| - t, which is Stiefel's
-exchange in the revised form of Barrodale & Phillips (ACM TOMS 495, 1975).
+Every solve starts from a feasible basis that its caller gives.  The
+discrete Chebyshev duals of :mod:`chebydev.bestapprox` (k + 1 rows for k
+basis functions, a column pair (+-Phi_i, 1) per point), the one LP solved
+here, always have one; they are small-by-wide, and Dantzig's rule prices each
+pair as |f_i - Phi_i c| - t, which is Stiefel's exchange in the revised form
+of Barrodale & Phillips (ACM TOMS 495, 1975).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 # ratio-test entries at or below this fraction of the entering column's
 # largest entry are not pivots
 PIVOT_TOL = 1e-7
-# reduced costs above this fraction of max|c| (1 in phase 1) are improving
+# reduced costs above this fraction of max|c| are improving
 OPT_TOL = 1e-13
 # a reduced cost counts as zero below this many units of rounding of y.A
 NOISE = 64 * np.finfo(float).eps
@@ -69,27 +69,22 @@ class LPError(RuntimeError):
 
 @dataclass
 class LPResult:
-    status: str                 # 'optimal' | 'infeasible' | 'unbounded'
     objective: float
     x: np.ndarray               # primal solution (full length n)
     basis: list[int]            # optimal basis column indices
     multipliers: np.ndarray     # y with B^T y = c_B (dual values of the rows)
-    iterations: int             # pivots of both phases
+    iterations: int             # pivots, primal and dual
 
 
 class _Basis:
-    """A basis of A x = b (column n + i stands for the artificial unit
-    column e_i), its matrix B, gathered from A once and then kept by
-    replacing the column that each pivot changes, B's explicit inverse and
-    the basic values."""
+    """A basis of A x = b, its matrix B, gathered from A once (C-ordered,
+    as the products with B round in that layout) and then kept by replacing
+    the column that each pivot changes, B's explicit inverse and the basic
+    values."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
         self.A, self.b, self.cols = A, b, cols
-        m, n = A.shape
-        self.B = np.zeros((m, m))
-        real = cols < n
-        self.B[:, real] = A[:, cols[real]]
-        self.B[cols[~real] - n, np.flatnonzero(~real)] = 1.0
+        self.B = np.ascontiguousarray(A[:, cols])
         self.a_scale = float(np.abs(A).max())
         self.pivots = 0
         self.idle = 0       # pivots since the objective last rose past its best
@@ -104,13 +99,12 @@ class _Basis:
         return y + (c_b - y @ self.B) @ self.inv
 
     def price(self, cost: np.ndarray, c_scale: float):
-        """y, the reduced costs of the real columns (0 on the basic ones)
-        and the tolerance below which a reduced cost counts as zero: the
-        rounding error of y.A, at least OPT_TOL c_scale (max|cost|)."""
-        n = self.A.shape[1]
+        """y, the reduced costs (0 on the basic columns) and the tolerance
+        below which a reduced cost counts as zero: the rounding error of
+        y.A, at least OPT_TOL c_scale (max|cost|)."""
         y = self.multipliers(cost)
-        reduced = cost[:n] - y @ self.A
-        reduced[self.cols[self.cols < n]] = 0.0
+        reduced = cost - y @ self.A
+        reduced[self.cols] = 0.0
         tol = max(OPT_TOL * c_scale,
                   NOISE * (float(np.abs(y).sum()) * self.a_scale + c_scale))
         return y, reduced, tol
@@ -140,7 +134,7 @@ def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
     others = a.copy()
     others[row] = 0.0
     inv -= np.outer(others, inv[row])
-    basis.B[:, row] = basis.A[:, col]   # only real columns enter
+    basis.B[:, row] = basis.A[:, col]
     basis.cols[row] = col
     basis.pivots += 1
     basis.idle += 1
@@ -150,13 +144,12 @@ def _pivot(basis: _Basis, row: int, col: int, a: np.ndarray, theta: float):
 
 
 def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
-              feas_tol: float) -> str:
-    """Pivot on the real columns until no reduced cost exceeds the
-    tolerance and no basic value is infeasible.  ``cost`` holds the
-    objective over the real columns, then over the artificials.  Returns
-    'optimal' or 'unbounded'."""
+              feas_tol: float):
+    """Pivot until no reduced cost exceeds the tolerance and no basic value
+    is infeasible.  An entering column with no ratio-test row (the LP is
+    unbounded) raises ``LPError``."""
     A = basis.A
-    m, n = A.shape
+    m = A.shape[0]
     c_scale = float(np.abs(cost).max())
     b = basis.b
     shifted = False
@@ -199,13 +192,13 @@ def _optimize(basis: _Basis, cost: np.ndarray, max_pivots: int,
                 restores += 1
                 _restore_feasibility(basis, cost, c_scale, feas_tol, max_pivots)
             else:
-                return "optimal"
+                return
             continue
         a = basis.inv @ A[:, col]
         amax = float(np.abs(a).max())
         rows = np.flatnonzero(a > PIVOT_TOL * amax)
         if rows.size == 0:
-            return "unbounded"
+            raise LPError(f"the LP is unbounded along column {col}")
         if lex:
             # lexicographic ratio test: among the rows of least ratio, the
             # least row of B^-1 B_ref / a_r, with B_ref the basis where the
@@ -250,7 +243,7 @@ def _restore_feasibility(basis: _Basis, cost: np.ndarray, c_scale: float,
         # how far each reduced cost may rise before it passes the tolerance
         slack = np.maximum(opt_tol - reduced, 0.0)
         alpha = basis.inv[row] @ A
-        alpha[basis.cols[basis.cols < A.shape[1]]] = 0.0
+        alpha[basis.cols] = 0.0
         amax = float(np.abs(alpha).max())
         # the reduced costs that the step raises; above rounding level
         falling = np.flatnonzero(alpha < -NOISE * amax)
@@ -271,14 +264,13 @@ def _restore_feasibility(basis: _Basis, cost: np.ndarray, c_scale: float,
 
 
 def simplex_solve(A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  basis=None) -> LPResult:
-    """Maximize c.x subject to A x = b, x >= 0.
+                  basis) -> LPResult:
+    """Maximize c.x subject to A x = b, x >= 0, from ``basis``: m columns
+    of A that form a feasible basis.
 
-    ``basis``, if given, lists m columns of A that form a feasible basis;
-    the solve then starts from it in phase 2.  Without it, phase 1 finds a
-    feasible basis over artificial columns.  A given basis that is singular
-    or infeasible, a run past the pivot limit, a stalled run, or an optimal
-    basis that keeps losing feasibility raises ``LPError``.
+    A starting basis that is singular or infeasible, an unbounded LP, a run
+    past the pivot limit, a stalled run, or an optimal basis that keeps
+    losing feasibility raises ``LPError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -293,49 +285,21 @@ def _simplex_solve_once(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     m, n = A.shape
     max_pivots = 1000 + 10 * (m + n)
     feas_tol = FEAS_TOL * max(float(np.abs(b).max()), 1.0)
-    sign = np.ones(m)
-    if start is not None:
-        cols = np.array(start, dtype=int)
-        if cols.shape != (m,) or len(set(cols.tolist())) != m \
-                or cols.min() < 0 or cols.max() >= n:
-            raise LPError(f"a starting basis needs {m} distinct columns of A")
-        try:
-            basis = _Basis(A, b, cols)
-        except np.linalg.LinAlgError:
-            raise LPError("the starting basis is singular") from None
-        # the optimal basis of an earlier solve comes back feasible only to
-        # within the rounding of its factorization
-        if basis.x.min() < -START_TOL * max(float(np.abs(b).max()), 1.0):
-            raise LPError("the starting basis is infeasible")
-    else:
-        # phase 1: maximize -(sum of artificials), rows signed so that b >= 0
-        sign[b < 0] = -1.0
-        A, b = A * sign[:, None], b * sign
-        basis = _Basis(A, b, np.arange(n, n + m))
-        _optimize(basis, np.concatenate([np.zeros(n), -np.ones(m)]), max_pivots, feas_tol)
-        artificial = basis.cols >= n
-        if basis.x[artificial].sum() > feas_tol:
-            return LPResult("infeasible", float("nan"), np.zeros(n),
-                            basis.cols.tolist(), np.zeros(m), basis.pivots)
-        # drive the artificials left at zero out of the basis; a row whose
-        # reduced row vanishes is redundant and keeps its artificial, which
-        # no pivot can then move
-        for row in np.flatnonzero(artificial):
-            entries = np.abs(basis.inv[row] @ A)
-            entries[basis.cols[basis.cols < n]] = 0.0
-            col = int(np.argmax(entries))
-            if entries[col] > PIVOT_TOL:
-                _pivot(basis, int(row), col, basis.inv @ A[:, col], 0.0)
-
-    cost = np.concatenate([c, np.zeros(m)])
-    status = _optimize(basis, cost, max_pivots, feas_tol)
-    if status == "unbounded":
-        return LPResult("unbounded", float("inf"), np.zeros(n),
-                        basis.cols.tolist(), np.zeros(m), basis.pivots)
+    cols = np.array(start, dtype=int)
+    if cols.shape != (m,) or len(set(cols.tolist())) != m \
+            or cols.min() < 0 or cols.max() >= n:
+        raise LPError(f"a starting basis needs {m} distinct columns of A")
+    try:
+        basis = _Basis(A, b, cols)
+    except np.linalg.LinAlgError:
+        raise LPError("the starting basis is singular") from None
+    # the optimal basis of an earlier solve comes back feasible only to
+    # within the rounding of its factorization
+    if basis.x.min() < -START_TOL * max(float(np.abs(b).max()), 1.0):
+        raise LPError("the starting basis is infeasible")
+    _optimize(basis, c, max_pivots, feas_tol)
     # the reported point and multipliers come from a fresh factorization
     x = np.zeros(n)
-    real = basis.cols < n
-    x[basis.cols[real]] = np.maximum(np.linalg.solve(basis.B, b)[real], 0.0)
-    y = np.linalg.solve(basis.B.T, cost[basis.cols]) * sign
-    return LPResult("optimal", float(c @ x), x, basis.cols[real].tolist(), y,
-                    basis.pivots)
+    x[basis.cols] = np.maximum(np.linalg.solve(basis.B, b), 0.0)
+    y = np.linalg.solve(basis.B.T, c[basis.cols])
+    return LPResult(float(c @ x), x, basis.cols.tolist(), y, basis.pivots)

@@ -204,40 +204,35 @@ def r5_signature(consts: R5Constants) -> SignedPointSet:
 # --------------------------------------------------------------------------
 
 
-def _integer_scaled(sps: SignedPointSet):
-    """Scale rational points/weights to integers for exact annihilation sums."""
-    denoms = [Fraction(c).denominator for p in sps.points for c in p]
-    m = math.lcm(*denoms) if denoms else 1
-    wden = math.lcm(*[Fraction(w).denominator for w in sps.weights])
-    pts = [tuple(int(Fraction(c) * m) for c in p) for p in sps.points]
-    wts = [int(Fraction(w) * wden) for w in sps.weights]
-    return pts, wts
-
-
 def annihilation_residual(sps: SignedPointSet, n: int, d: int):
     """Max over monomials of degree <= n of |sum_v lambda_v sigma(v) v^alpha|.
 
-    Exact (Fraction 0 or not) for rational data, which is scaled to integers
-    in object arrays; float otherwise.  The sweep runs over every monomial,
-    sharing the partial products of exponent prefixes so the work is one
-    multiply per (monomial, point).
+    Exact (a Fraction) for rational data, which is scaled to integers in
+    object arrays: points times m, weights times wden, so a sum over a
+    monomial of degree k is m^k wden times its value; float otherwise.  The
+    sweep runs over every monomial, sharing the partial products of exponent
+    prefixes so the work is one multiply per (monomial, point).
     """
     if sps.weights is None:
         raise PolyError("annihilation check needs weights")
     if any(len(p) != d for p in sps.points):
         raise PolyError(f"support points are not {d}-dimensional")
     rational = sps.is_rational()
-    pts, wts = _integer_scaled(sps) if rational else (sps.points, sps.weights)
+    pts, wts = sps.points, sps.weights
+    if rational:
+        m = math.lcm(*[Fraction(c).denominator for p in pts for c in p])
+        wden = math.lcm(*[Fraction(w).denominator for w in wts])
+        pts = [tuple(int(Fraction(c) * m) for c in p) for p in pts]
+        wts = [int(Fraction(w) * wden) for w in wts]
     dtype = object if rational else float
     X = np.array(pts, dtype=dtype).reshape(len(pts), d)
     cols = [np.ascontiguousarray(X[:, j]) for j in range(d)]
     sw = np.array(wts, dtype=dtype) * np.array(sps.signs, dtype=dtype)
-    worst = 0
+    worst = [0] * (n + 1)   # by the monomial's degree n - rem
 
     def rec(pos: int, rem: int, prod):
-        nonlocal worst
         if pos == d:
-            worst = max(worst, abs(prod @ sw))
+            worst[n - rem] = max(worst[n - rem], abs(prod @ sw))
             return
         rec(pos + 1, rem, prod)
         v = prod
@@ -247,7 +242,9 @@ def annihilation_residual(sps: SignedPointSet, n: int, d: int):
             rec(pos + 1, rem, v)
 
     rec(0, n, np.ones(len(pts), dtype=dtype))
-    return Fraction(worst) if rational else float(worst)
+    if rational:
+        return max(Fraction(w, m ** k * wden) for k, w in enumerate(worst))
+    return float(max(worst))
 
 
 def check_annihilation(sps: SignedPointSet, n: int, d: int,

@@ -574,14 +574,6 @@ def _grid_values(p, dom: Domain, resolution: int):
     return grid, values
 
 
-def _candidates(p, dom: Domain, resolution: int, crits: list):
-    """The grid rows followed by the critical points, and the value of p at each."""
-    grid, values = _grid_values(p, dom, resolution)
-    pts = np.array([pt for pt, _ in crits], dtype=float).reshape(len(crits), grid.shape[1])
-    vals = np.concatenate([values, [val for _, val in crits]])
-    return np.vstack([grid, pts]), vals
-
-
 def _refine_grid(p, dom: Domain, resolution: int, crits: list) -> SupNormReport:
     """The first maximum of |p| over the grid rows, then the critical points:
     a critical value replaces the grid's maximum only when it is larger (or
@@ -607,7 +599,12 @@ def signed_max(p, dom: Domain, resolution: int, seed: int = 0) -> tuple:
     if dom.kind not in (SIMPLEX, BALL):
         raise PolyError(f"signed_max needs a simplex or a ball, not {dom.kind}")
     b = _bound(p)
-    pts, vals = _candidates(b, dom, resolution, critical_points(b, dom, seed=seed))
+    crits = critical_points(b, dom, seed=seed)
+    grid, values = _grid_values(b, dom, resolution)
+    # the grid rows, then the critical points, and the value of p at each
+    pts = np.vstack([grid, np.array([pt for pt, _ in crits], dtype=float)
+                     .reshape(len(crits), grid.shape[1])])
+    vals = np.concatenate([values, [val for _, val in crits]])
     if dom.kind == SIMPLEX:
         rim = np.any(pts <= 1e-12, axis=1) | (pts.sum(axis=1) >= 1 - 1e-12)
     else:

@@ -175,6 +175,20 @@ class TestApprox:
                          "--grid", "4"])
         assert code == 3
 
+    def test_warning_exit_code(self, capsys, monkeypatch, tmp_path):
+        # a result that carries a warning is reported on stderr, not written
+        import chebydev.bestapprox as ba
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(ba, "remez_exchange", lambda prob, seed: SimpleNamespace(
+            warning="exchange stopped at its iteration limit"))
+        report = tmp_path / "report.json"
+        code = cli.main(["approx", "--monomial", "1,1", "--degree", "1",
+                         "--grid", "4", "--out", str(report)])
+        assert code == 3
+        assert "exchange stopped at its iteration limit" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_basis_outside_the_span_is_a_usage_error(self, capsys, monkeypatch):
         # the even basis is not closed under u = 2x - 1: refused before any LP
         import chebydev.bestapprox as ba
@@ -227,6 +241,26 @@ class TestModuleEntry:
         assert proc.returncode == 2 and "left the basis span" in proc.stderr
 
 
+    def test_rd_table(self):
+        # the invocation the README documents
+        proc = self.run_module("rd-table", "--max-d", "4")
+        assert proc.returncode == 0
+        assert proc.stdout == "d,r_d,prime_factorization\n3,72,2^3*3^2\n4,896,2^7*7\n"
+
+
+class TestMainErrors:
+    @pytest.mark.parametrize("error", ["PolyError", "LPError"])
+    def test_numerical_errors_exit_3(self, capsys, monkeypatch, error):
+        exc = getattr(cli, error)
+
+        def failing(args):
+            raise exc("singular system")
+
+        monkeypatch.setattr(cli, "cmd_rd_table", failing)
+        assert cli.main(["rd-table", "--max-d", "3"]) == 3
+        assert capsys.readouterr().err == "chebydev: singular system\n"
+
+
 class TestBlasThreads:
     """Importing chebydev asks OpenBLAS for one thread unless the variable is set."""
 
@@ -267,6 +301,16 @@ class TestTables:
                 == int(rd) == compute_rd(int(d))
         # r_30's 30-digit cofactor lies past the proven Miller-Rabin range
         assert rows[-1].endswith("*141394687279295136642440200829?")
+
+    def test_rd_table_method_disagreement(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "compute_rd", lambda d, method: 72 + (method == "recursive"))
+        assert cli.main(["rd-table", "--max-d", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "method disagreement at d=3" in captured.err
+
+    def test_surface_grid_zero_is_a_usage_error(self, capsys):
+        assert cli.main(["surface", "--poly", "u3", "--grid", "0"]) == 2
+        assert "--grid must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["rd-table", "--max-d", "3", "--seed", "1"],
                                       ["rd-table", "--max-d", "3", "--tol", "supnorm=1"],

@@ -155,6 +155,31 @@ class TestAnnihilatingFunctional:
         Lf = SignedPointSet(_float_points(L.points), L.signs, [float(w) for w in L.weights])
         assert annihilation_residual(Lf, d - 1, d) <= 1e-12 * sum(Lf.weights)
 
+    def test_rational_residual_is_the_largest_exact_sum(self):
+        # the integer-scaled sums of degree k carry a factor m^k wden, which
+        # the residual takes out; checked against the direct Fraction sums
+        def direct(sps, n, d):
+            return max(abs(sum(s * w * math.prod(c ** e for c, e in zip(p, mon))
+                               for p, s, w in zip(sps.points, sps.signs, sps.weights)))
+                       for mon in monomial_exponents(n, d))
+
+        half = SignedPointSet([(Fraction(1, 2),), (Fraction(1, 4),)], [1, -1],
+                              [Fraction(1, 3)] * 2)
+        assert annihilation_residual(half, 2, 1) == Fraction(1, 12)
+        rng = random.Random(26)
+        sets = [(build_l_functional(d), n, d) for d in (3, 4) for n in (d - 1, d)]
+        for _ in range(12):
+            d, size = rng.randint(1, 4), rng.randint(1, 6)
+            points = list(dict.fromkeys(
+                tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d))
+                for _ in range(size)))
+            signs = [rng.choice((1, -1)) for _ in points]
+            weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+            sets.append((SignedPointSet(points, signs, weights), rng.randint(0, 4), d))
+        for sps, n, d in sets:
+            assert annihilation_residual(sps, n, d) == direct(sps, n, d)
+        assert sum(annihilation_residual(*case) == 0 for case in sets) == 2
+
     def test_r5_functional_annihilates_degree_5(self, consts):
         sig = r5_signature(consts)
         scale = sum(sig.weights)
