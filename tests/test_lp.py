@@ -28,7 +28,6 @@ class TestStandardForm:
         res = simplex_solve(A, b, c, basis=[2, 3])
         assert res.objective == pytest.approx(12.0)
         assert res.x[0] == pytest.approx(4.0)
-        assert res.iterations == 1
 
     def test_unbounded(self):
         # max x - y with x - y free to grow: x - y - s = 0 has no upper bound
@@ -156,6 +155,17 @@ class TestChebyshevDual:
 
 
 class TestStartingBasis:
+    def test_given_feasible_basis_skips_phase_one(self):
+        # max 3x + 2y s.t. x + y + s1 = 4, x + 3y + s2 = 6, from the slacks:
+        # the given basis is used as it is, so the one pivot is all there is
+        A = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+        b = np.array([4.0, 6.0])
+        c = np.array([3.0, 2.0, 0.0, 0.0])
+        res = simplex_solve(A, b, c, basis=[2, 3])
+        assert res.objective == pytest.approx(12.0)
+        assert res.basis == [0, 3]
+        assert res.iterations == 1
+
     def test_slightly_infeasible_start_ends_feasible(self):
         # max -y s.t. x - y = -1e-8: the basis {x} has x = -1e-8, within the
         # accepted start tolerance and already dual optimal; dual pivots
