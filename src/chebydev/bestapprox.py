@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -52,6 +53,7 @@ INDEPENDENCE_TOL = 1e-9
 FACE_ACTIVE_TOL = 1e-9
 # _adjoin compares new points with at most this many differences at a time
 ADJOIN_BLOCK = 1 << 14
+CACHE_SIZE = 64   # the bound of each cache: families, problem batches, grids
 
 
 @dataclass
@@ -226,20 +228,19 @@ def _sphere_spiral(npts: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
     """Grids for minimax: the domain samplers, except that spheres combine a
     deterministic spiral (for d = 3) with all sign-symmetric axis and diagonal
-    points, so the known extremal configurations lie on-grid."""
+    points, so the known extremal configurations lie on-grid.  Cached, read-only."""
     if domain.kind != SPHERE:
-        return sample_domain(domain, resolution)
+        return _read_only(sample_domain(domain, resolution))
     d = domain.dimension
     diag = _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)
     axes = np.vstack([np.eye(d), -np.eye(d)])
-    if d == 3:
-        base = _sphere_spiral(max(8, 2 * resolution * resolution))
-    else:
-        base = sample_domain(domain, resolution)
-    return _unique_rows(np.vstack([base, axes, diag]))
+    base = (_sphere_spiral(max(8, 2 * resolution * resolution)) if d == 3
+            else sample_domain(domain, resolution))
+    return _read_only(_unique_rows(np.vstack([base, axes, diag])))
 
 
 # --------------------------------------------------------------------------
@@ -249,11 +250,12 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
 
 @dataclass
 class _ProblemBasis:
-    """What stays fixed while one problem is solved on growing point sets.
-    The LP reads the batch; the exchange's fit builds scaled_f on first use."""
+    """What stays fixed while one problem is solved on growing point sets:
+    basis, scaled, M, batch and grid are cached and read-only (see _family)."""
     target_f: Poly
+    key: tuple                   # (target terms, degree, basis kind, domain), the caches' key
     basis: tuple[Poly, ...]      # original coordinates
-    scaled: list[dict]           # conditioned basis term maps, see _scaled_basis
+    scaled: tuple                # conditioned basis term maps, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones
     grid: np.ndarray             # every point set the problem is solved on starts with it
     batch: PolyBatch             # the target, then each scaled function, at a point set
@@ -271,6 +273,31 @@ class _ProblemBasis:
         return [Poly(self.target_f.nvars, s, FLOAT64) for s in self.scaled]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False   # a cached value is shared by every caller
+    return a
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _family(degree: int, kind: str, domain: Domain) -> tuple:
+    """(basis, scaled term maps, M) of a basis kind and degree on a domain,
+    whatever the target and the grid; _scaled_basis builds them on a miss."""
+    basis = invariant_basis(degree, domain.nvars, kind, for_sphere=domain.kind == SPHERE)
+    scaled, M = _scaled_basis(basis, domain)
+    return basis, tuple(MappingProxyType(s) for s in scaled), _read_only(M)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _problem_batch(target: tuple, degree: int, kind: str, domain: Domain,
+                   gradients: bool = False) -> PolyBatch:
+    """The target (its (exponent, float64 coefficient) pairs), then each scaled
+    function of its family: one batch of their values, or of their gradients."""
+    maps = [dict(target), *_family(degree, kind, domain)[1]]
+    if gradients:
+        return PolyBatch([g for s in maps for g in Poly(domain.nvars, s, FLOAT64).gradient()])
+    return PolyBatch(terms=term_arrays(maps, domain.nvars))
+
+
 def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A problem batch's target column and basis columns, each C-contiguous:
     a strided operand takes another BLAS or QR kernel and moves last bits."""
@@ -282,11 +309,11 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     point set of the problem, since each one contains the grid.  On the ball
     and the sphere mix = R^-1 sqrt(N), R from a QR of the grid columns, makes
     the LP columns orthogonal on the grid, each of root-mean-square 1."""
-    basis = invariant_basis(prob.degree, prob.target.nvars, prob.basis,
-                            for_sphere=prob.domain.kind == SPHERE)
-    scaled, M = _scaled_basis(basis, prob.domain)
+    target_f = prob.target.to_float64()
+    key = (tuple(target_f.terms.items()), prob.degree, prob.basis, prob.domain)
+    basis, scaled, M = _family(*key[1:])
     grid = approx_grid(prob.domain, prob.grid)
-    batch = PolyBatch(terms=term_arrays([prob.target.terms, *scaled], prob.target.nvars))
+    batch = _problem_batch(*key)
     f, Phi = _split(batch(grid))
     keep, R = _independent_columns(Phi)
     if len(keep) != len(basis):
@@ -298,8 +325,8 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     if prob.domain.kind in (BALL, SPHERE):
         mix = np.linalg.inv(R) * math.sqrt(len(grid))
         Phi = Phi @ mix
-    return _ProblemBasis(target_f=prob.target.to_float64(), basis=basis, scaled=scaled,
-                         M=M, grid=grid, batch=batch, mix=mix, grid_target=f, grid_columns=Phi)
+    return _ProblemBasis(target_f=target_f, key=key, basis=basis, scaled=scaled, M=M,
+                         grid=grid, batch=batch, mix=mix, grid_target=f, grid_columns=Phi)
 
 
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
@@ -498,8 +525,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     continuum problem, since the point set is a subset of the domain).
     """
     pb = _problem_basis(prob)
-    # the fit's gradients: the target's, then each scaled basis function's
-    grads = PolyBatch([g for p in [pb.target_f] + pb.scaled_f for g in p.gradient()])
+    grads = _problem_batch(*pb.key, gradients=True)
     search_domain = prob.domain
     if prob.domain.kind == SIMPLEX_FACE:
         search_domain = Domain(SIMPLEX, prob.domain.dimension - 1)

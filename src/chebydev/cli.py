@@ -91,9 +91,14 @@ def _parse_tols(pairs: list[str]) -> dict:
     tols = dict(DEFAULT_TOLERANCES)
     for pair in pairs or []:
         name, _, value = pair.partition("=")
-        if not value or name not in tols:
+        try:
+            tols[name] = float(value) if name in tols else math.nan
+        except ValueError:
+            tols[name] = math.nan
+        if not 0 <= tols[name] < math.inf:
+            sys.stderr.write(f"verify: --tol takes NAME=VALUE, NAME one of "
+                             f"{', '.join(DEFAULT_TOLERANCES)}, VALUE finite and >= 0\n")
             raise SystemExit(EXIT_USAGE)
-        tols[name] = float(value)
     return tols
 
 

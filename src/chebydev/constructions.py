@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb
 
@@ -36,6 +37,7 @@ R5_ROOT_BRACKET = (-1.3, -1.1)
 # decide primality (Sorenson & Webster 2017)
 MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_PROVEN_BOUND = 3317044064679887385961981
+TD_CACHE_SIZE = 16   # build_td's cache bound: T_d has about 2^d terms
 
 
 # --------------------------------------------------------------------------
@@ -171,12 +173,14 @@ def build_t3(nvars: int, field: str = RATIONAL) -> Poly:
     return 72 * e3 - 4 * e1 + 4 * e1 * e1 - 8 * e2 + 1
 
 
+@lru_cache(maxsize=TD_CACHE_SIZE)
 def build_td(d: int) -> FamilyReport:
     """The exact-rational polynomial T_d in d variables.
 
     Alternating-sum form of the recursion:
     T_d = sum_{k=4}^{d} (-1)^{d-k} r_k e_k + (-1)^{d-3} T_3.
     Both r_d evaluation routes are compared and a disagreement aborts the build.
+    Cached: the report is frozen and its Poly immutable, so callers share it.
     """
     if d < 3:
         raise PolyError(f"T_d is defined for d >= 3, got {d}")
@@ -247,6 +251,7 @@ def real_roots_of_r5_poly() -> list[float]:
                       -10.0, 10.0)
 
 
+@lru_cache(maxsize=1)
 def derive_r5_constants() -> R5Constants:
     """Find the defining root in (-1.3, -1.1); a, b, c and 27^2 b follow."""
     roots = real_roots_of_r5_poly()

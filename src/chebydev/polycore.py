@@ -344,6 +344,8 @@ class MonomialTable:
         self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
         # row i: where x_i^e sits in a point's powers, flattened variable by variable
         self.flat = self.exps + (np.arange(self.nvars) * len(self.powers))[:, None]
+        for a in (self.exps, self.powers, self.flat):
+            a.flags.writeable = False
 
     def tables(self, points: np.ndarray):
         """(first row, monomial table) of each EVAL_CHUNK rows of points."""
@@ -419,8 +421,10 @@ class PolyBatch(MonomialTable):
 
     def __init__(self, polys: Sequence[Poly] = (), terms=None):
         E, V = term_matrix(polys) if terms is None else terms
-        self.index = [np.flatnonzero(v) for v in V]
-        self.coefs = [v[idx] for v, idx in zip(V, self.index)]
+        self.index = tuple(np.flatnonzero(v) for v in V)
+        self.coefs = tuple(v[idx] for v, idx in zip(V, self.index))
+        for a in self.index + self.coefs:
+            a.flags.writeable = False
         super().__init__(E)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

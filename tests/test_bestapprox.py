@@ -26,6 +26,12 @@ def assert_upper_is_residual_sup(res, prob):
     assert res.deviation_upper == pytest.approx(rep.value, rel=1e-12)
 
 
+def _clear_caches():
+    """Empty the caches that problems share, so the next solve starts cold."""
+    for cached in (bestapprox._family, bestapprox._problem_batch, bestapprox.approx_grid):
+        cached.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def consts():
     return derive_r5_constants()
@@ -203,6 +209,7 @@ class TestRemezExchange:
         assert_upper_is_residual_sup(res, prob)
 
     def test_basis_is_built_once(self, monkeypatch):
+        # the family is built once, however many grids and exchanges use it
         calls = []
         original = bestapprox._scaled_basis
 
@@ -211,9 +218,11 @@ class TestRemezExchange:
             return original(*args)
 
         monkeypatch.setattr(bestapprox, "_scaled_basis", counted)
-        res = remez_exchange(ApproxProblem(
-            Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8), seed=0)
-        assert res.exchange_iterations > 1
+        _clear_caches()
+        for grid in (8, 16):
+            res = remez_exchange(ApproxProblem(
+                Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=grid), seed=0)
+            assert res.exchange_iterations > 1
         assert len(calls) == 1
 
     def test_rank_check_runs_once(self, monkeypatch):
@@ -233,9 +242,12 @@ class TestRemezExchange:
         assert len(calls) == 1
 
     def test_fit_gradients_are_built_once(self, monkeypatch):
-        prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=8)
-        pb = bestapprox._problem_basis(prob)
-        fixed = [pb.target_f] + pb.scaled_f
+        # once per target and family, however many grids and exchanges use them
+        _clear_caches()
+        probs = [ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=grid)
+                 for grid in (8, 16)]
+        pb = bestapprox._problem_basis(probs[0])
+        fixed = [pb.target_f, *pb.scaled_f]
         built = []
         original = Poly.gradient
 
@@ -244,8 +256,9 @@ class TestRemezExchange:
             return original(self)
 
         monkeypatch.setattr(Poly, "gradient", recorded)
-        res = remez_exchange(prob, seed=0)
-        assert res.exchange_iterations > 1
+        for prob in probs:
+            res = remez_exchange(prob, seed=0)
+            assert res.exchange_iterations > 1
         assert sum(any(q == p for p in fixed) for q in built) == len(fixed)
 
     def test_closing_solve_reuses_last_search(self, monkeypatch):
@@ -735,6 +748,58 @@ class TestProblemOnce:
             f, Phi = pb.columns(pb.grid)
             assert pb.grid_columns.tobytes() == Phi.tobytes()
             assert pb.grid_target.tobytes() == f.tobytes() == pb.target_f.eval_grid(pb.grid).tobytes()
+
+
+def _solve_all(cold):
+    """Every LP_GRIDS problem by the LP and every ORACLE_PROBLEMS one by the
+    exchange, each from cleared caches if cold: the deviation's hex, the
+    coefficient bytes and the residual extrema (coordinates as hex) of each."""
+    out = []
+    for specs, solve in ((LP_GRIDS, discrete_minimax),
+                         (ORACLE_PROBLEMS, lambda prob: remez_exchange(prob, seed=0))):
+        for target, degree, domain, basis, grid in specs:
+            if cold:
+                _clear_caches()
+            res = solve(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+            out.append((res.deviation.hex(), res.coefficients.tobytes(),
+                        [([float(v).hex() for v in pt], sign) for pt, sign in res.residual_extrema]))
+    return out
+
+
+class TestSharedCaches:
+    """The problems of one family share its basis, scaled term maps and M,
+    the problems of one target and family their batches, and those of one
+    domain and grid the grid: each built once, read-only, bit for bit what a
+    cold build gives."""
+
+    def test_warm_solves_match_cold_ones(self):
+        cold = _solve_all(cold=True)
+        assert _solve_all(cold=False) == cold
+
+    def test_family_and_grid_are_shared(self):
+        probs = [ApproxProblem(Poly.monomial(t), 2, simplex(3), "full", grid=g)
+                 for t, g in (((1, 1, 1), 8), ((2, 1, 0), 8), ((1, 1, 1), 16))]
+        first, other, finer = map(bestapprox._problem_basis, probs)
+        assert first.basis is other.basis is finer.basis
+        assert first.scaled is other.scaled and first.M is other.M
+        assert first.grid is other.grid is bestapprox.approx_grid(simplex(3), 8)
+        assert first.batch is finer.batch and first.batch is not other.batch
+
+    @pytest.mark.parametrize("domain", [simplex(3), ball(3), sphere(3)], ids=lambda d: d.kind)
+    def test_cached_values_are_read_only(self, domain):
+        pb = bestapprox._problem_basis(ApproxProblem(Poly.monomial((1, 1, 1)), 2, domain, "full", 8))
+        grads = bestapprox._problem_batch(*pb.key, gradients=True)
+        for a in (pb.grid, pb.M, pb.batch.exps, *pb.batch.coefs, *grads.index):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        exp = next(iter(pb.scaled[0]))
+        with pytest.raises(TypeError):
+            pb.scaled[0][exp] = 2
+        with pytest.raises(TypeError):
+            del pb.scaled[0][exp]
+        with pytest.raises(TypeError):
+            pb.scaled[0] = {}
+        assert pb.basis[0].terms == {(0, 0, 0): 1}
 
 
 def _adjoin_pointwise(points, new):

@@ -63,6 +63,23 @@ class TestVerify:
             cli.main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("pair", ["supnorm=abc", "foo=1", "supnorm=-5", "supnorm=nan",
+                                      "supnorm=inf", "supnorm=", "supnorm"])
+    def test_bad_tolerance_is_one_usage_line(self, pair, capsys):
+        # exit 2 before any check runs, whatever is wrong with the pair
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "supnorm", "--d", "3", "--tol", pair])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "annihilation, supnorm, max_principle" in captured.err
+        assert "finite and >= 0" in captured.err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        _, out = run(["verify", "--suite", "combi", "--d", "3", "--tol", "annihilation=0"], capsys)
+        assert json.loads(out)["config"]["tolerances"]["annihilation"] == 0.0
+
     def test_known_tolerance_lands_in_config(self, capsys):
         _, out = run(["verify", "--suite", "combi", "--d", "3",
                       "--tol", "supnorm=0.5"], capsys)

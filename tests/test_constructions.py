@@ -249,3 +249,20 @@ class TestLift:
         simplex_rep = sup_norm(build_t3(3).to_float64(), simplex(3), 10, seed=0)
         assert ball_rep.value == pytest.approx(simplex_rep.value, abs=1e-6)
         assert ball_rep.value == pytest.approx(1.0, abs=1e-6)
+
+
+class TestCached:
+    """build_td and derive_r5_constants are pure: each value is built once,
+    shared, and exactly what a fresh build gives."""
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_build_td_is_built_once(self, d):
+        fam, fresh = build_td(d), build_td.__wrapped__(d)
+        assert build_td(d) is fam
+        assert fam == fresh
+        assert list(fam.polynomial.terms.items()) == list(fresh.polynomial.terms.items())
+
+    def test_derive_r5_constants_is_derived_once(self):
+        consts, fresh = derive_r5_constants(), derive_r5_constants.__wrapped__()
+        assert derive_r5_constants() is consts
+        assert consts == fresh and consts.d_root.hex() == fresh.d_root.hex()
