@@ -27,18 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import NOISE, LPError, simplex_solve
-from .polycore import (FLOAT64, Poly, PolyBatch, PolyError, _plain, monomial_exponents,
-                       term_arrays)
+from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
 from .supnorm import (DEDUP_TOL, SearchPlan, _grid_values, _lattice, _unique_rows,
-                      dedup_points, sample_domain, sup_norm)
+                      dedup_points, far_apart, sample_domain, sup_norm)
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -67,6 +65,8 @@ class ApproxProblem:
     def __post_init__(self):
         if self.degree < 0:
             raise PolyError("degree must be >= 0")
+        if self.grid < 1:
+            raise PolyError(f"grid must be >= 1, got {self.grid}")
         if self.basis not in BASIS_KINDS:
             raise PolyError(f"unknown basis kind {self.basis!r}")
         if self.target.nvars != self.domain.nvars:
@@ -122,7 +122,6 @@ def _graded_monomials(n: int, d: int, even: bool = False,
     return mons
 
 
-@lru_cache(maxsize=64)
 def invariant_basis(n: int, d: int, kind: str = "full",
                     for_sphere: bool = False) -> tuple[Poly, ...]:
     """Basis of the degree-<= n approximant space, restricted by invariance.
@@ -131,8 +130,7 @@ def invariant_basis(n: int, d: int, kind: str = "full",
     partition; ``even``: even exponents only; ``even-symmetric``: both.  On
     the sphere the monomial basis is reduced modulo |x|^2 = 1 (exponent of the
     last variable <= 1); symmetric kinds are reduced numerically by dropping
-    functions dependent on a generic sphere sample.  Cached: problems of one
-    basis share its Polys, which are immutable.
+    functions dependent on a generic sphere sample.
     """
     if kind not in BASIS_KINDS:
         raise PolyError(f"unknown basis kind {kind!r}")
@@ -181,33 +179,25 @@ class RankError(PolyError):
 
 def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
     """Affine conditioning: on simplex-type domains the basis is re-expressed
-    in box coordinates u = 2x - 1; the exact change-of-basis matrix maps LP
-    coefficients back to the original basis.  Returns (the scaled functions'
-    term maps {exponent: exact integer or Fraction}, zero sums included, M
-    with original_coeffs = M @ scaled_coeffs)."""
+    in box coordinates u = 2x - 1 by Poly.compose; the exact change-of-basis
+    matrix maps LP coefficients back to the original basis.  Returns (the
+    scaled functions' exact term maps, without zero terms, M with
+    original_coeffs = M @ scaled_coeffs)."""
     if domain.kind not in (SIMPLEX, SIMPLEX_FACE):
         return [b.terms for b in basis], np.eye(len(basis))
-    # (2x - 1)^e = sum_j binom[e][e - j] x^j; each term of each function
-    # expands into integer products, in the order Poly.compose reaches them
-    binom = [[math.comb(e, j) * 2 ** j * (-1) ** (e - j) for j in range(e, -1, -1)]
-             for e in range(max(b.degree() for b in basis) + 1)]
-    plain = [{e: _plain(c) for e, c in b.sorted_terms()} for b in basis]
-    scaled = [{} for _ in basis]
-    for total, terms in zip(scaled, plain):
-        for exp, coef in terms.items():
-            for key, cs in zip(product(*(range(e, -1, -1) for e in exp)),
-                               product(*(binom[e] for e in exp))):
-                total[key] = total.get(key, 0) + coef * math.prod(cs)
+    nvars = basis[0].nvars
+    box = [2 * Poly.variable(nvars, i) - 1 for i in range(nvars)]
+    scaled = [b.compose(box).terms for b in basis]
     # exact coordinates of each scaled function in the original basis: each
     # basis function is identified by its graded-lex-leading exponent, and the
     # expansion is verified by exact reconstruction
-    index = {next(reversed(terms)): i for i, terms in enumerate(plain)}
+    index = {b.sorted_terms()[-1][0]: i for i, b in enumerate(basis)}
     M = np.zeros((len(basis), len(basis)))
     for j, s in enumerate(scaled):
         rest = dict(s)
         for i, c in ((index[key], c) for key, c in s.items() if key in index):
             M[i, j] = float(c)
-            for e, b in plain[i].items():
+            for e, b in basis[i].terms.items():
                 rest[e] = rest.get(e, 0) - c * b
         if any(rest.values()):
             raise SpanError("affine rescaling left the basis span")
@@ -251,11 +241,10 @@ def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
 @dataclass
 class _ProblemBasis:
     """What stays fixed while one problem is solved on growing point sets:
-    basis, scaled, M, batch and grid are cached and read-only (see _family)."""
+    basis, M, batch and grid are cached and read-only (see _family)."""
     target_f: Poly
     key: tuple                   # (target terms, degree, basis kind, domain), the caches' key
     basis: tuple[Poly, ...]      # original coordinates
-    scaled: tuple                # conditioned basis term maps, see _scaled_basis
     M: np.ndarray                # original coefficients = M @ scaled ones
     grid: np.ndarray             # every point set the problem is solved on starts with it
     batch: PolyBatch             # the target, then each scaled function, at a point set
@@ -267,10 +256,6 @@ class _ProblemBasis:
         """The target's values and the LP columns at points, one batch call."""
         f, Phi = _split(self.batch(points))
         return f, (Phi if self.mix is None else Phi @ self.mix)
-
-    @cached_property
-    def scaled_f(self) -> list[Poly]:
-        return [Poly(self.target_f.nvars, s, FLOAT64) for s in self.scaled]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -291,11 +276,11 @@ def _family(degree: int, kind: str, domain: Domain) -> tuple:
 def _problem_batch(target: tuple, degree: int, kind: str, domain: Domain,
                    gradients: bool = False) -> PolyBatch:
     """The target (its (exponent, float64 coefficient) pairs), then each scaled
-    function of its family: one batch of their values, or of their gradients."""
-    maps = [dict(target), *_family(degree, kind, domain)[1]]
-    if gradients:
-        return PolyBatch([g for s in maps for g in Poly(domain.nvars, s, FLOAT64).gradient()])
-    return PolyBatch(terms=term_arrays(maps, domain.nvars))
+    function of its family, as float Polys: one batch of their values, or of
+    their gradients."""
+    polys = [Poly(domain.nvars, s, FLOAT64)
+             for s in (dict(target), *_family(degree, kind, domain)[1])]
+    return PolyBatch([g for p in polys for g in p.gradient()] if gradients else polys)
 
 
 def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +296,7 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     the LP columns orthogonal on the grid, each of root-mean-square 1."""
     target_f = prob.target.to_float64()
     key = (tuple(target_f.terms.items()), prob.degree, prob.basis, prob.domain)
-    basis, scaled, M = _family(*key[1:])
+    basis, _, M = _family(*key[1:])
     grid = approx_grid(prob.domain, prob.grid)
     batch = _problem_batch(*key)
     f, Phi = _split(batch(grid))
@@ -325,8 +310,8 @@ def _problem_basis(prob: ApproxProblem) -> _ProblemBasis:
     if prob.domain.kind in (BALL, SPHERE):
         mix = np.linalg.inv(R) * math.sqrt(len(grid))
         Phi = Phi @ mix
-    return _ProblemBasis(target_f=target_f, key=key, basis=basis, scaled=scaled, M=M,
-                         grid=grid, batch=batch, mix=mix, grid_target=f, grid_columns=Phi)
+    return _ProblemBasis(target_f=target_f, key=key, basis=basis, M=M, grid=grid,
+                         batch=batch, mix=mix, grid_target=f, grid_columns=Phi)
 
 
 def discrete_minimax(prob: ApproxProblem) -> ApproxResult:
@@ -380,12 +365,13 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     b[k] = 1.0
     c = np.concatenate([f, -f])
     res = simplex_solve(A, b, c, _crash_basis(Phi, f) if start is None else start)
-    t = float(res.multipliers[k])
     y = res.multipliers[:k]
     resid = f - Phi @ y
     closure = float(np.max(np.abs(resid)))
-    # beyond t, max|f - Phi c| may exceed it only by the rounding of f - Phi c
+    # beyond t, max|f - Phi c| may exceed it only by the rounding of f - Phi c;
+    # a level within that rounding of 0 is 0: the target lies in the span
     rounding = NOISE * float(np.max(np.abs(f) + np.abs(Phi) @ np.abs(y)))
+    t = float(res.multipliers[k]) if res.multipliers[k] > rounding else 0.0
     if closure > t * (1 + 1e-9) + rounding:
         raise LPError(f"max|f - Phi c| = {closure} on the points exceeds the level {t}")
     obj = float(res.objective)
@@ -621,11 +607,7 @@ def _adjoin(points: np.ndarray, new) -> np.ndarray:
     far = np.empty(len(new), dtype=bool)
     step = max(1, ADJOIN_BLOCK // len(points))
     for lo in range(0, len(new), step):
-        block = new[lo:lo + step]
-        dist = np.abs(block[:, None, 0] - points[:, 0])
-        for i in range(1, points.shape[1]):
-            np.maximum(dist, np.abs(block[:, None, i] - points[:, i]), out=dist)
-        far[lo:lo + step] = dist.min(axis=1) > DEDUP_TOL
+        far[lo:lo + step] = far_apart(new[lo:lo + step], points, DEDUP_TOL).all(axis=1)
     new = new[far]
     return np.vstack([points, new[dedup_points(new)]])
 

@@ -4,7 +4,8 @@ A polynomial is a map from exponent tuples to coefficients.  Two coefficient
 fields are supported: exact rationals (``fractions.Fraction``) and binary64
 floats.  All construction-time algebra in this package is exact; floats only
 appear in the search / LP layers, which convert via :meth:`Poly.to_float64`
-or :func:`term_arrays` (the reverse conversion is deliberately not provided).
+or read polynomials of either field through :func:`term_matrix`, which
+converts each coefficient by float() (the reverse is deliberately not provided).
 
 Terms are kept in canonical form: no zero coefficients are stored and every
 exponent tuple has length ``nvars``.  Serialization and equality order terms
@@ -376,21 +377,6 @@ class MonomialTable:
         return out
 
 
-def term_arrays(maps: Sequence[Mapping], nvars: int) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of term maps {exponent tuple: coefficient} in nvars variables,
-    as float64: each coefficient converted by float() and the zero ones
-    dropped, the rows of E the union of the exponents left in graded
-    lexicographic order, and V[k] the coefficients of maps[k] there (0.0
-    where it has no such term), so its nonzero entries come in graded order."""
-    rows = [{e: f for e, f in ((e, float(c)) for e, c in m.items()) if f} for m in maps]
-    exps = sorted(set().union(*rows), key=grlex_key)
-    cols = {e: j for j, e in enumerate(exps)}
-    V = np.zeros((len(rows), len(exps)))
-    for k, row in enumerate(rows):
-        V[k, [cols[e] for e in row]] = list(row.values())
-    return np.array(exps, dtype=np.int64).reshape(len(exps), nvars), V
-
-
 def grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an integer exponent array in graded lexicographic
     order (by degree, then by the exponents; a run of equal rows is one row)
@@ -402,16 +388,23 @@ def grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
-    """term_arrays of the terms of polynomials in the same variables."""
-    return term_arrays([p.terms for p in polys], polys[0].nvars)
+    """(E, V) of polynomials in the same variables, as float64: the rows of E
+    the union of their exponents in graded lexicographic order, and V[k] the
+    coefficients of polys[k] there, each converted by float() (0.0 where it
+    has no such term), so its nonzero entries come in graded order."""
+    exps = sorted(set().union(*(p.terms for p in polys)), key=grlex_key)
+    cols = {e: j for j, e in enumerate(exps)}
+    V = np.zeros((len(polys), len(exps)))
+    for k, p in enumerate(polys):
+        V[k, [cols[e] for e in p.terms]] = [float(c) for c in p.terms.values()]
+    return np.array(exps, dtype=np.int64).reshape(len(exps), polys[0].nvars), V
 
 
 class PolyBatch(MonomialTable):
     """Float64 values of several polynomials in the same variables, read from
     one monomial table per EVAL_CHUNK points over the graded union of their
-    exponents (term_matrix, or term_arrays given as ``terms``).  Column k
-    equals the k-th polynomial's ``eval_grid`` bit for bit: its term columns
-    are gathered C-contiguous by
+    exponents (term_matrix).  Column k equals the k-th polynomial's
+    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous by
     np.take (an F-ordered gather takes another BLAS kernel and rounding) and
     summed by one matrix-vector product; one with every table column, as a
     batch of one, reads the table.  That product sums the last N mod 4 rows
@@ -419,8 +412,8 @@ class PolyBatch(MonomialTable):
     evaluates: reported floats rely on the callers' batch sizes, on
     EVAL_CHUNK being a power of two and on the C-contiguous gather."""
 
-    def __init__(self, polys: Sequence[Poly] = (), terms=None):
-        E, V = term_matrix(polys) if terms is None else terms
+    def __init__(self, polys: Sequence[Poly]):
+        E, V = term_matrix(polys)
         self.index = tuple(np.flatnonzero(v) for v in V)
         self.coefs = tuple(v[idx] for v, idx in zip(V, self.index))
         for a in self.index + self.coefs:

@@ -215,6 +215,8 @@ def annihilation_residual(sps: SignedPointSet, n: int, d: int):
     """
     if sps.weights is None:
         raise PolyError("annihilation check needs weights")
+    if n < 0:
+        raise PolyError(f"annihilation degree must be >= 0, got {n}")
     if any(len(p) != d for p in sps.points):
         raise PolyError(f"support points are not {d}-dimensional")
     rational = sps.is_rational()

@@ -119,6 +119,15 @@ def _symmetric(p) -> bool:
                for e, c in terms.items())
 
 
+def far_apart(block: np.ndarray, ref: np.ndarray, tol: float) -> np.ndarray:
+    """far[i, j]: the max-norm distance from block[i] to ref[j] exceeds tol
+    (False at a NaN); the table is built one coordinate at a time."""
+    dist = np.abs(block[:, None, 0] - ref[:, 0])
+    for i in range(1, ref.shape[1]):
+        np.maximum(dist, np.abs(block[:, None, i] - ref[:, i]), out=dist)
+    return dist > tol
+
+
 def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
     """Indices of the greedy first-wins subset of the points: a point is kept
     when its max-norm distance to every point already kept is > tol.  Each
@@ -130,11 +139,8 @@ def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
     kept: list[int] = []
     for lo in range(0, len(pts), DEDUP_BLOCK):
         block, nk = pts[lo:lo + DEDUP_BLOCK], len(kept)
-        ref = np.vstack([pts[kept], block])    # the points kept so far, then the block
-        dist = np.abs(block[:, None, 0] - ref[:, 0])  # max-norm distances, NaN at a NaN
-        for i in range(1, pts.shape[1]):
-            np.maximum(dist, np.abs(block[:, None, i] - ref[:, i]), out=dist)
-        far = dist > tol
+        # against the points kept so far, then the block itself
+        far = far_apart(block, np.vstack([pts[kept], block]), tol)
         unseen = far[:, :nk].all(axis=1)    # far from every point kept before the block
         while unseen.any():
             i = int(np.argmax(unseen))

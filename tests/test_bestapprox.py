@@ -1,6 +1,7 @@
 import hashlib
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
 from chebydev.constructions import build_td, compute_rd, derive_r5_constants
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev.lp import LPError
-from chebydev.polycore import Poly, PolyBatch, PolyError, term_arrays, term_matrix
+from chebydev.polycore import FLOAT64, Poly, PolyBatch, PolyError, term_matrix
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
 from chebydev.supnorm import sample_domain, sup_norm
@@ -24,6 +25,11 @@ def assert_upper_is_residual_sup(res, prob):
     rep = sup_norm(res.residual_poly(prob.target), prob.domain,
                    max(8, prob.grid // 2), seed=0)
     assert res.deviation_upper == pytest.approx(rep.value, rel=1e-12)
+
+
+def _scaled_f(pb):
+    """The float scaled functions of a problem's family."""
+    return [Poly(pb.target_f.nvars, s, FLOAT64) for s in bestapprox._family(*pb.key[1:])[1]]
 
 
 def _clear_caches():
@@ -83,7 +89,7 @@ class TestBases:
             parts = [p for p in partitions_upto(n, d)
                      if kind == "symmetric" or all(v % 2 == 0 for v in p)]
             want = [monomial_symmetric(p, d) for p in parts if p not in self.SPHERE_DROPPED[d]]
-            assert list(invariant_basis.__wrapped__(n, d, kind, for_sphere=True)) == want
+            assert list(invariant_basis(n, d, kind, for_sphere=True)) == want
 
 
 class TestDiscreteMinimax:
@@ -115,6 +121,12 @@ class TestDiscreteMinimax:
         res = discrete_minimax(prob)
         assert res.equioscillation_count >= len(res.basis_polys) + 1
 
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_grid_below_one_is_rejected(self, grid):
+        # a sphere grid of resolution < 1 would still build a spiral
+        with pytest.raises(PolyError, match="grid must be >= 1"):
+            ApproxProblem(Poly.monomial((1, 1, 1)), 2, sphere(3), "full", grid)
+
     def test_rank_deficient_grid_reports_offender(self):
         # four grid points cannot carry ten independent quadratics
         prob = ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3),
@@ -129,7 +141,7 @@ class TestDiscreteMinimax:
         # times the QR conditioning matrix on the ball
         pb = bestapprox._problem_basis(ApproxProblem(
             Poly.monomial((2, 2, 2)), 5, domain, basis, grid))
-        want = np.column_stack([b.eval_grid(pb.grid) for b in pb.scaled_f])
+        want = np.column_stack([b.eval_grid(pb.grid) for b in _scaled_f(pb)])
         if domain.kind == BALL:
             want = want @ pb.mix
         else:
@@ -200,6 +212,17 @@ class TestDiscreteMinimax:
 
 
 class TestRemezExchange:
+    @pytest.mark.parametrize("target,degree,domain,basis", [
+        ((1, 1), 5, simplex(2), "full"), ((1, 1), 2, simplex(2), "symmetric"),
+        ((2, 1), 3, ball(2), "full"), ((1, 1, 1), 3, sphere(3), "full"),
+        ((2, 2, 2), 6, simplex(3), "symmetric"), ((2, 0), 2, ball(2), "even")])
+    def test_target_in_the_span(self, target, degree, domain, basis):
+        # the LP level of a target the basis reproduces is rounding, and
+        # reads 0, never above the searched sup of the residual
+        res = remez_exchange(ApproxProblem(Poly.monomial(target), degree, domain, basis, 8))
+        assert res.deviation_lower == res.deviation == 0.0
+        assert res.deviation_lower <= res.deviation_upper < 1e-15
+
     def test_simplex_product_converges(self):
         prob = ApproxProblem(
             Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=16)
@@ -247,7 +270,7 @@ class TestRemezExchange:
         probs = [ApproxProblem(Poly.monomial((1, 1, 1)), 2, simplex(3), "symmetric", grid=grid)
                  for grid in (8, 16)]
         pb = bestapprox._problem_basis(probs[0])
-        fixed = [pb.target_f, *pb.scaled_f]
+        fixed = [pb.target_f, *_scaled_f(pb)]
         built = []
         original = Poly.gradient
 
@@ -424,6 +447,21 @@ class TestRemezExchange:
         assert all(entry[1] >= entry[0] - 1e-12 for entry in res.gap_log)
 
 
+def _box_expansion(basis):
+    """The reference change to box coordinates: (2x - 1)^e = sum_j
+    binom[e][e - j] x^j, each term of each function expanded into integer
+    products; the term maps keep their zero sums."""
+    binom = [[comb(e, j) * 2 ** j * (-1) ** (e - j) for j in range(e, -1, -1)]
+             for e in range(max(b.degree() for b in basis) + 1)]
+    scaled = [{} for _ in basis]
+    for total, b in zip(scaled, basis):
+        for exp, coef in b.sorted_terms():
+            for key, cs in zip(product(*(range(e, -1, -1) for e in exp)),
+                               product(*(binom[e] for e in exp))):
+                total[key] = total.get(key, 0) + coef * prod(cs)
+    return scaled
+
+
 class TestScaledBasis:
     """The exact change to box coordinates u = 2x - 1 on simplex domains."""
 
@@ -432,7 +470,6 @@ class TestScaledBasis:
     @pytest.mark.parametrize("face", [False, True])
     def test_scaled_functions_and_matrix(self, kind, d, face):
         domain = simplex_face(d) if face else simplex(d)
-        inners = [2 * Poly.variable(d, i) - 1 for i in range(d)]
         for degree in range(7):
             basis = invariant_basis(degree, d, kind)
             if kind.startswith("even") and degree >= 2:
@@ -440,10 +477,11 @@ class TestScaledBasis:
                 with pytest.raises(bestapprox.SpanError, match="left the basis span"):
                     bestapprox._scaled_basis(basis, domain)
                 continue
-            # the term maps keep their zero sums, which Poly drops
+            # the same terms in the same order as the integer expansion,
+            # less its zero sums
             scaled, M = bestapprox._scaled_basis(basis, domain)
-            assert [[(e, c) for e, c in s.items() if c] for s in scaled] == [
-                list(b.compose(inners).terms.items()) for b in basis]
+            assert [list(s.items()) for s in scaled] == [
+                [(e, c) for e, c in s.items() if c] for s in _box_expansion(basis)]
             keys = [b.sorted_terms()[-1][0] for b in basis]
             dense = [[float(Fraction(s.get(key, 0))) for s in scaled] for key in keys]
             assert np.array_equal(M, np.array(dense))
@@ -455,19 +493,6 @@ class TestScaledBasis:
 
     def test_span_error_is_a_poly_error(self):
         assert issubclass(bestapprox.SpanError, PolyError)
-
-    @pytest.mark.parametrize("kind", ["full", "symmetric"])
-    def test_no_compose_call(self, monkeypatch, kind):
-        # the box change expands each term by integer binomial products
-        bases = [invariant_basis(4, d, kind) for d in (2, 3, 4)]
-
-        def no_compose(*args):
-            raise AssertionError("Poly.compose was called")
-
-        monkeypatch.setattr(Poly, "compose", no_compose)
-        for basis in bases:
-            scaled, _ = bestapprox._scaled_basis(basis, simplex(basis[0].nvars))
-            assert len(scaled) == len(basis)
 
 
 def _gram_schmidt_columns(Phi):
@@ -547,7 +572,7 @@ class TestRankCheck:
         monkeypatch.setattr(bestapprox, "_independent_columns", compared)
         for n in range(9):
             if kind != "full":
-                invariant_basis.__wrapped__(n, d, kind, for_sphere=True)
+                invariant_basis(n, d, kind, for_sphere=True)
             elif comb(n + d, d) <= self.MAX_COLUMNS:
                 compared(PolyBatch(invariant_basis(n, d, kind))(sample_domain(sphere(d), 3)))
         assert len(dropped) > 2 and max(dropped) > 2
@@ -587,7 +612,7 @@ def _fit_rows_loop(pb, grads, points, signs, domain):
     """The reference fit system: value rows from a batch of the scaled
     functions and the target's eval_grid, a tangency row per (point,
     tangent) pair summed by Python's sum."""
-    A_rows = [np.hstack([PolyBatch(pb.scaled_f)(points), signs[:, None].astype(float)])]
+    A_rows = [np.hstack([PolyBatch(_scaled_f(pb))(points), signs[:, None].astype(float)])]
     rhs_parts = [pb.target_f.eval_grid(points)]
     G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
     extra_rows, extra_rhs = [], []
@@ -621,11 +646,9 @@ class TestProblemBatch:
         pb = bestapprox._problem_basis(
             ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
         polys = [Poly.monomial(target).to_float64()] + [
-            Poly(len(target), s).to_float64() for s in pb.scaled]
-        E, V = term_arrays([Poly.monomial(target).terms, *pb.scaled], len(target))
-        want_E, want_V = term_matrix(polys)
-        assert E.shape == want_E.shape and E.tobytes() == want_E.tobytes()
-        assert V.shape == want_V.shape and V.tobytes() == want_V.tobytes()
+            Poly(len(target), s).to_float64() for s in bestapprox._family(*pb.key[1:])[1]]
+        want_E, _ = term_matrix(polys)
+        assert pb.batch.exps.T.tobytes() == want_E.tobytes()
         assert pb.batch(pb.grid).tobytes() == PolyBatch(polys)(pb.grid).tobytes()
 
     @pytest.mark.parametrize("spec", LP_GRIDS, ids=_lp_grid_id)
@@ -781,7 +804,8 @@ class TestSharedCaches:
                  for t, g in (((1, 1, 1), 8), ((2, 1, 0), 8), ((1, 1, 1), 16))]
         first, other, finer = map(bestapprox._problem_basis, probs)
         assert first.basis is other.basis is finer.basis
-        assert first.scaled is other.scaled and first.M is other.M
+        assert bestapprox._family(*first.key[1:])[1] is bestapprox._family(*other.key[1:])[1]
+        assert first.M is other.M
         assert first.grid is other.grid is bestapprox.approx_grid(simplex(3), 8)
         assert first.batch is finer.batch and first.batch is not other.batch
 
@@ -792,13 +816,14 @@ class TestSharedCaches:
         for a in (pb.grid, pb.M, pb.batch.exps, *pb.batch.coefs, *grads.index):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
-        exp = next(iter(pb.scaled[0]))
+        scaled = bestapprox._family(*pb.key[1:])[1]
+        exp = next(iter(scaled[0]))
         with pytest.raises(TypeError):
-            pb.scaled[0][exp] = 2
+            scaled[0][exp] = 2
         with pytest.raises(TypeError):
-            del pb.scaled[0][exp]
+            del scaled[0][exp]
         with pytest.raises(TypeError):
-            pb.scaled[0] = {}
+            scaled[0] = {}
         assert pb.basis[0].terms == {(0, 0, 0): 1}
 
 
@@ -850,12 +875,13 @@ class TestAdjoin:
                 return np.abs(x)
 
         monkeypatch.setattr(bestapprox, "ADJOIN_BLOCK", 1000)
-        monkeypatch.setattr(bestapprox, "np", Numpy())
+        monkeypatch.setattr(supnorm, "np", Numpy())   # the distance kernel's numpy
         points = np.random.default_rng(5).random((300, 3))
         new = np.random.default_rng(6).random((50, 3))
         got = bestapprox._adjoin(points, new)
-        # blocks of 3 new points against 300 points, one table per coordinate
-        assert sizes == [900] * 3 * 16 + [600] * 3
+        # blocks of 3 new points against 300 points, one table per coordinate,
+        # then dedup_points' one table of the 50 far new points among themselves
+        assert sizes == [900] * 3 * 16 + [600] * 3 + [2500] * 3
         assert got.tobytes() == _adjoin_pointwise(points, new).tobytes()
 
 

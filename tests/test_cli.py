@@ -180,6 +180,12 @@ class TestApprox:
     def test_out_of_range_flag_is_a_usage_error(self, flags, capsys):
         assert cli.main(["approx"] + flags) == 2
 
+    def test_target_in_the_span(self, capsys):
+        code, out = run(["approx", "--monomial", "1,1", "--degree", "5", "--grid", "8"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["deviation_lower"] == 0.0 <= payload["deviation_upper"]
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         import chebydev.bestapprox as ba
         from chebydev.lp import LPError

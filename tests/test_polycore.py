@@ -203,17 +203,6 @@ class TestDerivatives:
         self.assert_matches_partials(p, X)
         self.assert_matches_partials(p, X[::3])
 
-    def test_term_maps(self):
-        # exact term maps convert by float(), drop their zero sums, and give
-        # the batch of the float Polys they make
-        maps = [{(0, 2): Fraction(1, 3), (1, 0): 0, (0, 0): -2}, {(2, 0): 5, (0, 2): 0}]
-        E, V = polycore.term_arrays(maps, 2)
-        assert E.tolist() == [[0, 0], [0, 2], [2, 0]]
-        assert V.tolist() == [[-2.0, 1 / 3, 0.0], [0.0, 0.0, 5.0]]
-        polys = [Poly(2, m, FLOAT64) for m in maps]
-        X = np.random.default_rng(13).uniform(-1, 1, size=(9, 2))
-        assert PolyBatch(terms=(E, V))(X).tobytes() == PolyBatch(polys)(X).tobytes()
-
     def test_chunk_boundary(self, monkeypatch):
         # 30 points in chunks of 7 give the rows of one table of 30
         rng = np.random.default_rng(13)
@@ -300,15 +289,16 @@ class TestPolyBatch:
         assert np.array_equal(PolyBatch([Poly.zero(1)])(X), np.zeros((50, 1)))
 
     def test_term_maps(self):
-        # exact term maps convert by float(), drop their zero sums, and give
-        # the batch of the float Polys they make
+        # exact polynomials convert by float(), and give the batch of the
+        # float Polys of the same term maps
         maps = [{(0, 2): Fraction(1, 3), (1, 0): 0, (0, 0): -2}, {(2, 0): 5, (0, 2): 0}]
-        E, V = polycore.term_arrays(maps, 2)
+        exact = [Poly(2, m) for m in maps]
+        E, V = term_matrix(exact)
         assert E.tolist() == [[0, 0], [0, 2], [2, 0]]
         assert V.tolist() == [[-2.0, 1 / 3, 0.0], [0.0, 0.0, 5.0]]
         polys = [Poly(2, m, FLOAT64) for m in maps]
         X = np.random.default_rng(13).uniform(-1, 1, size=(9, 2))
-        assert PolyBatch(terms=(E, V))(X).tobytes() == PolyBatch(polys)(X).tobytes()
+        assert PolyBatch(exact)(X).tobytes() == PolyBatch(polys)(X).tobytes()
 
     def test_chunk_boundary(self, monkeypatch):
         # 30 points in chunks of 7: four full tables and a tail of two

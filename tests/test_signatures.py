@@ -419,6 +419,15 @@ class TestCertificates:
         assert not res.certified
         assert any("sign mismatch" in f for f in res.failures)
 
+    def test_negative_degree_raises(self):
+        base = _td_certificate(3)
+        with pytest.raises(PolyError, match="degree must be >= 0"):
+            annihilation_residual(base.support, -1, 3)
+        bad = Certificate(target=base.target, candidate=base.candidate, level=base.level,
+                          degree=-1, support=base.support, domain=base.domain)
+        with pytest.raises(PolyError, match="degree must be >= 0"):
+            certify_lower_bound(bad)
+
     def test_empty_support_raises(self):
         base = _td_certificate(3)
         with pytest.raises(PolyError, match="support is empty"):
