@@ -22,8 +22,10 @@ from .symfun import (chebyshev_t, chebyshev_t_shifted, elementary_symmetric,
 from .constructions import (FamilyReport, R5Constants, build_r5,
                             build_r5_repaired, build_r5_report, build_t3,
                             build_td, build_u3, build_u5, compute_rd,
+                            d5_factorized_form, dd_determinant,
                             derive_r5_constants, lift_to_ball,
-                            prime_factorization, r5_face_defect)
+                            prime_factorization, r5_face_defect,
+                            vandermonde_factor_report)
 from .signatures import (Certificate, CertificateResult, SignedPointSet,
                          SignatureSolution, annihilation_residual,
                          build_extremal_sets, build_l_functional,
@@ -31,9 +33,8 @@ from .signatures import (Certificate, CertificateResult, SignedPointSet,
                          certify_lower_bound, check_annihilation,
                          combi_identity, cubature_check, orbit, r5_signature,
                          solve_signature_weights)
-from .supnorm import (SupNormReport, critical_points, d5_factorized_form,
-                      dd_determinant, level_set, sample_domain, signed_max,
-                      sup_norm, vandermonde_factor_report, verify_td_bound)
+from .supnorm import (SupNormReport, critical_points, level_set, sample_domain,
+                      signed_max, sup_norm, verify_td_bound)
 from .bestapprox import (ApproxProblem, ApproxResult, ball_mixed_monomial_check,
                          discrete_minimax, invariant_basis, remez_exchange,
                          verify_correspondence)

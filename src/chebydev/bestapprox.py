@@ -34,9 +34,8 @@ import numpy as np
 
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .lp import NOISE, LPError, simplex_solve
-from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents
-from .supnorm import (DEDUP_TOL, SearchPlan, _grid_values, _lattice, _unique_rows,
-                      dedup_points, far_apart, sample_domain, sup_norm)
+from .polycore import FLOAT64, Poly, PolyBatch, PolyError, monomial_exponents, read_only
+from .supnorm import CACHE_SIZE, SearchPlan, adjoin, approx_grid, grid_max, sup_norm
 from .symfun import monomial_symmetric, partitions_upto
 
 BASIS_KINDS = ("full", "symmetric", "even", "even-symmetric")
@@ -49,9 +48,6 @@ DEV_CHANGE_TOL = 1e-10
 INDEPENDENCE_TOL = 1e-9
 # a point lies on the face x_i = 0 (or sum x = 1, or |x| = 1) within this
 FACE_ACTIVE_TOL = 1e-9
-# _adjoin compares new points with at most this many differences at a time
-ADJOIN_BLOCK = 1 << 14
-CACHE_SIZE = 64   # the bound of each cache: families, problem batches, grids
 
 
 @dataclass
@@ -205,35 +201,6 @@ def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
 
 
 # --------------------------------------------------------------------------
-# grids
-# --------------------------------------------------------------------------
-
-
-def _sphere_spiral(npts: int) -> np.ndarray:
-    """Deterministic golden-angle spiral on S^2."""
-    i = np.arange(npts) + 0.5
-    z = 1 - 2 * i / npts
-    r = np.sqrt(np.maximum(0.0, 1 - z * z))
-    theta = math.pi * (1 + math.sqrt(5.0)) * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
-    """Grids for minimax: the domain samplers, except that spheres combine a
-    deterministic spiral (for d = 3) with all sign-symmetric axis and diagonal
-    points, so the known extremal configurations lie on-grid.  Cached, read-only."""
-    if domain.kind != SPHERE:
-        return _read_only(sample_domain(domain, resolution))
-    d = domain.dimension
-    diag = _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)
-    axes = np.vstack([np.eye(d), -np.eye(d)])
-    base = (_sphere_spiral(max(8, 2 * resolution * resolution)) if d == 3
-            else sample_domain(domain, resolution))
-    return _read_only(_unique_rows(np.vstack([base, axes, diag])))
-
-
-# --------------------------------------------------------------------------
 # the discrete minimax solve
 # --------------------------------------------------------------------------
 
@@ -258,18 +225,13 @@ class _ProblemBasis:
         return f, (Phi if self.mix is None else Phi @ self.mix)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False   # a cached value is shared by every caller
-    return a
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _family(degree: int, kind: str, domain: Domain) -> tuple:
     """(basis, scaled term maps, M) of a basis kind and degree on a domain,
     whatever the target and the grid; _scaled_basis builds them on a miss."""
     basis = invariant_basis(degree, domain.nvars, kind, for_sphere=domain.kind == SPHERE)
     scaled, M = _scaled_basis(basis, domain)
-    return basis, tuple(MappingProxyType(s) for s in scaled), _read_only(M)
+    return basis, tuple(MappingProxyType(s) for s in scaled), read_only(M)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -349,7 +311,8 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     basis ``start`` (a crash basis if None); only the rows after the grid
     are evaluated.  The multipliers of the optimal basis are the
     coefficients and the level; its positive columns are the residual
-    extrema.  Returns the result and the optimal basis."""
+    extrema, none when the level is 0.  Returns the result and the optimal
+    basis."""
     N = len(points)
     k = len(pb.basis)
     Phi, f = pb.grid_columns, pb.grid_target
@@ -378,13 +341,15 @@ def _minimax_on(pb: _ProblemBasis, points: np.ndarray, start=None):
     if abs(obj - t) > 1e-7 * max(1.0, abs(t)):
         raise LPError(f"dual objective {obj} differs from recovered t {t}")
     coeffs = pb.M @ (y if pb.mix is None else pb.mix @ y)
-    extrema = [(tuple(points[col % N]), 1 if col < N else -1)
-               for col in res.basis if res.x[col] > 1e-14]
+    extrema, count = [], 0
+    if t > 0:
+        extrema = [(tuple(points[col % N]), 1 if col < N else -1)
+                   for col in res.basis if res.x[col] > 1e-14]
+        count = int(np.sum(np.abs(np.abs(resid) - t) <= 1e-8 * max(1.0, t)))
     result = ApproxResult(deviation=t, coefficients=coeffs, basis_polys=pb.basis,
-                          residual_extrema=extrema, iterations=res.iterations)
-    near = np.abs(np.abs(resid) - t) <= 1e-8 * max(1.0, t)
-    result.equioscillation_count = int(np.sum(near))
-    result.equioscillation_ok = result.equioscillation_count >= len(pb.basis) + 1
+                          residual_extrema=extrema, iterations=res.iterations,
+                          equioscillation_count=count,
+                          equioscillation_ok=count >= k + 1)
     return result, res.basis
 
 
@@ -460,11 +425,6 @@ def _fit_system(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray,
     return A, np.concatenate([V[:, 0], slopes[:, 0]])
 
 
-def _grid_max(p, domain: Domain, resolution: int) -> float:
-    """max |p| on the grid that sup_norm(p, domain, resolution) samples."""
-    return float(np.max(np.abs(_grid_values(p, domain, resolution)[1])))
-
-
 def _fit_decided(fit, rep, domain: Domain, resolution: int) -> bool:
     """True when the fit's sup reaches rep.value less rounding (NOISE
     relative), so searching it cannot give a sup that wins (one below that
@@ -473,7 +433,7 @@ def _fit_decided(fit, rep, domain: Domain, resolution: int) -> bool:
     search samples bounds that search from below."""
     level = rep.value * (1 - NOISE)
     return (any(abs(fit.eval(pt)) >= level for pt, _ in rep.critical_points)
-            or _grid_max(fit, domain, resolution) >= level)
+            or grid_max(fit, domain, resolution) >= level)
 
 
 def _near_extremal(rep, resid, level: float, rel: float) -> list:
@@ -567,7 +527,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         if (len(gap_log) >= 3 and abs(dev - gap_log[-2][0]) < DEV_CHANGE_TOL
                 and gap > 0.9 * gap_log[-3][2]):
             break
-        grown = _adjoin(points, [pt for pt, _ in _near_extremal(rep, resid, dev, 1e-6)])
+        grown = adjoin(points, [pt for pt, _ in _near_extremal(rep, resid, dev, 1e-6)])
         if len(grown) == len(points):
             break
         # the optimal basis stays feasible on the grown set; its minus-block
@@ -585,7 +545,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     upper, coefficients, best_resid, best_rep = best
     extremal = (_near_extremal(rep, resid, result.deviation, 1e-3)
                 + _near_extremal(best_rep, best_resid, result.deviation, 1e-3))
-    clean = _adjoin(pb.grid, [pt for pt, _ in extremal])
+    clean = adjoin(pb.grid, [pt for pt, _ in extremal])
     final, _ = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         result = final
@@ -596,20 +556,6 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     result.exchange_iterations = len(gap_log)
     result.gap_log = gap_log
     return result
-
-
-def _adjoin(points: np.ndarray, new) -> np.ndarray:
-    """points followed by each new point farther than DEDUP_TOL (max norm)
-    from every point before it, so no point is adjoined twice.  The new
-    points meet points a block at a time, each block's distance table at
-    most ADJOIN_BLOCK floats."""
-    new = np.asarray(new, dtype=float).reshape(-1, points.shape[1])
-    far = np.empty(len(new), dtype=bool)
-    step = max(1, ADJOIN_BLOCK // len(points))
-    for lo in range(0, len(new), step):
-        far[lo:lo + step] = far_apart(new[lo:lo + step], points, DEDUP_TOL).all(axis=1)
-    new = new[far]
-    return np.vstack([points, new[dedup_points(new)]])
 
 
 # --------------------------------------------------------------------------

@@ -27,16 +27,15 @@ import numpy as np
 
 from . import __version__
 from .constructions import (MR_PROVEN_BOUND, build_r5_repaired, build_r5_report,
-                            build_td, compute_rd, prime_factorization, r5_face_defect)
+                            build_td, compute_rd, d5_factorized_form, dd_determinant,
+                            prime_factorization, r5_face_defect, vandermonde_factor_report)
 from .domains import ball, simplex, sphere
 from .lp import LPError
 from .polycore import PolyError, laplacian, poly_to_json_dict
-from .signatures import (Certificate, _split_by_sign, annihilation_residual,
+from .signatures import (Certificate, annihilation_residual, build_extremal_sets,
                          build_l_functional, certify_lower_bound, combi_identity,
-                         cubature_check, r5_signature, SignedPointSet,
-                         solve_signature_weights)
-from .supnorm import (d5_factorized_form, dd_determinant, signed_max,
-                      vandermonde_factor_report, verify_td_bound)
+                         cubature_check, r5_signature, solve_signature_weights)
+from .supnorm import signed_max, verify_td_bound
 
 DEFAULT_TOLERANCES = {
     "annihilation": 1e-8,
@@ -165,7 +164,7 @@ def _suite_signature(ds, tols, seed):
         res = certify_lower_bound(cert, tol=0)
         checks.append({"name": f"certificate_td_exact_d{d}", "d": d,
                        "passed": res.certified, "failures": res.failures})
-        s_plus, s_minus = _split_by_sign(support)
+        s_plus, s_minus = build_extremal_sets(d)
         sol = solve_signature_weights(s_plus, s_minus, d - 1, d)
         ok = sol.feasible and all(w > 0 for w in sol.orbit_weights)
         checks.append({"name": f"signature_weights_positive_d{d}", "d": d,

@@ -9,7 +9,9 @@ Two families are built here:
   coefficients involve the root of an explicit integer degree-8 polynomial.
 
 r_d is computed both by the recursion and by a closed-form sum, and the
-builders fail loudly if the two disagree.
+builders fail loudly if the two disagree.  The exact algebra on T_d lives
+here too: the bordered Vandermonde determinant D_d and its division by the
+Vandermonde product.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .polycore import (FLOAT64, RATIONAL, Poly, PolyError, real_roots,
                        restrict_affine_last, restrict_zero)
-from .symfun import elementary_symmetric
+from .symfun import elementary_symmetric, monomial_symmetric
 
 # Integer coefficients (ascending degree) of the polynomial whose root in
 # (-1.3, -1.1) determines the R_5 constants.
@@ -342,7 +345,75 @@ def build_r5_repaired(consts: R5Constants) -> Poly:
     1 - value = 4x (2x - 1)^2 (7 - 10x - 4x^2) >= 0.  The repaired polynomial
     satisfies sup over the simplex = 1, which the displayed closed form does
     not (see :func:`r5_face_defect`)."""
-    from .symfun import monomial_symmetric
     r5 = build_r5(consts)
     correction = (1 - elementary_symmetric(1, 3)) * monomial_symmetric((2, 2), 3)
     return r5 - 32 * correction.to_float64()
+
+
+# --------------------------------------------------------------------------
+# the bordered Vandermonde determinant D_d of T_d
+# --------------------------------------------------------------------------
+
+
+def _vandermonde(nvars: int, nodes) -> Poly:
+    """prod_{a < b} (x_{nodes[b]} - x_{nodes[a]}), expanded exactly."""
+    poly = Poly.constant(nvars, 1)
+    for a, i in enumerate(nodes):
+        for j in nodes[a + 1:]:
+            poly = poly * (Poly.variable(nvars, j) - Poly.variable(nvars, i))
+    return poly
+
+
+def dd_determinant(d: int) -> Poly:
+    """Exact cofactor expansion (along the gradient row) of the
+    (d-1) x (d-1) matrix with rows x_i^k (k = 0..d-3, i = 1..d-1) and last
+    row the partials of T_d with respect to x_1..x_{d-1}."""
+    if d < 3:
+        raise PolyError(f"the determinant is defined for d >= 3, got {d}")
+    td = build_td(d).polynomial
+    n = d - 1
+    total = Poly.zero(d)
+    for i in range(n):
+        # the Vandermonde minor on the remaining columns, nodes ascending
+        minor = _vandermonde(d, [j for j in range(n) if j != i])
+        total = total + (-1) ** (n - 1 + i) * td.partial(i) * minor
+    return total
+
+
+def d5_factorized_form() -> Poly:
+    """-64 * prod_{1<=i<j<=4} (x_i - x_j) * (-14 + 225 x_5), expanded exactly
+    (the six sign flips of the Vandermonde product cancel)."""
+    return -64 * _vandermonde(5, range(4)) * (225 * Poly.variable(5, 4) - 14)
+
+
+def _divide_linear(p: Poly, i: int, j: int) -> tuple[Poly, Poly]:
+    """Exact division of p by (x_i - x_j): returns (quotient, remainder),
+    with the remainder equal to p restricted to x_i = x_j.  Term by term,
+    for m free of x_i: x_i^k m = (x_i - x_j) sum_{t<k} x_i^(k-1-t) x_j^t m
+    + x_j^k m."""
+    quotient: dict = {}
+    remainder: dict = {}
+    for exp, coef in p.terms.items():
+        e = list(exp)
+        for _ in range(exp[i]):   # x_i^(k-1-t) x_j^t m for t = 0, ..., k-1
+            e[i] -= 1
+            key = tuple(e)
+            quotient[key] = quotient.get(key, 0) + coef
+            e[j] += 1
+        key = tuple(e)
+        remainder[key] = remainder.get(key, 0) + coef
+    return Poly(p.nvars, quotient, p.field), Poly(p.nvars, remainder, p.field)
+
+
+def vandermonde_factor_report(d: int) -> dict:
+    """Attempt exact division of D_d by the full Vandermonde product over
+    x_1..x_{d-1}; reports divisibility and the quotient when it divides."""
+    det = quotient = dd_determinant(d)
+    divides = True
+    for i, j in combinations(range(d - 1), 2):
+        quotient, rem = _divide_linear(quotient, j, i)   # divide by (x_j - x_i)
+        if not rem.is_zero():
+            divides = False
+            break
+    return {"d": d, "vandermonde_divides": divides,
+            "quotient": quotient if divides else None, "determinant": det}

@@ -333,6 +333,12 @@ class Poly:
         return Poly(self.nvars, {e: float(c) for e, c in self.terms.items()}, FLOAT64)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: a cached or shared array serves every caller."""
+    a.flags.writeable = False
+    return a
+
+
 class MonomialTable:
     """The monomials x^e of a fixed exponent list, tabled at points one
     EVAL_CHUNK rows at a time: the one table builder of PolyBatch and
@@ -346,7 +352,7 @@ class MonomialTable:
         # row i: where x_i^e sits in a point's powers, flattened variable by variable
         self.flat = self.exps + (np.arange(self.nvars) * len(self.powers))[:, None]
         for a in (self.exps, self.powers, self.flat):
-            a.flags.writeable = False
+            read_only(a)
 
     def tables(self, points: np.ndarray):
         """(first row, monomial table) of each EVAL_CHUNK rows of points."""
@@ -417,7 +423,7 @@ class PolyBatch(MonomialTable):
         self.index = tuple(np.flatnonzero(v) for v in V)
         self.coefs = tuple(v[idx] for v, idx in zip(V, self.index))
         for a in self.index + self.coefs:
-            a.flags.writeable = False
+            read_only(a)
         super().__init__(E)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:

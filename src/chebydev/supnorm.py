@@ -8,26 +8,33 @@ the chart gradient and the results are merged.  A symmetric polynomial
 searched on one Weyl chamber, the points with non-increasing coordinates:
 every domain here is permutation-invariant, so each S_n orbit of grid points
 and stationary points is represented there once.  Bounds are
-heuristic-numeric (multi-start), not certified enclosures.
+heuristic-numeric (multi-start), not certified enclosures.  The module also
+owns the grids the float engines sample (approx_grid for the minimax) and
+the near-duplicate rule (DEDUP_TOL in the max norm) by which points merge.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 from numpy.linalg import _umath_linalg   # private: the gufuncs of np.linalg.det and solve
 
+from .constructions import build_td
 from .domains import BALL, Domain, SIMPLEX, SIMPLEX_FACE, SPHERE
 from .polycore import (FLOAT64, DerivativeMap, Derivatives, MonomialTable, Poly, PolyError,
-                       exponent_array, grlex_unique, restrict_affine_last, restrict_zero,
-                       term_matrix)
+                       exponent_array, grlex_unique, read_only, restrict_affine_last,
+                       restrict_zero, term_matrix)
 from .symfun import partitions_upto
 
 DEDUP_TOL = 1e-8
 DEDUP_BLOCK = 128   # dedup_points compares the points this many rows at a time
+ADJOIN_BLOCK = 1 << 14   # adjoin's distance tables hold at most this many floats
+# the bound of each cache: grids here, families and problem batches in bestapprox
+CACHE_SIZE = 64
 # Newton starts per domain dimension, spread over the faces of a simplex
 STARTS_PER_DIMENSION = 50
 
@@ -107,6 +114,35 @@ def _unique_rows(pts: np.ndarray) -> np.ndarray:
     return pts[np.sort(order[first])]
 
 
+def _sphere_marks(d: int) -> np.ndarray:
+    """The points +-e_i, then every (+-1, ..., +-1) / sqrt(d), of the unit
+    sphere in R^d: where the known extremal configurations sit."""
+    diagonals = _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)
+    return np.vstack([np.eye(d), -np.eye(d), diagonals])
+
+
+def _sphere_spiral(npts: int) -> np.ndarray:
+    """Deterministic golden-angle spiral on S^2."""
+    i = np.arange(npts) + 0.5
+    z = 1 - 2 * i / npts
+    r = np.sqrt(np.maximum(0.0, 1 - z * z))
+    theta = math.pi * (1 + math.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def approx_grid(domain: Domain, resolution: int) -> np.ndarray:
+    """Grids for minimax: the domain samplers, except that spheres combine a
+    deterministic spiral (for d = 3) with the _sphere_marks, so the known
+    extremal configurations lie on-grid.  Cached, read-only."""
+    if domain.kind != SPHERE:
+        return read_only(sample_domain(domain, resolution))
+    d = domain.dimension
+    base = (_sphere_spiral(max(8, 2 * resolution * resolution)) if d == 3
+            else sample_domain(domain, resolution))
+    return read_only(_unique_rows(np.vstack([base, _sphere_marks(d)])))
+
+
 def _symmetric(p) -> bool:
     """Whether p (a Poly or a BoundPlan), in at least 2 variables, is
     invariant under every permutation of them: each coefficient equals (==,
@@ -148,6 +184,20 @@ def dedup_points(points, tol: float = DEDUP_TOL) -> list[int]:
             unseen[i] = False
             unseen &= far[i, nk:]
     return kept
+
+
+def adjoin(points: np.ndarray, new) -> np.ndarray:
+    """points followed by each new point farther than DEDUP_TOL (max norm)
+    from every point before it, so no point is adjoined twice.  The new
+    points meet points a block at a time, each block's distance table at
+    most ADJOIN_BLOCK floats."""
+    new = np.asarray(new, dtype=float).reshape(-1, points.shape[1])
+    far = np.empty(len(new), dtype=bool)
+    step = max(1, ADJOIN_BLOCK // len(points))
+    for lo in range(0, len(new), step):
+        far[lo:lo + step] = far_apart(new[lo:lo + step], points, DEDUP_TOL).all(axis=1)
+    new = new[far]
+    return np.vstack([points, new[dedup_points(new)]])
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +421,7 @@ def _draw_starts(dom: Domain, seed: int, interior_only: bool, chamber: bool) -> 
                 sort(np.vstack([sph, np.eye(d), -np.eye(d)]))]
     if dom.kind == SPHERE:
         sph = rng.normal(size=(total, d))
-        return [sort(np.vstack([sph, np.eye(d), -np.eye(d),
-                                _lattice(np.array([1.0, -1.0]), d) / math.sqrt(d)]))]
+        return [sort(np.vstack([sph, _sphere_marks(d)]))]
     raise PolyError(f"unsupported domain {dom.kind}")
 
 
@@ -580,6 +629,11 @@ def _grid_values(p, dom: Domain, resolution: int):
     return grid, values
 
 
+def grid_max(p, dom: Domain, resolution: int) -> float:
+    """max |p| on the grid that sup_norm(p, dom, resolution) samples."""
+    return float(np.max(np.abs(_grid_values(p, dom, resolution)[1])))
+
+
 def _refine_grid(p, dom: Domain, resolution: int, crits: list) -> SupNormReport:
     """The first maximum of |p| over the grid rows, then the critical points:
     a critical value replaces the grid's maximum only when it is larger (or
@@ -634,8 +688,6 @@ def verify_td_bound(d: int, resolution: int = 16, seed: int = 0,
     For d <= 5 this reproduces the proved value 1; for d >= 6 the report is
     exploratory (``conjecture_mode``) and never asserts the bound.
     """
-    from .constructions import build_td
-
     report: dict = {"d": d, "conjecture_mode": d >= 6, "zero_face_identity_exact": True}
     estimate = 0.0
     td = build_td(d).polynomial
@@ -715,83 +767,3 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
     if face_mode:
         out = [pt + (1.0 - sum(pt),) for pt in out]
     return out
-
-
-# --------------------------------------------------------------------------
-# the bordered Vandermonde determinant
-# --------------------------------------------------------------------------
-
-
-def dd_determinant(d: int) -> Poly:
-    """Exact cofactor expansion (along the gradient row) of the
-    (d-1) x (d-1) matrix with rows x_i^k (k = 0..d-3, i = 1..d-1) and last
-    row the partials of T_d with respect to x_1..x_{d-1}."""
-    from .constructions import build_td
-    if d < 3:
-        raise PolyError(f"the determinant is defined for d >= 3, got {d}")
-    td = build_td(d).polynomial
-    n = d - 1
-    partials = [td.partial(i) for i in range(n)]
-    total = Poly.zero(d)
-    for i in range(n):
-        # Vandermonde minor on the remaining columns, nodes ordered ascending
-        nodes = [j for j in range(n) if j != i]
-        minor = Poly.constant(d, 1)
-        for a in range(len(nodes)):
-            for b in range(a + 1, len(nodes)):
-                minor = minor * (Poly.variable(d, nodes[b]) - Poly.variable(d, nodes[a]))
-        sign = (-1) ** ((n - 1) + i)
-        total = total + sign * partials[i] * minor
-    return total
-
-
-def d5_factorized_form() -> Poly:
-    """-64 * prod_{1<=i<j<=4} (x_i - x_j) * (-14 + 225 x_5), expanded exactly."""
-    poly = Poly.constant(5, -64)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            poly = poly * (Poly.variable(5, i) - Poly.variable(5, j))
-    return poly * (225 * Poly.variable(5, 4) - 14)
-
-
-def _divide_linear(p: Poly, i: int, j: int):
-    """Exact division of p by (x_i - x_j): returns (quotient, remainder),
-    with the remainder equal to p restricted to x_i = x_j."""
-    by_deg: dict[int, dict] = {}
-    for exp, coef in p.terms.items():
-        e = exp[i]
-        key = exp[:i] + (0,) + exp[i + 1:]
-        by_deg.setdefault(e, {})[key] = coef
-    if not by_deg:
-        return Poly.zero(p.nvars, p.field), Poly.zero(p.nvars, p.field)
-    top = max(by_deg)
-    xj = Poly.variable(p.nvars, j, p.field)
-    xi = Poly.variable(p.nvars, i, p.field)
-    coeffs = {e: Poly(p.nvars, t, p.field) for e, t in by_deg.items()}
-    zero = Poly.zero(p.nvars, p.field)
-    quotient = Poly.zero(p.nvars, p.field)
-    carry = zero
-    for e in range(top, 0, -1):
-        b = coeffs.get(e, zero) + carry
-        quotient = quotient + b * xi ** (e - 1)
-        carry = b * xj
-    remainder = coeffs.get(0, zero) + carry
-    return quotient, remainder
-
-
-def vandermonde_factor_report(d: int) -> dict:
-    """Attempt exact division of D_d by the full Vandermonde product over
-    x_1..x_{d-1}; reports divisibility and the quotient when it divides."""
-    det = dd_determinant(d)
-    quotient = det
-    divides = True
-    for i in range(d - 1):
-        for j in range(i + 1, d - 1):
-            quotient, rem = _divide_linear(quotient, j, i)  # divide by (x_j - x_i)
-            if not rem.is_zero():
-                divides = False
-                break
-        if not divides:
-            break
-    return {"d": d, "vandermonde_divides": divides,
-            "quotient": quotient if divides else None, "determinant": det}

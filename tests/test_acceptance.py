@@ -18,8 +18,9 @@ import pytest
 
 from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  remez_exchange, verify_correspondence)
-from chebydev.constructions import (build_r5, build_td, compute_rd,
-                                    derive_r5_constants, prime_factorization)
+from chebydev.constructions import (build_r5, build_td, compute_rd, d5_factorized_form,
+                                    dd_determinant, derive_r5_constants,
+                                    prime_factorization)
 from chebydev.domains import simplex, simplex_face, sphere
 from chebydev.polycore import (Poly, laplacian, max_coefficient_difference,
                                restrict_zero)
@@ -28,8 +29,7 @@ from chebydev.signatures import (Certificate, build_l_functional,
                                  combi_identity, cubature_check,
                                  r5_diagonal_parameters, r5_extremal_sets,
                                  r5_signature, solve_signature_weights)
-from chebydev.supnorm import (d5_factorized_form, dd_determinant, level_set,
-                              sup_norm, verify_td_bound)
+from chebydev.supnorm import level_set, sup_norm, verify_td_bound
 from chebydev.symfun import chebyshev_t_shifted
 
 # published ten-digit constants used throughout the acceptance runs

@@ -187,7 +187,9 @@ class TestDiscreteMinimax:
     def test_target_in_the_span_has_zero_deviation(self, basis):
         # t is zero up to rounding, and so is max|f - Phi c|: no gate fires
         prob = ApproxProblem(Poly.monomial((1, 1, 1)), 3, simplex(3), basis, grid=8)
-        assert abs(discrete_minimax(prob).deviation) < 1e-15
+        res = discrete_minimax(prob)
+        assert abs(res.deviation) < 1e-15
+        assert res.residual_extrema == [] and res.equioscillation_count == 0
         assert abs(remez_exchange(prob, seed=0).deviation_upper) < 1e-15
 
     @pytest.mark.parametrize("doctored,match", [("level", "exceeds the level"),
@@ -218,10 +220,12 @@ class TestRemezExchange:
         ((2, 2, 2), 6, simplex(3), "symmetric"), ((2, 0), 2, ball(2), "even")])
     def test_target_in_the_span(self, target, degree, domain, basis):
         # the LP level of a target the basis reproduces is rounding, and
-        # reads 0, never above the searched sup of the residual
+        # reads 0, never above the searched sup of the residual; a residual
+        # of level 0 has no extrema
         res = remez_exchange(ApproxProblem(Poly.monomial(target), degree, domain, basis, 8))
         assert res.deviation_lower == res.deviation == 0.0
         assert res.deviation_lower <= res.deviation_upper < 1e-15
+        assert res.residual_extrema == [] and res.equioscillation_count == 0
 
     def test_simplex_product_converges(self):
         prob = ApproxProblem(
@@ -378,7 +382,7 @@ class TestRemezExchange:
         p = p.to_float64()
         assert supnorm._symmetric(p) == (case == "symmetric")
         for dom in (simplex(3), ball(3), sphere(3)):
-            assert bestapprox._grid_max(p, dom, 8) == sup_norm(p, dom, 8).grid_value
+            assert supnorm.grid_max(p, dom, 8) == sup_norm(p, dom, 8).grid_value
 
     def test_unconverged_exchange_keeps_warning(self):
         res = remez_exchange(ApproxProblem(
@@ -835,9 +839,9 @@ def _adjoin_pointwise(points, new):
 
 
 class TestAdjoin:
-    @pytest.mark.parametrize("block", [1, 7, 100, bestapprox.ADJOIN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 100, supnorm.ADJOIN_BLOCK])
     def test_matches_the_pointwise_loop(self, monkeypatch, block):
-        monkeypatch.setattr(bestapprox, "ADJOIN_BLOCK", block)
+        monkeypatch.setattr(supnorm, "ADJOIN_BLOCK", block)
         rng = np.random.default_rng(block)
         tol = supnorm.DEDUP_TOL
         for d in (1, 2, 3):
@@ -852,7 +856,7 @@ class TestAdjoin:
             ])
             new = np.vstack([new, new[::7]])                    # repeats among the new
             rng.shuffle(new)
-            got = bestapprox._adjoin(points, new)
+            got = supnorm.adjoin(points, new)
             assert got.tobytes() == _adjoin_pointwise(points, new).tobytes()
             assert 60 + 30 < len(got) < 60 + len(new)
 
@@ -860,7 +864,7 @@ class TestAdjoin:
         points = np.zeros((4, 2))
         tol = supnorm.DEDUP_TOL
         new = [(0.0, tol), (-tol, 0.0), (0.0, 2 * tol), (0.0, 2 * tol)]
-        assert bestapprox._adjoin(points, new)[4:].tolist() == [[0.0, 2 * tol]]
+        assert supnorm.adjoin(points, new)[4:].tolist() == [[0.0, 2 * tol]]
 
     def test_block_bounds_the_distance_table(self, monkeypatch):
         sizes = []
@@ -874,11 +878,11 @@ class TestAdjoin:
                 sizes.append(np.size(x))
                 return np.abs(x)
 
-        monkeypatch.setattr(bestapprox, "ADJOIN_BLOCK", 1000)
+        monkeypatch.setattr(supnorm, "ADJOIN_BLOCK", 1000)
         monkeypatch.setattr(supnorm, "np", Numpy())   # the distance kernel's numpy
         points = np.random.default_rng(5).random((300, 3))
         new = np.random.default_rng(6).random((50, 3))
-        got = bestapprox._adjoin(points, new)
+        got = supnorm.adjoin(points, new)
         # blocks of 3 new points against 300 points, one table per coordinate,
         # then dedup_points' one table of the 50 far new points among themselves
         assert sizes == [900] * 3 * 16 + [600] * 3 + [2500] * 3

@@ -185,6 +185,7 @@ class TestApprox:
         assert code == 0
         payload = json.loads(out)
         assert payload["deviation_lower"] == 0.0 <= payload["deviation_upper"]
+        assert payload["extrema"] == [] and payload["equioscillation_count"] == 0
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         import chebydev.bestapprox as ba

@@ -1,13 +1,15 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from chebydev import constructions
 from chebydev.constructions import (R5_ROOT_BRACKET, build_r5, build_r5_repaired,
                                     build_t3, build_td, build_u3, build_u5,
-                                    compute_rd, derive_r5_constants, lift_to_ball,
-                                    prime_factorization, r5_face_defect,
+                                    compute_rd, dd_determinant, derive_r5_constants,
+                                    lift_to_ball, prime_factorization, r5_face_defect,
                                     real_roots_of_r5_poly)
 from chebydev.polycore import (Poly, PolyError, max_coefficient_difference,
                                poly_equal, restrict_affine_last, restrict_zero)
@@ -266,3 +268,54 @@ class TestCached:
         consts, fresh = derive_r5_constants(), derive_r5_constants.__wrapped__()
         assert derive_r5_constants() is consts
         assert consts == fresh and consts.d_root.hex() == fresh.d_root.hex()
+
+
+def _divide_linear_chain(p, i, j):
+    """The reference: synthetic division in x_i through a chain of Poly
+    products, carry * x_j passed down one power of x_i at a time."""
+    by_deg = {}
+    for exp, coef in p.terms.items():
+        by_deg.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = coef
+    if not by_deg:
+        return Poly.zero(p.nvars, p.field), Poly.zero(p.nvars, p.field)
+    xj = Poly.variable(p.nvars, j, p.field)
+    xi = Poly.variable(p.nvars, i, p.field)
+    coeffs = {e: Poly(p.nvars, t, p.field) for e, t in by_deg.items()}
+    zero = Poly.zero(p.nvars, p.field)
+    quotient, carry = zero, zero
+    for e in range(max(by_deg), 0, -1):
+        b = coeffs.get(e, zero) + carry
+        quotient = quotient + b * xi ** (e - 1)
+        carry = b * xj
+    return quotient, coeffs.get(0, zero) + carry
+
+
+class TestDivideLinear:
+    """_divide_linear gives the quotient and remainder of the synthetic
+    division, term by term."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_every_pair_of_dd(self, d):
+        det = dd_determinant(d)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    got = constructions._divide_linear(det, i, j)
+                    assert got == _divide_linear_chain(det, i, j), (i, j)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_polynomials_with_a_remainder(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(2, 4)
+        p = Poly(nvars, {tuple(rng.randint(0, 4) for _ in range(nvars)):
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(12)})
+        i, j = rng.sample(range(nvars), 2)
+        quotient, remainder = constructions._divide_linear(p, i, j)
+        assert (quotient, remainder) == _divide_linear_chain(p, i, j)
+        assert not remainder.is_zero() and all(e[i] == 0 for e in remainder.terms)
+        linear = Poly.variable(nvars, i) - Poly.variable(nvars, j)
+        assert quotient * linear + remainder == p
+
+    def test_zero(self):
+        zero = Poly.zero(3)
+        assert constructions._divide_linear(zero, 0, 2) == (zero, zero)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chebydev import bestapprox, lp
+from chebydev import bestapprox, lp, supnorm
 from chebydev.bestapprox import ApproxProblem, discrete_minimax, remez_exchange
 from chebydev.constructions import derive_r5_constants
 from chebydev.domains import simplex
@@ -136,7 +136,7 @@ class TestChebyshevDual:
     def test_warm_start_after_appending_points_matches_cold(self, target, degree, nvars, basis):
         pb, _, _ = _grid_columns(_problem(target, degree, nvars, basis, 8))
         extra = bestapprox.approx_grid(simplex(nvars), 12)
-        grown = bestapprox._adjoin(pb.grid, extra)
+        grown = supnorm.adjoin(pb.grid, extra)
         assert len(grown) > len(pb.grid)
         first, lp_basis = bestapprox._minimax_on(pb, pb.grid)
         N, M = len(pb.grid), len(grown)

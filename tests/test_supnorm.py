@@ -7,15 +7,15 @@ from math import comb
 import numpy as np
 import pytest
 
-from chebydev.constructions import (build_r5, build_t3, build_td, build_u3,
-                                    build_u5, derive_r5_constants)
+from chebydev.constructions import (build_r5, build_t3, build_td, build_u3, build_u5,
+                                    d5_factorized_form, dd_determinant,
+                                    derive_r5_constants, vandermonde_factor_report)
 from chebydev.domains import BALL, ball, simplex, simplex_face, sphere
 from chebydev import bestapprox, cli, polycore, supnorm
 from chebydev.polycore import Poly, restrict_zero
 from chebydev.signatures import r5_diagonal_parameters
-from chebydev.supnorm import (critical_points, d5_factorized_form, dd_determinant,
-                              dedup_points, level_set, sample_domain, signed_max,
-                              sup_norm, vandermonde_factor_report, verify_td_bound)
+from chebydev.supnorm import (critical_points, dedup_points, level_set, sample_domain,
+                              signed_max, sup_norm, verify_td_bound)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def _reference_approx_grid(dom, r):
     d = dom.dimension
     diag = np.array(list(itertools.product([1.0, -1.0], repeat=d))) / math.sqrt(d)
     axes = np.vstack([np.eye(d), -np.eye(d)])
-    base = (bestapprox._sphere_spiral(max(8, 2 * r * r)) if d == 3
+    base = (supnorm._sphere_spiral(max(8, 2 * r * r)) if d == 3
             else _reference_sample_domain(dom, r))
     return _reference_unique_rows(np.vstack([base, axes, diag]))
 
@@ -128,7 +128,7 @@ class TestLatticeBits:
                                                (5, range(1, 6))])
     def test_approx_grid_matches_product_lattice(self, d, resolutions):
         for r in resolutions:
-            got, want = bestapprox.approx_grid(sphere(d), r), _reference_approx_grid(sphere(d), r)
+            got, want = supnorm.approx_grid(sphere(d), r), _reference_approx_grid(sphere(d), r)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), r
 
     def test_unique_rows_semantics(self):
@@ -315,15 +315,14 @@ class TestTdBound:
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_each_td_built_once(self, monkeypatch, d):
-        from chebydev import constructions
         built = []
-        original = constructions.build_td
+        original = supnorm.build_td
 
         def counted(k):
             built.append(k)
             return original(k)
 
-        monkeypatch.setattr(constructions, "build_td", counted)
+        monkeypatch.setattr(supnorm, "build_td", counted)
         verify_td_bound(d, resolution=6, seed=0)
         assert sorted(built) == list(range(3, d + 1))
 
