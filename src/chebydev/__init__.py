@@ -28,11 +28,10 @@ from .constructions import (FamilyReport, R5Constants, build_r5,
                             vandermonde_factor_report)
 from .signatures import (Certificate, CertificateResult, SignedPointSet,
                          SignatureSolution, annihilation_residual,
-                         build_extremal_sets, build_l_functional,
-                         certificate_from_json_dict, certificate_to_json_dict,
-                         certify_lower_bound, check_annihilation,
-                         combi_identity, cubature_check, orbit, r5_signature,
-                         solve_signature_weights)
+                         build_l_functional, certificate_from_json_dict,
+                         certificate_to_json_dict, certify_lower_bound,
+                         check_annihilation, combi_identity, cubature_check,
+                         orbit, r5_signature, solve_signature_weights)
 from .supnorm import (SupNormReport, critical_points, level_set, sample_domain,
                       signed_max, sup_norm, verify_td_bound)
 from .bestapprox import (ApproxProblem, ApproxResult, ball_mixed_monomial_check,

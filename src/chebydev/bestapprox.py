@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -118,9 +117,9 @@ def _graded_monomials(n: int, d: int, even: bool = False,
     return mons
 
 
-def invariant_basis(n: int, d: int, kind: str = "full",
-                    for_sphere: bool = False) -> tuple[Poly, ...]:
-    """Basis of the degree-<= n approximant space, restricted by invariance.
+def invariant_basis(n: int, domain: Domain, kind: str = "full") -> tuple[Poly, ...]:
+    """Basis of the degree-<= n approximant space on the domain, restricted by
+    invariance.
 
     ``full``: all monomials; ``symmetric``: monomial symmetric polynomials per
     partition; ``even``: even exponents only; ``even-symmetric``: both.  On
@@ -130,6 +129,7 @@ def invariant_basis(n: int, d: int, kind: str = "full",
     """
     if kind not in BASIS_KINDS:
         raise PolyError(f"unknown basis kind {kind!r}")
+    d, for_sphere = domain.nvars, domain.kind == SPHERE
     if kind == "full":
         return tuple(Poly.monomial(e) for e in
                      _graded_monomials(n, d, sphere_reduced=for_sphere))
@@ -177,21 +177,21 @@ def _scaled_basis(basis: tuple[Poly, ...], domain: Domain):
     """Affine conditioning: on simplex-type domains the basis is re-expressed
     in box coordinates u = 2x - 1 by Poly.compose; the exact change-of-basis
     matrix maps LP coefficients back to the original basis.  Returns (the
-    scaled functions' exact term maps, without zero terms, M with
-    original_coeffs = M @ scaled_coeffs)."""
+    scaled functions as exact Polys, M with original_coeffs = M @
+    scaled_coeffs)."""
     if domain.kind not in (SIMPLEX, SIMPLEX_FACE):
-        return [b.terms for b in basis], np.eye(len(basis))
+        return list(basis), np.eye(len(basis))
     nvars = basis[0].nvars
     box = [2 * Poly.variable(nvars, i) - 1 for i in range(nvars)]
-    scaled = [b.compose(box).terms for b in basis]
+    scaled = [b.compose(box) for b in basis]
     # exact coordinates of each scaled function in the original basis: each
     # basis function is identified by its graded-lex-leading exponent, and the
     # expansion is verified by exact reconstruction
     index = {b.sorted_terms()[-1][0]: i for i, b in enumerate(basis)}
     M = np.zeros((len(basis), len(basis)))
     for j, s in enumerate(scaled):
-        rest = dict(s)
-        for i, c in ((index[key], c) for key, c in s.items() if key in index):
+        rest = dict(s.terms)
+        for i, c in ((index[key], c) for key, c in s.terms.items() if key in index):
             M[i, j] = float(c)
             for e, b in basis[i].terms.items():
                 rest[e] = rest.get(e, 0) - c * b
@@ -227,11 +227,11 @@ class _ProblemBasis:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _family(degree: int, kind: str, domain: Domain) -> tuple:
-    """(basis, scaled term maps, M) of a basis kind and degree on a domain,
+    """(basis, scaled functions, M) of a basis kind and degree on a domain,
     whatever the target and the grid; _scaled_basis builds them on a miss."""
-    basis = invariant_basis(degree, domain.nvars, kind, for_sphere=domain.kind == SPHERE)
+    basis = invariant_basis(degree, domain, kind)
     scaled, M = _scaled_basis(basis, domain)
-    return basis, tuple(MappingProxyType(s) for s in scaled), read_only(M)
+    return basis, tuple(scaled), read_only(M)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -240,8 +240,8 @@ def _problem_batch(target: tuple, degree: int, kind: str, domain: Domain,
     """The target (its (exponent, float64 coefficient) pairs), then each scaled
     function of its family, as float Polys: one batch of their values, or of
     their gradients."""
-    polys = [Poly(domain.nvars, s, FLOAT64)
-             for s in (dict(target), *_family(degree, kind, domain)[1])]
+    polys = [Poly(domain.nvars, dict(target), FLOAT64),
+             *(s.to_float64() for s in _family(degree, kind, domain)[1])]
     return PolyBatch([g for p in polys for g in p.gradient()] if gradients else polys)
 
 
@@ -413,8 +413,7 @@ def _fit_system(pb: _ProblemBasis, grads: PolyBatch, points: np.ndarray,
     as 0.0 + u_0 g_0 + u_1 g_1 + ... in that order."""
     V = pb.batch(points)
     G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
-    tangents = [(e, u) for e, pt in enumerate(points)
-                for u in _face_tangent_vectors(np.asarray(pt, dtype=float), domain)]
+    tangents = [(e, u) for e, pt in enumerate(points) for u in _face_tangent_vectors(pt, domain)]
     rows = np.array([e for e, _ in tangents], dtype=np.intp)
     U = np.array([u for _, u in tangents]).reshape(len(tangents), points.shape[1])
     slopes = np.zeros((len(rows), G.shape[1]))
@@ -436,13 +435,14 @@ def _fit_decided(fit, rep, domain: Domain, resolution: int) -> bool:
             or grid_max(fit, domain, resolution) >= level)
 
 
-def _near_extremal(rep, resid, level: float, rel: float) -> list:
-    """(point, value) pairs: the residual's critical points with |value| >=
-    (1 - rel) * level, then the argmax of its sup-norm search."""
-    near = [(pt, val) for pt, val in rep.critical_points
-            if abs(val) >= level * (1 - rel)]
-    near.append((rep.argmax, resid.eval(rep.argmax)))
-    return near
+def _near_extremal(rep, resid, level: float, rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """(points, values) arrays: the residual's critical points with |value|
+    >= (1 - rel) * level, then the argmax of its sup-norm search."""
+    points = np.array([pt for pt, _ in rep.critical_points] + [rep.argmax], dtype=float)
+    values = np.array([val for _, val in rep.critical_points] + [resid.eval(rep.argmax)])
+    near = np.abs(values) >= level * (1 - rel)
+    near[-1] = True
+    return points[near], values[near]
 
 
 def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
@@ -504,12 +504,10 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
             break
         dev = result.deviation
         resid, rep = search(result.coefficients)
-        extremal = _near_extremal(rep, resid, dev, 1e-3)
-        if len(extremal) >= len(pb.basis) + 1:
-            E = np.array([pt for pt, _ in extremal], dtype=float)
-            sg = np.sign([val for _, val in extremal])
+        E, values = _near_extremal(rep, resid, dev, 1e-3)
+        if len(E) >= len(pb.basis) + 1:
             try:
-                c2, _ = _equioscillation_fit(pb, grads, E, sg, search_domain)
+                c2, _ = _equioscillation_fit(pb, grads, E, np.sign(values), search_domain)
                 if not _fit_decided(plan.bind(c2), rep, search_domain, search_res):
                     resid2, rep2 = search(c2)
                     if rep2.value < rep.value * (1 - NOISE):
@@ -527,7 +525,7 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
         if (len(gap_log) >= 3 and abs(dev - gap_log[-2][0]) < DEV_CHANGE_TOL
                 and gap > 0.9 * gap_log[-3][2]):
             break
-        grown = adjoin(points, [pt for pt, _ in _near_extremal(rep, resid, dev, 1e-6)])
+        grown = adjoin(points, _near_extremal(rep, resid, dev, 1e-6)[0])
         if len(grown) == len(points):
             break
         # the optimal basis stays feasible on the grown set; its minus-block
@@ -543,9 +541,9 @@ def remez_exchange(prob: ApproxProblem, max_iter: int = 40,
     # accumulated exchange columns.  (resid, rep) is the last iterate's
     # search; the reported approximant is the best iterate's.
     upper, coefficients, best_resid, best_rep = best
-    extremal = (_near_extremal(rep, resid, result.deviation, 1e-3)
-                + _near_extremal(best_rep, best_resid, result.deviation, 1e-3))
-    clean = adjoin(pb.grid, [pt for pt, _ in extremal])
+    clean = adjoin(pb.grid, np.vstack([
+        _near_extremal(rep, resid, result.deviation, 1e-3)[0],
+        _near_extremal(best_rep, best_resid, result.deviation, 1e-3)[0]]))
     final, _ = _minimax_on(pb, clean)
     if final.deviation >= result.deviation - 1e-9 * max(1.0, result.deviation):
         result = final

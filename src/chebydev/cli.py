@@ -26,15 +26,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .bestapprox import ApproxProblem, RankError, SpanError, remez_exchange
 from .constructions import (MR_PROVEN_BOUND, build_r5_repaired, build_r5_report,
-                            build_td, compute_rd, d5_factorized_form, dd_determinant,
-                            prime_factorization, r5_face_defect, vandermonde_factor_report)
+                            build_td, build_u3, build_u5, compute_rd, d5_factorized_form,
+                            dd_determinant, derive_r5_constants, prime_factorization,
+                            r5_face_defect, vandermonde_factor_report)
 from .domains import ball, simplex, sphere
 from .lp import LPError
-from .polycore import PolyError, laplacian, poly_to_json_dict
-from .signatures import (Certificate, annihilation_residual, build_extremal_sets,
-                         build_l_functional, certify_lower_bound, combi_identity,
-                         cubature_check, r5_signature, solve_signature_weights)
+from .polycore import Poly, PolyError, laplacian, poly_to_json_dict
+from .signatures import (Certificate, annihilation_residual, build_l_functional,
+                         certify_lower_bound, combi_identity, cubature_check,
+                         r5_signature, solve_signature_weights)
 from .supnorm import signed_max, verify_td_bound
 
 DEFAULT_TOLERANCES = {
@@ -68,8 +70,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -151,7 +151,6 @@ def cmd_construct(args) -> int:
 
 
 def _suite_signature(ds, tols, seed):
-    from .polycore import Poly
     checks = []
     for d in ds:
         fam = build_td(d)
@@ -164,13 +163,11 @@ def _suite_signature(ds, tols, seed):
         res = certify_lower_bound(cert, tol=0)
         checks.append({"name": f"certificate_td_exact_d{d}", "d": d,
                        "passed": res.certified, "failures": res.failures})
-        s_plus, s_minus = build_extremal_sets(d)
-        sol = solve_signature_weights(s_plus, s_minus, d - 1, d)
+        sol = solve_signature_weights(support, d - 1, d)
         ok = sol.feasible and all(w > 0 for w in sol.orbit_weights)
         checks.append({"name": f"signature_weights_positive_d{d}", "d": d,
                        "passed": ok, "reason": sol.reason})
     if 3 in ds:
-        from .constructions import derive_r5_constants
         consts = derive_r5_constants()
         sig = r5_signature(consts)
         resid = annihilation_residual(sig, 4, 3)
@@ -292,8 +289,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    from .bestapprox import ApproxProblem, RankError, SpanError, remez_exchange
-    from .polycore import Poly
     try:
         exponents = tuple(int(v) for v in args.monomial.split(","))
     except ValueError:
@@ -360,7 +355,6 @@ def cmd_rd_table(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    from .constructions import build_u3, build_u5, derive_r5_constants
     if args.grid < 1:
         sys.stderr.write("surface: --grid must be >= 1\n")
         return EXIT_USAGE

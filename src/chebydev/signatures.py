@@ -99,23 +99,13 @@ def uniform_support_point(j: int, d: int) -> Point:
     return tuple([Fraction(1, j)] * j + [Fraction(0)] * (d - j))
 
 
-def build_extremal_sets(d: int) -> tuple[list[Point], list[Point]]:
-    """The ladders of uniform points where T_d = +1 (S_plus) and -1 (S_minus).
-
-    For odd d the +1 ladder uses j = d, d-2, ..., 1 and the -1 ladder the even
-    j; parities swap for even d.  Every point lies on the face sum x_i = 1.
-    """
-    return _split_by_sign(build_l_functional(d))
-
-
-def _split_by_sign(sps: SignedPointSet) -> tuple[list[Point], list[Point]]:
-    signed = list(zip(sps.points, sps.signs))
-    return [pt for pt, sg in signed if sg > 0], [pt for pt, sg in signed if sg < 0]
-
-
 def build_l_functional(d: int) -> SignedPointSet:
     """The annihilating functional of the T_d signature: weight j^{d-1} and
-    sign (-1)^{d-j} on every point of the a_j orbit, j = d down to 1."""
+    sign (-1)^{d-j} on every point of the a_j orbit, j = d down to 1.
+
+    Its signs are those of T_d: the ladder of uniform points with j = d, d-2,
+    ... carries +1 and the other one -1.  Every point lies on the face sum
+    x_i = 1."""
     if d < 3:
         raise PolyError(f"T_d extremal data is defined for d >= 3, got {d}")
     points: list[Point] = []
@@ -172,15 +162,11 @@ def r5_diagonal_parameters(consts: R5Constants) -> tuple[float, float]:
     return -consts.d_root / 9, t_minus
 
 
-def r5_extremal_sets(consts: R5Constants) -> tuple[list[Point], list[Point]]:
-    """S_plus and S_minus of the R_5 family on the face sum x_i = 1
-    (the origin, where R_5 = 1 as well, is excluded from signature supports)."""
-    return _split_by_sign(r5_signature(consts))
-
-
 def r5_signature(consts: R5Constants) -> SignedPointSet:
     """The published R_5 functional: per-point weights on the six orbits,
-    total mass 1, annihilating all polynomials of degree <= 5."""
+    total mass 1, annihilating all polynomials of degree <= 5.  Its points
+    lie on the face sum x_i = 1 (the origin, where R_5 = 1 as well, is left
+    out of the support)."""
     t_plus, t_minus = r5_diagonal_parameters(consts)
     s = math.sqrt(2.0)
     blocks = [
@@ -279,14 +265,12 @@ class SignatureSolution:
     residual: float = 0.0
 
 
-def _orbit_rep(p: Point) -> Point:
-    return tuple(sorted(p))
-
-
-def _group_orbits(points: list[Point], sign: int):
+def _group_orbits(signature: SignedPointSet, sign: int):
+    """The orbits of the signature's points of this sign, sorted by str(rep)."""
     groups: dict[Point, list[Point]] = {}
-    for p in points:
-        groups.setdefault(_orbit_rep(p), []).append(p)
+    for p, sg in zip(signature.points, signature.signs):
+        if sg == sign:
+            groups.setdefault(tuple(sorted(p)), []).append(p)
     return [(rep, pts, sign) for rep, pts in sorted(groups.items(), key=lambda kv: str(kv[0]))]
 
 
@@ -342,12 +326,13 @@ def _cone_interior(N: np.ndarray, floor) -> list:
     return [N @ np.sum(rays, axis=0)] if rays else []
 
 
-def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
-                            n: int, d: int) -> SignatureSolution:
+def solve_signature_weights(signature: SignedPointSet, n: int, d: int) -> SignatureSolution:
     """Find per-point weights lambda_v > 0 with sum lambda_v = 1 making the
-    signed point set annihilate all polynomials of degree <= n.
+    signature's points, with its signs, annihilate all polynomials of degree
+    <= n; the signature's own weights are not read.
 
-    Orbit symmetry collapses the unknowns to one per orbit.  When the
+    Orbit symmetry collapses the unknowns to one per orbit, the plus orbits
+    first, then the minus ones, each sorted by str(rep).  When the
     annihilation system leaves more than one degree of freedom, annihilation
     conditions of degree n+1, n+2, ... are imposed inside the remaining
     freedom (most-annihilating selection); this tie-break is what makes the
@@ -358,7 +343,7 @@ def solve_signature_weights(s_plus: list[Point], s_minus: list[Point],
     denominator m of its coordinates, and an entry of a degree-k monomial is
     one Fraction(integer sum, m^k), the same exact value as the Fraction sum.
     """
-    orbits = _group_orbits(s_plus, 1) + _group_orbits(s_minus, -1)
+    orbits = _group_orbits(signature, 1) + _group_orbits(signature, -1)
     reps = [rep for rep, _, _ in orbits]
     sizes = [len(pts) for _, pts, _ in orbits]
     signs = [sg for _, _, sg in orbits]

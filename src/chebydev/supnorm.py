@@ -231,16 +231,16 @@ def restrict_to_face(p: Poly, zeros: tuple, sum_active: bool) -> Poly:
     return q
 
 
-def embed_from_face(y, zeros: tuple, sum_active: bool, d: int) -> tuple:
-    """Map chart coordinates back to ambient simplex coordinates."""
+def embed_from_face(Y: np.ndarray, zeros: tuple, sum_active: bool, d: int) -> np.ndarray:
+    """Map the rows of Y, chart coordinates, back to ambient simplex
+    coordinates; on the face sum x = 1 the last free coordinate is 1 minus
+    the row's sum, added left to right from +0.0 as Python's sum adds."""
+    X = np.zeros((len(Y), d))
     free = [i for i in range(d) if i not in zeros]
-    x = [0.0] * d
-    ys = list(y)
     if sum_active:
-        ys = ys + [1.0 - sum(ys)]
-    for i, v in zip(free, ys):
-        x[i] = float(v)
-    return tuple(x)
+        Y = np.column_stack([Y, 1.0 - sum(Y.T, np.zeros(len(Y)))])
+    X[:, free] = Y
+    return X
 
 
 def _chart_dim(zeros: tuple, sum_active: bool, d: int) -> int:
@@ -302,11 +302,11 @@ def _newton_critical_points(ders: Derivatives, starts: np.ndarray, feasible,
     """Multi-start Newton for grad q = 0 inside a chart (ders: the
     Derivatives of q), each step capped at length 1 + |x|; rows with
     singular Hessians die.  feasible maps an (n, k) array of chart points to
-    a row mask.  Returns deduplicated chart points; a chart of no variables
-    is its one point."""
+    a row mask.  Returns the deduplicated chart points as the rows of an
+    array; a chart of no variables is its one point."""
     k = ders.nvars
     if k == 0:
-        return [()]
+        return np.zeros((1, 0))
     X = np.array(starts, dtype=float).reshape(-1, k)
 
     def advance(X, s):
@@ -320,14 +320,15 @@ def _newton_critical_points(ders: Derivatives, starts: np.ndarray, feasible,
 
     ok = _lockstep(X, ders, advance, grad_tol, 60)
     found = X[ok & feasible(X)]
-    return list(map(tuple, found[dedup_points(found)].tolist()))
+    return found[dedup_points(found)]
 
 
 def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: float):
     """Lagrange stationarity on the unit sphere: grad p = 2 lambda x, |x| = 1
     (ders: the Derivatives of p), solved by Newton on the bordered system in
     the rows (x, lambda).  The derivatives at the normalized starts give
-    lambda's start and serve the first step too, when every row runs in it."""
+    lambda's start and serve the first step too, when every row runs in it.
+    Returns the deduplicated points x as the rows of an array."""
     d = ders.nvars
     X = np.array(starts, dtype=float).reshape(-1, d)
     nrm = np.linalg.norm(X, axis=1)
@@ -360,7 +361,7 @@ def _sphere_critical_points(ders: Derivatives, starts: np.ndarray, grad_tol: flo
 
     ok = _lockstep(Z, evaluate, advance, grad_tol, 80)
     found = Z[ok, :d]
-    return list(map(tuple, found[dedup_points(found)].tolist()))
+    return found[dedup_points(found)]
 
 
 def _simplex_starts(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
@@ -374,13 +375,6 @@ def _simplex_starts(rng: np.random.Generator, k: int, count: int) -> np.ndarray:
 def _grad_scale(coefs) -> float:
     """The scale of a chart's gradient tolerance: its largest |coefficient|, at least 1."""
     return max(1.0, float(np.max(np.abs(coefs), initial=0.0)))
-
-
-def _with_values(table: MonomialTable, coefs: np.ndarray, pts: list) -> list:
-    """(point, value) pairs of the polynomial with these monomials and
-    coefficients, the values read from one batched evaluation."""
-    X = np.array(pts).reshape(len(pts), table.nvars)
-    return list(zip(pts, table.dot(X, coefs).tolist()))
 
 
 def _memo(cache: dict, key, build):
@@ -569,7 +563,7 @@ def critical_points(p, dom: Domain, seed: int = 0,
     plan = b.plan
     starts = _memo(plan.starts, (dom, seed, interior_only, symmetric),
                    lambda: _draw_starts(dom, seed, interior_only, symmetric))
-    results = []
+    points, values = [], []   # per chart or branch, its values from one product
     if dom.kind in (SIMPLEX, SIMPLEX_FACE):
 
         def feasible(Y):
@@ -577,29 +571,30 @@ def critical_points(p, dom: Domain, seed: int = 0,
 
         for (zeros, sum_active), st in starts:
             chart = plan.chart(zeros, sum_active)
-            c, ys = chart.restrict(b.a), [()]
+            c, Y = chart.restrict(b.a), np.zeros((1, 0))
             if chart.table.nvars:
-                ys = _newton_critical_points(chart.dmap(c), st, feasible, 1e-11 * _grad_scale(c))
-            results.extend((embed_from_face(y, zeros, sum_active, d), v)
-                           for y, v in _with_values(chart.table, c, ys))
+                Y = _newton_critical_points(chart.dmap(c), st, feasible, 1e-11 * _grad_scale(c))
+            points.append(embed_from_face(Y, zeros, sum_active, d))
+            values.append(chart.table.dot(Y, c))
     else:
         chart, c = plan.chart((), False), b.a   # the interior chart: the identity map
-        table, ders, tol = chart.table, chart.dmap(c), 1e-11 * _grad_scale(c)
+        ders, tol = chart.dmap(c), 1e-11 * _grad_scale(c)
         if dom.kind == BALL:
-            inside = _newton_critical_points(
-                ders, starts[0], lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol)
-            results.extend(_with_values(table, c, inside))
+            points.append(_newton_critical_points(
+                ders, starts[0], lambda X: np.einsum("ij,ij->i", X, X) < 1 - 1e-9, tol))
             if not interior_only and d >= 2:
-                results.extend(_with_values(
-                    table, c, _sphere_critical_points(ders, starts[1], tol)))
+                points.append(_sphere_critical_points(ders, starts[1], tol))
             elif not interior_only and d == 1:
-                results.extend(_with_values(table, c, [(-1.0,), (1.0,)]))
+                points.append(np.array([[-1.0], [1.0]]))
         else:
-            results.extend(_with_values(table, c, _sphere_critical_points(ders, starts[0], tol)))
+            points.append(_sphere_critical_points(ders, starts[0], tol))
+        values = [chart.table.dot(X, c) for X in points]
 
-    if symmetric:
-        results = [(tuple(sorted(pt, reverse=True)), v) for pt, v in results]
-    return [results[i] for i in dedup_points([pt for pt, _ in results])]
+    P, V = np.vstack(points), np.concatenate(values)
+    if symmetric:   # a stable sort keeps equal coordinates, signed zeros too, in order
+        P = -np.sort(-P, axis=1, kind="stable")
+    keep = dedup_points(P)
+    return list(zip(map(tuple, P[keep].tolist()), V[keep].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -759,11 +754,12 @@ def level_set(f: Poly, p: Poly, r: float, dom: Domain, tol: float = 1e-9,
             raise PolyError(f"|f - p| reaches {float(mags.max())!r} > r = {r!r} on the lattice")
         band = np.abs(mags - r)
         near = band <= max(10 * tol, 4 * float(np.min(band)), 0.05 * r)
-        ys = _newton_critical_points(chart.dmap(c), lattice[near], closed, 1e-12 * _grad_scale(c))
-        found += [embed_from_face(y, zeros, sum_active, d)
-                  for y, v in _with_values(chart.table, c, ys) if abs(abs(v) - r) <= tol / 10]
-    found.sort()
-    out = [found[i] for i in dedup_points(found)]
+        Y = _newton_critical_points(chart.dmap(c), lattice[near], closed, 1e-12 * _grad_scale(c))
+        on_level = np.abs(np.abs(chart.table.dot(Y, c)) - r) <= tol / 10
+        found.append(embed_from_face(Y[on_level], zeros, sum_active, d))
+    found = np.vstack(found)
+    found = found[np.lexsort(found.T[::-1])]   # the rows in tuple order
+    out = found[dedup_points(found)]
     if face_mode:
-        out = [pt + (1.0 - sum(pt),) for pt in out]
-    return out
+        out = embed_from_face(out, (), True, d + 1)
+    return list(map(tuple, out.tolist()))

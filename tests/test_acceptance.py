@@ -27,8 +27,8 @@ from chebydev.polycore import (Poly, laplacian, max_coefficient_difference,
 from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound, check_annihilation,
                                  combi_identity, cubature_check,
-                                 r5_diagonal_parameters, r5_extremal_sets,
-                                 r5_signature, solve_signature_weights)
+                                 r5_diagonal_parameters, r5_signature,
+                                 solve_signature_weights)
 from chebydev.supnorm import level_set, sup_norm, verify_td_bound
 from chebydev.symfun import chebyshev_t_shifted
 
@@ -194,8 +194,7 @@ def test_criterion_04_certificates(consts):
         "edge": (0.0, (2 - math.sqrt(2)) / 4, (2 + math.sqrt(2)) / 4),
         "diag_minus": tuple(sorted((t_minus, t_minus, 1 - 2 * t_minus))),
     }
-    s_plus, s_minus = r5_extremal_sets(consts)
-    sol = solve_signature_weights(s_plus, s_minus, 4, 3)
+    sol = solve_signature_weights(r5_signature(consts), 4, 3)
     ok &= sol.feasible
     recovered = 0
     for name, rep in keys.items():

@@ -188,23 +188,21 @@ class TestApprox:
         assert payload["extrema"] == [] and payload["equioscillation_count"] == 0
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
-        import chebydev.bestapprox as ba
         from chebydev.lp import LPError
 
         def boom(*args, **kwargs):
             raise LPError("no convergence")
 
-        monkeypatch.setattr(ba, "remez_exchange", boom)
+        monkeypatch.setattr(cli, "remez_exchange", boom)
         code = cli.main(["approx", "--monomial", "1,1", "--degree", "1",
                          "--grid", "4"])
         assert code == 3
 
     def test_warning_exit_code(self, capsys, monkeypatch, tmp_path):
         # a result that carries a warning is reported on stderr, not written
-        import chebydev.bestapprox as ba
         from types import SimpleNamespace
 
-        monkeypatch.setattr(ba, "remez_exchange", lambda prob, seed: SimpleNamespace(
+        monkeypatch.setattr(cli, "remez_exchange", lambda prob, seed: SimpleNamespace(
             warning="exchange stopped at its iteration limit"))
         report = tmp_path / "report.json"
         code = cli.main(["approx", "--monomial", "1,1", "--degree", "1",

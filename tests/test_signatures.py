@@ -14,12 +14,11 @@ from chebydev.domains import simplex
 from chebydev.polycore import Poly, PolyError
 from chebydev.symfun import partitions_upto
 from chebydev.signatures import (
-    Certificate, SignedPointSet, annihilation_residual, build_extremal_sets,
-    build_l_functional, certificate_from_json_dict, certificate_to_json_dict,
-    certify_lower_bound, check_annihilation, combi_identity, cubature_check,
-    monomial_exponents, orbit, r5_diagonal_parameters, r5_extremal_sets,
-    r5_signature, solve_signature_weights, triangle_monomial_integral,
-    uniform_support_point,
+    Certificate, SignedPointSet, annihilation_residual, build_l_functional,
+    certificate_from_json_dict, certificate_to_json_dict, certify_lower_bound,
+    check_annihilation, combi_identity, cubature_check, monomial_exponents,
+    orbit, r5_diagonal_parameters, r5_signature, solve_signature_weights,
+    triangle_monomial_integral, uniform_support_point,
 )
 
 
@@ -30,6 +29,20 @@ def consts():
 
 def _float_points(points):
     return [tuple(float(c) for c in p) for p in points]
+
+
+def _ladders(sps):
+    """The points of a signed point set with sign +1, then those with -1."""
+    return ([p for p, sg in zip(sps.points, sps.signs) if sg > 0],
+            [p for p, sg in zip(sps.points, sps.signs) if sg < 0])
+
+
+def _signed(plus, minus, as_float=False):
+    """The signed point set of plus (sign +1) and minus (sign -1), its
+    coordinates converted by float() with as_float."""
+    points = plus + minus
+    return SignedPointSet(_float_points(points) if as_float else points,
+                          [1] * len(plus) + [-1] * len(minus))
 
 
 class TestOrbit:
@@ -82,30 +95,27 @@ class TestOrbit:
 
 class TestExtremalSets:
     def test_d3_matches_known_sets(self):
-        s_plus, s_minus = build_extremal_sets(3)
+        s_plus, s_minus = _ladders(build_l_functional(3))
         third = Fraction(1, 3)
         half = Fraction(1, 2)
         assert set(s_plus) == {(third, third, third)} | set(orbit((1, 0, 0)))
         assert set(s_minus) == set(orbit((half, half, 0)))
 
     def test_d4_sizes(self):
-        s_plus, s_minus = build_extremal_sets(4)
+        s_plus, s_minus = _ladders(build_l_functional(4))
         assert len(s_plus) == 1 + 6       # uniform point and the 1/2-pairs
         assert len(s_minus) == 4 + 4      # 1/3-triples and vertices
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_family_values_exactly_pm_one(self, d):
         td = build_td(d).polynomial
-        s_plus, s_minus = build_extremal_sets(d)
-        for p in s_plus:
-            assert td.eval(p) == 1
-        for p in s_minus:
-            assert td.eval(p) == -1
+        L = build_l_functional(d)
+        for p, sg in zip(L.points, L.signs):
+            assert td.eval(p) == sg
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_all_points_on_the_sum_face(self, d):
-        s_plus, s_minus = build_extremal_sets(d)
-        for p in s_plus + s_minus:
+        for p in build_l_functional(d).points:
             assert sum(p) == 1
 
 
@@ -229,8 +239,7 @@ class TestAnnihilatingFunctional:
 
 class TestSolveWeights:
     def test_r3_recovers_normalized_rule_weights(self):
-        s_plus, s_minus = build_extremal_sets(3)
-        sol = solve_signature_weights(s_plus, s_minus, 2, 3)
+        sol = solve_signature_weights(build_l_functional(3), 2, 3)
         assert sol.feasible
         got = {tuple(sorted(r)): w for r, w in zip(sol.orbit_reps, sol.orbit_weights)}
         third, half = Fraction(1, 3), Fraction(1, 2)
@@ -260,8 +269,7 @@ class TestSolveWeights:
             "diag_plus": 0.0615774830, "edge": 0.0243979796, "diag_minus": 0.1178707075,
         }
         t_plus, t_minus = r5_diagonal_parameters(consts)
-        s_plus, s_minus = r5_extremal_sets(consts)
-        sol = solve_signature_weights(s_plus, s_minus, 4, 3)
+        sol = solve_signature_weights(r5_signature(consts), 4, 3)
         assert sol.feasible
         assert sol.base_nullspace_dim == 2       # degree-4 system leaves a line
         assert sol.extension_degree == 5         # degree-5 conditions pick the ray
@@ -283,16 +291,14 @@ class TestSolveWeights:
             assert weight_of(rep) == pytest.approx(published[name], abs=1e-5)
 
     def test_one_degree_too_high_is_infeasible(self):
-        s_plus, s_minus = build_extremal_sets(3)
-        sol = solve_signature_weights(s_plus, s_minus, 3, 3)
+        sol = solve_signature_weights(build_l_functional(3), 3, 3)
         assert not sol.feasible
         assert sol.reason
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_recovers_the_functional_weights(self, d):
-        s_plus, s_minus = build_extremal_sets(d)
-        sol = solve_signature_weights(s_plus, s_minus, d - 1, d)
         L = build_l_functional(d)
+        sol = solve_signature_weights(L, d - 1, d)
         total = sum(L.weights)
         expect = {tuple(sorted(p)): Fraction(w, 1) / total
                   for p, w in zip(L.points, L.weights)}
@@ -302,9 +308,9 @@ class TestSolveWeights:
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_float_ladders_match_the_exact_weights(self, d):
-        s_plus, s_minus = build_extremal_sets(d)
-        exact = solve_signature_weights(s_plus, s_minus, d - 1, d)
-        approx = solve_signature_weights(_float_points(s_plus), _float_points(s_minus),
+        L = build_l_functional(d)
+        exact = solve_signature_weights(L, d - 1, d)
+        approx = solve_signature_weights(SignedPointSet(_float_points(L.points), L.signs),
                                          d - 1, d)
         assert approx.feasible
         assert approx.base_nullspace_dim == exact.base_nullspace_dim
@@ -319,8 +325,7 @@ class TestSolveWeights:
         # at n = 1 the exact T_6 ladders leave a 2-dimensional solution space
         # in which neither basis column is positive, but the cone they span
         # holds positive weights
-        s_plus, s_minus = build_extremal_sets(6)
-        sol = solve_signature_weights(s_plus, s_minus, 1, 6)
+        sol = solve_signature_weights(build_l_functional(6), 1, 6)
         assert sol.feasible, sol.reason
         assert all(w > 0 for w in sol.orbit_weights)
         assert sum(w * size for w, size in zip(sol.orbit_weights, sol.orbit_sizes)) == 1
@@ -328,15 +333,15 @@ class TestSolveWeights:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_failures_read_the_same_in_both_fields(self, n):
-        s_plus, s_minus = build_extremal_sets(3)
+        s_plus, s_minus = _ladders(build_l_functional(3))
         vertices = set(orbit((1, 0, 0)))
         # the vertex orbit on the minus side: the one ray has a negative weight there
         moved = ([p for p in s_plus if p not in vertices],
                  [p for p in s_plus if p in vertices] + s_minus)
         for (plus, minus), reason in ((moved, "non-positive weight on orbits [1]"),
                                       ((s_plus + s_minus, []), "cannot be normalized")):
-            exact = solve_signature_weights(plus, minus, n, 3)
-            approx = solve_signature_weights(_float_points(plus), _float_points(minus), n, 3)
+            exact = solve_signature_weights(_signed(plus, minus), n, 3)
+            approx = solve_signature_weights(_signed(plus, minus, as_float=True), n, 3)
             assert exact.feasible is False and approx.feasible is False
             assert reason in exact.reason
             assert approx.reason == exact.reason
@@ -348,9 +353,8 @@ class TestSolveWeights:
     def test_condition_rows_match_fraction_sums(self, monkeypatch, d):
         # every exact system the solver reduces (A, then each E @ N of the
         # extension) equals the one built from Fraction sums over the orbits
-        s_plus, s_minus = build_extremal_sets(d)
-        orbits = (signatures._group_orbits(s_plus, 1)
-                  + signatures._group_orbits(s_minus, -1))
+        L = build_l_functional(d)
+        orbits = signatures._group_orbits(L, 1) + signatures._group_orbits(L, -1)
 
         def reference(lo, hi):
             rows = [[sg * sum(math.prod([Fraction(c) ** e for c, e in zip(p, part)])
@@ -368,7 +372,7 @@ class TestSolveWeights:
         monkeypatch.setattr(signatures, "_rational_nullspace", recorded)
         for n in (1, d - 1):
             reduced.clear()
-            sol = solve_signature_weights(s_plus, s_minus, n, d)
+            sol = solve_signature_weights(L, n, d)
             A, N = reduced[0]
             want = reference(0, n)
             assert A.shape == want.shape and (A == want).all()

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 from math import comb
@@ -626,9 +627,9 @@ class TestBatchedLevelSet:
 
         found = supnorm._newton_critical_points(_derivatives(q), starts, keep_all, 1e-12)
         assert shapes == [(3, 2)]
-        assert np.allclose(found, [(0.3, 0.4)])
+        assert found.shape == (1, 2) and np.allclose(found, [(0.3, 0.4)])
         assert supnorm._newton_critical_points(
-            _derivatives(q), starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12) == []
+            _derivatives(q), starts, lambda Y: np.zeros(len(Y), dtype=bool), 1e-12).shape == (0, 2)
 
 
 class TestFusedKernel:
@@ -686,7 +687,7 @@ class TestFusedKernel:
         got = supnorm._sphere_critical_points(marked, starts, 1e-11)
         assert marked.calls[:2] == [20, 19]
         want = supnorm._sphere_critical_points(real, np.delete(starts, 1, axis=0), 1e-11)
-        assert got == want and len(got) > 1
+        assert np.array_equal(got, want) and len(got) > 1
 
     @pytest.mark.parametrize("dom", [simplex(3), ball(3), sphere(3)], ids=lambda d: d.kind)
     def test_critical_values_are_eval_grid_of_the_chart(self, dom):
@@ -738,8 +739,7 @@ class TestSearchPlan:
             "simplex_face": ((2, 2), simplex_face(3), 3, "full"),
         }[case]
         target = Poly.monomial(target)
-        basis = bestapprox.invariant_basis(degree, target.nvars, kind,
-                                           for_sphere=dom.kind == "sphere")
+        basis = bestapprox.invariant_basis(degree, dom, kind)
         plan = supnorm.SearchPlan(target, basis)
         for c in (0.05 * rng.normal(size=len(basis)), 0.01 * rng.normal(size=len(basis))):
             bound, explicit = plan.bind(c), _explicit(target, basis, c)
@@ -1077,7 +1077,7 @@ def _reference_derivatives_call(self, points):
 def _reference_newton_critical_points(ders, starts, feasible, grad_tol):
     k = ders.nvars
     if k == 0:
-        return [()]
+        return np.zeros((1, 0))
     X = np.array(starts, dtype=float).reshape(-1, k)
 
     def advance(X, s):
@@ -1090,7 +1090,7 @@ def _reference_newton_critical_points(ders, starts, feasible, grad_tol):
 
     ok = _reference_lockstep(X, ders, advance, grad_tol, 60)
     found = [tuple(float(v) for v in x) for x in X[ok & feasible(X)]]
-    return [found[i] for i in _reference_dedup_points(found)]
+    return np.array([found[i] for i in _reference_dedup_points(found)]).reshape(-1, k)
 
 
 def _reference_sphere_critical_points(ders, starts, grad_tol):
@@ -1119,7 +1119,7 @@ def _reference_sphere_critical_points(ders, starts, grad_tol):
 
     ok = _reference_lockstep(Z, evaluate, advance, grad_tol, 80)
     found = [tuple(float(v) for v in z[:d]) for z in Z[ok]]
-    return [found[i] for i in _reference_dedup_points(found)]
+    return np.array([found[i] for i in _reference_dedup_points(found)]).reshape(-1, d)
 
 
 def _with_reference_kernel(monkeypatch, search):
@@ -1268,3 +1268,18 @@ class TestSearchPinnedBits:
         assert cli.main(["approx", "--monomial", "2,2,2", "--degree", "5", "--grid", "10"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "3182977db869246f5f7501731fa640a04daf0b69269096e1f03c5268199a3226")
+
+    # the chamber fold moves each coordinate's bits, a zero's sign too, as
+    # sorted(reverse=True) does; TestKernelAgainstReference folds on both of
+    # its sides, so only a pinned result sees a fold that changes them
+    @pytest.mark.parametrize("dom, count, digest", [
+        (sphere(3), 57, "a84744199c6313b1ead1a974928fc8145beb3eade3c856c6fb92a6d16c38963d"),
+        (ball(3), 129, "74c015cd39ba99ed6fa9b8bc8c38d6f601c1861ef9ee55ef6fcc41ebec65458a"),
+    ], ids=["sphere", "ball"])
+    def test_chamber_fold_keeps_signed_zeros(self, dom, count, digest):
+        p = Poly.monomial((2, 2, 2)).to_float64() - 0.1
+        cps = critical_points(p, dom, seed=0)
+        assert sum(c == 0 and math.copysign(1.0, c) < 0 for pt, _ in cps for c in pt) == 2
+        pairs = json.dumps([[[c.hex() for c in pt], v.hex()] for pt, v in cps])
+        assert len(cps) == count
+        assert hashlib.sha256(pairs.encode()).hexdigest() == digest
