@@ -14,7 +14,7 @@ by graded lexicographic order on the exponent tuples.
 Term order is never an input of a float result: a float64 polynomial holds
 its terms in graded lexicographic order, sorted once when it is built, and
 every float evaluation (``eval``, ``eval_grid``, ``PolyBatch``, the
-derivative tables) sums the nonzero terms in that order.  So a float term
+derivative tables) takes the terms in that order.  So a float term
 map gives the same bits however it was inserted.  Exact polynomials keep
 insertion order, which no exact result depends on.
 """
@@ -347,28 +347,38 @@ class MonomialTable:
     def __init__(self, exps: np.ndarray):
         # row i: the exponent of variable i in each table column
         self.nvars = exps.shape[1]
-        self.exps = np.ascontiguousarray(np.asarray(exps, dtype=np.int64).T)
-        self.powers = np.arange(int(self.exps.max(initial=0)) + 1)
+        self.exps = read_only(np.ascontiguousarray(np.asarray(exps, dtype=np.int64).T))
+        self.npowers = int(self.exps.max(initial=0)) + 1
         # row i: where x_i^e sits in a point's powers, flattened variable by variable
-        self.flat = self.exps + (np.arange(self.nvars) * len(self.powers))[:, None]
-        for a in (self.exps, self.powers, self.flat):
-            read_only(a)
+        self.flat = read_only(self.exps + (np.arange(self.nvars) * self.npowers)[:, None])
 
-    def tables(self, points: np.ndarray):
-        """(first row, monomial table) of each EVAL_CHUNK rows of points."""
+    def _points(self, points: np.ndarray) -> np.ndarray:
+        """points as a C-contiguous float (n, nvars) array, or the error that says why not."""
         pts = np.ascontiguousarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise DimensionMismatchError(
                 f"grid shape {pts.shape} incompatible with nvars={self.nvars}")
+        return pts
+
+    def tables(self, points: np.ndarray):
+        """(first row, monomial table) of each EVAL_CHUNK rows of points."""
+        pts = self._points(points)
         for lo in range(0, len(pts), EVAL_CHUNK):
             yield lo, self.table(pts[lo:lo + EVAL_CHUNK])
 
     def table(self, points: np.ndarray) -> np.ndarray:
-        """The C-contiguous monomial table at up to EVAL_CHUNK (n, nvars) points."""
-        pts = np.ascontiguousarray(points, dtype=float)
+        """The C-contiguous monomial table at up to EVAL_CHUNK (n, nvars) points.
+        x^0 = 1 and x^e = x^(e-1) x, so x^e has relative error at most
+        gamma_(e-1) = (e-1)u / (1 - (e-1)u); a column multiplies its
+        variables' powers in variable order."""
+        pts = self._points(points)
         if not self.nvars:
             return np.ones((len(pts), self.exps.shape[1]))
-        pows = (pts[:, :, None] ** self.powers).reshape(len(pts), self.nvars * len(self.powers))
+        pows = np.empty((len(pts), self.nvars, self.npowers))
+        pows[:, :, 0] = 1.0
+        for e in range(1, self.npowers):
+            np.multiply(pows[:, :, e - 1], pts, out=pows[:, :, e])
+        pows = pows.reshape(len(pts), self.nvars * self.npowers)
         # the first factor is the table, the others multiply into it in place
         table = np.take(pows, self.flat[0], axis=1)
         for i in range(1, self.nvars):
@@ -407,32 +417,24 @@ def term_matrix(polys: Sequence[Poly]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PolyBatch(MonomialTable):
-    """Float64 values of several polynomials in the same variables, read from
-    one monomial table per EVAL_CHUNK points over the graded union of their
-    exponents (term_matrix).  Column k equals the k-th polynomial's
-    ``eval_grid`` bit for bit: its term columns are gathered C-contiguous by
-    np.take (an F-ordered gather takes another BLAS kernel and rounding) and
-    summed by one matrix-vector product; one with every table column, as a
-    batch of one, reads the table.  That product sums the last N mod 4 rows
-    apart, so a value's last bit can depend on how many points one call
-    evaluates: reported floats rely on the callers' batch sizes, on
-    EVAL_CHUNK being a power of two and on the C-contiguous gather."""
+    """Float64 values of several polynomials in the same variables: one
+    monomial table per EVAL_CHUNK points over the graded union of their
+    exponents (term_matrix) times one read-only matrix C, a column per
+    polynomial.  A value is within gamma_n sum |c_t x^t| of exact evaluation
+    at the float point, n its term count plus its largest total degree.
+    OpenBLAS picks the product's kernel, and so last bits, by shape: on
+    SkylakeX, matrix-vector (one polynomial, as eval_grid, or one point) and
+    small products of 1-3 columns mod 8 sum the last N mod 4 of N points
+    apart, and small (under ~10^6 multiply-adds) and blocked products can
+    differ, so reported floats rely on the callers' batch sizes."""
 
     def __init__(self, polys: Sequence[Poly]):
         E, V = term_matrix(polys)
-        self.index = tuple(np.flatnonzero(v) for v in V)
-        self.coefs = tuple(v[idx] for v, idx in zip(V, self.index))
-        for a in self.index + self.coefs:
-            read_only(a)
+        self.C = read_only(np.ascontiguousarray(V.T))
         super().__init__(E)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        out = np.empty((len(points), len(self.coefs)))
-        for lo, table in self.tables(points):
-            for k, (idx, coefs) in enumerate(zip(self.index, self.coefs)):
-                terms = table if len(idx) == table.shape[1] else np.take(table, idx, axis=1)
-                out[lo:lo + len(table), k] = terms @ coefs
-        return out
+        return self.dot(points, self.C)
 
 
 class DerivativeMap:

@@ -1,12 +1,17 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chebydev import bestapprox, lp, supnorm
+from chebydev import bestapprox, lp, polycore, supnorm
 from chebydev.bestapprox import (ApproxProblem, ball_mixed_monomial_check,
                                  discrete_minimax, invariant_basis,
                                  remez_exchange, verify_correspondence)
@@ -18,6 +23,7 @@ from chebydev.signatures import (Certificate, build_l_functional,
                                  certify_lower_bound)
 from chebydev.supnorm import sample_domain, sup_norm
 from chebydev.symfun import monomial_symmetric, partitions_upto
+from test_polycore import batch_error_excess
 
 
 def assert_upper_is_residual_sup(res, prob):
@@ -612,23 +618,17 @@ class TestRankCheck:
             discrete_minimax(prob)
 
 
-def _fit_rows_loop(pb, grads, points, signs, domain):
-    """The reference fit system: value rows from a batch of the scaled
-    functions and the target's eval_grid, a tangency row per (point,
-    tangent) pair summed by Python's sum."""
-    A_rows = [np.hstack([PolyBatch(_scaled_f(pb))(points), signs[:, None].astype(float)])]
-    rhs_parts = [pb.target_f.eval_grid(points)]
+def _tangency_rows_loop(pb, grads, points, domain):
+    """The reference fit system's tangency rows: a row per (point, tangent)
+    pair, the slopes of the gradient batch summed by Python's sum."""
     G = grads(points).reshape(len(points), len(pb.basis) + 1, -1)
-    extra_rows, extra_rhs = [], []
+    rows, rhs = [], []
     for e, pt in enumerate(points):
         for u in bestapprox._face_tangent_vectors(np.asarray(pt, dtype=float), domain):
             slopes = [sum(u[i] * g[i] for i in range(len(u))) for g in G[e]]
-            extra_rows.append(np.array(slopes[1:] + [0.0]))
-            extra_rhs.append(slopes[0])
-    if extra_rows:
-        A_rows.append(np.array(extra_rows))
-        rhs_parts.append(np.array(extra_rhs))
-    return np.vstack(A_rows), np.concatenate(rhs_parts)
+            rows.append(slopes[1:] + [0.0])
+            rhs.append(slopes[0])
+    return np.array(rows).reshape(len(rows), len(pb.basis) + 1), np.array(rhs)
 
 
 # the exchange problems of the benchmark's oracle workload
@@ -678,12 +678,18 @@ class TestProblemBatch:
     def test_fit_system_is_the_python_loop(self, monkeypatch):
         fit_system, tangency = bestapprox._fit_system, []
 
-        def compared(*args):
-            A, rhs = fit_system(*args)
-            want_A, want_rhs = _fit_rows_loop(*args)
-            assert A.shape == want_A.shape and A.tobytes() == want_A.tobytes()
-            assert rhs.shape == want_rhs.shape and rhs.tobytes() == want_rhs.tobytes()
-            tangency[-1].append(len(A) - len(args[2]))
+        def compared(pb, grads, points, signs, domain):
+            # value rows: the target and the scaled functions at the points,
+            # within the batch's error bound, and the signs; tangency rows:
+            # the Python loop's bits
+            A, rhs = fit_system(pb, grads, points, signs, domain)
+            n, polys = len(points), [pb.target_f] + _scaled_f(pb)
+            V = np.column_stack([rhs[:n], A[:n, :-1]])
+            assert A.shape[1] == len(polys) and batch_error_excess(polys, points, V) <= 1.0
+            assert A[:n, -1].tolist() == signs.tolist()
+            want_A, want_rhs = _tangency_rows_loop(pb, grads, points, domain)
+            assert A[n:].tobytes() == want_A.tobytes() and rhs[n:].tobytes() == want_rhs.tobytes()
+            tangency[-1].append(len(A) - n)
             return A, rhs
 
         monkeypatch.setattr(bestapprox, "_fit_system", compared)
@@ -691,34 +697,76 @@ class TestProblemBatch:
             tangency.append([])
             remez_exchange(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid),
                            seed=0)
-        # x1^2 x2 on the ball never has enough extremal points to fit
-        assert [min(rows, default=0) > 0 for rows in tangency] == [True] * 4 + [False]
+        # every exchange reaches the fit, and each fit has tangency rows
+        assert [min(rows, default=0) > 0 for rows in tangency] == [True] * 5
+
+
+# hex deviation and sha256 of the coefficient bytes of four discrete minimax
+# problems, recorded from the Gram-Schmidt rank check, the compose-based box
+# change, the column-major crash elimination and a monomial table of powers
+# by products; ball3 reuses the rank check's R to condition its LP columns
+PINNED_PROBLEMS = {
+    "sq_deg5_full_g8": (((2, 2, 2), 5, simplex(3), "full", 8), "0x1.a11a7b9611a7bp-15",
+                        "f0adedd1e7be5394488f17a973af81061ba8526a0fb46b70332e5a915ed4251f"),
+    "x1x2x3x4_deg3_full_g8": (((1, 1, 1, 1), 3, simplex(4), "full", 8), "0x1.1745d1745d173p-10",
+                              "0cf8f37d8dbea33e52b3f66ce2c93072449e30d72aa053a2b39a67d98fd26b89"),
+    "ball3_sq_deg5_even_g12": (((2, 2, 2), 5, ball(3), "even", 12), "0x1.44b647839135fp-7",
+                               "47028e0c26cee79fe7214cc18d1dad8d8dc41f144d8058b9c4934c4403322648"),
+    "sphere3_x1x2x3_deg2_full_g24": (((1, 1, 1), 2, sphere(3), "full", 24), "0x1.8a2345cc04427p-3",
+                                     "59e273b595db98fbf055850ac667c283ff078dbb4e925f9588a78522838d6a9a"),
+}
+
+
+def _pinned_minimax(spec):
+    target, degree, domain, basis, grid = spec
+    res = discrete_minimax(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
+    return res.deviation.hex(), hashlib.sha256(res.coefficients.tobytes()).hexdigest()
 
 
 class TestPinnedBits:
-    """Hex literals and digests recorded on an AVX512_SPR host: numpy picks
-    its power kernel by CPU features, so they hold per host class (README)."""
+    """Hex literals and digests recorded with OpenBLAS's SkylakeX kernel:
+    OpenBLAS picks its kernel by CPU, so they hold per BLAS kernel (README)."""
 
-    # hex deviation and sha256 of the coefficient bytes, recorded from the
-    # Gram-Schmidt rank check, the compose-based box change, the per-column
-    # gather and the column-major crash elimination that the array versions
-    # replaced; ball3 reuses the rank check's R to condition its LP columns
-    @pytest.mark.parametrize("spec, deviation, digest", [
-        (((2, 2, 2), 5, simplex(3), "full", 8), "0x1.a11a7b9611a7bp-15",
-         "f0adedd1e7be5394488f17a973af81061ba8526a0fb46b70332e5a915ed4251f"),
-        (((1, 1, 1, 1), 3, simplex(4), "full", 8), "0x1.1745d1745d173p-10",
-         "0cf8f37d8dbea33e52b3f66ce2c93072449e30d72aa053a2b39a67d98fd26b89"),
-        (((2, 2, 2), 5, ball(3), "even", 12), "0x1.44b647839135ep-7",
-         "269437b5f61f679088c178bd9ddc551fa953d41d5b3f069f339d3a50bb4fb1c1"),
-        (((1, 1, 1), 2, sphere(3), "full", 24), "0x1.8a2345cc04427p-3",
-         "0a114d82b044dc4966020c5e0e487357deec23b6bf64d7744e965fa2af4dc1ed"),
-    ], ids=["sq_deg5_full_g8", "x1x2x3x4_deg3_full_g8", "ball3_sq_deg5_even_g12",
-            "sphere3_x1x2x3_deg2_full_g24"])
-    def test_discrete_minimax_keeps_its_bits(self, spec, deviation, digest):
-        target, degree, domain, basis, grid = spec
-        res = discrete_minimax(ApproxProblem(Poly.monomial(target), degree, domain, basis, grid))
-        assert res.deviation.hex() == deviation
-        assert hashlib.sha256(res.coefficients.tobytes()).hexdigest() == digest
+    @pytest.mark.parametrize("name", PINNED_PROBLEMS)
+    def test_discrete_minimax_keeps_its_bits(self, name):
+        spec, deviation, digest = PINNED_PROBLEMS[name]
+        assert _pinned_minimax(spec) == (deviation, digest)
+
+
+def host_digests() -> dict:
+    """sha256 digests of float results on the evaluation path: a monomial
+    table, a problem batch's values on its grid, the pinned discrete minimax
+    results and verify_td_bound(5)'s interior critical points."""
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    X = np.random.default_rng(31).uniform(-2, 2, size=(500, 3))
+    pb = bestapprox._problem_basis(ApproxProblem(Poly.monomial((2, 2, 2)), 5, ball(3), "even", 12))
+    rep = supnorm.verify_td_bound(5)
+    out = {"table": digest(polycore.MonomialTable(polycore.exponent_array(11, 3)).table(X)),
+           "batch": digest(pb.batch(pb.grid)),
+           "verify_td_bound_5": digest([pt + (v,) for pt, v in rep["interior_critical_points"]])}
+    out.update((name, _pinned_minimax(spec)) for name, (spec, _, _) in PINNED_PROBLEMS.items())
+    return out
+
+
+def test_bits_do_not_depend_on_simd_dispatch():
+    """The digests in a process with numpy's AVX-512 dispatch targets
+    disabled (those this host has) equal the ones in this process."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = [f for f in ("AVX512_ICL", "AVX512_SPR", "X86_V4")
+                if f in umath.__cpu_dispatch__ and umath.__cpu_features__.get(f)]
+    if not features:
+        pytest.skip("numpy dispatches none of AVX512_ICL, AVX512_SPR, X86_V4 here")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, test_bestapprox; print(json.dumps(test_bestapprox.host_digests()))"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(json.dumps(host_digests()))
 
 
 class TestProblemOnce:
@@ -817,7 +865,7 @@ class TestSharedCaches:
     def test_cached_values_are_read_only(self, domain):
         pb = bestapprox._problem_basis(ApproxProblem(Poly.monomial((1, 1, 1)), 2, domain, "full", 8))
         grads = bestapprox._problem_batch(*pb.key, gradients=True)
-        for a in (pb.grid, pb.M, pb.batch.exps, *pb.batch.coefs, *grads.index):
+        for a in (pb.grid, pb.M, pb.batch.exps, pb.batch.C, grads.C):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
         scaled = bestapprox._family(*pb.key[1:])[1]

@@ -262,15 +262,59 @@ class TestDerivativeMap:
             assert dmap(V[0] * scale).C.tobytes() == derivatives(q).C.tobytes()
 
 
+U = 2.0 ** -53
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), the relative bound of n roundings."""
+    return n * U / (1 - n * U)
+
+
+def _dyadic(v):
+    """The float v as (m, k), v = m / 2^k exactly."""
+    m, d = float(v).as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def _dyadic_sum(terms):
+    """The exact sum of dyadic (m, k) terms, and the sum of their absolute values."""
+    k = max((t[1] for t in terms), default=0)
+    return (Fraction(sum(m << (k - j) for m, j in terms), 1 << k),
+            Fraction(sum(abs(m) << (k - j) for m, j in terms), 1 << k))
+
+
+def batch_error_excess(polys, X, V):
+    """max over V[i, k], polys[k]'s computed value at the row X[i], of
+    |V[i, k] - exact| / (gamma_n sum |c_t x^t|): exact is the float polynomial
+    evaluated in exact dyadic arithmetic at the float point, and n its term
+    count plus its largest total degree, which bounds the roundings of the
+    powers, the products and the sum; above 1 fails."""
+    terms = [[(e, _dyadic(c)) for e, c in p.to_float64().terms.items()] for p in polys]
+    excess = 0.0
+    for x, row in zip(X, V):
+        pt, monos = [_dyadic(t) for t in x], {}
+        for p, v in zip(terms, row):
+            for e, _ in p:
+                if e not in monos:
+                    monos[e] = (math.prod((m ** j for (m, _), j in zip(pt, e)), start=1),
+                                sum(k * j for (_, k), j in zip(pt, e)))
+            exact, mag = _dyadic_sum([(m * monos[e][0], k + monos[e][1]) for e, (m, k) in p])
+            n = len(p) + max((sum(e) for e, _ in p), default=0)
+            err = abs(Fraction(float(v)) - exact)
+            excess = max(excess, float(err / (Fraction(_gamma(n)) * mag)) if mag
+                         else float(err != 0) * math.inf)
+    return excess
+
+
 class TestPolyBatch:
-    """Each column of a batch is bit-identical to its polynomial's eval_grid,
-    whatever else shares the monomial table."""
+    """A batch is one monomial table times one coefficient matrix per chunk
+    of points: every value is checked against exact evaluation at the float
+    point within the forward-error bound of its sum."""
 
     def assert_columns_match(self, polys, X):
         V = PolyBatch(polys)(X)
         assert V.shape == (len(X), len(polys))
-        for k, p in enumerate(polys):
-            assert np.array_equal(V[:, k], p.eval_grid(X))
+        assert batch_error_excess(polys, X, V) <= 1.0
 
     @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
     def test_random_float_polys(self, nvars):
@@ -280,6 +324,18 @@ class TestPolyBatch:
             X = rng.uniform(-1.5, 1.5, size=(n, nvars))
             self.assert_columns_match(polys, X)
             self.assert_columns_match(polys[2:3], X)
+            # a batch of one is eval_grid
+            assert PolyBatch(polys[2:3])(X)[:, 0].tobytes() == polys[2].eval_grid(X).tobytes()
+
+    def test_mutated_coefficient_fails_the_check(self):
+        rng = np.random.default_rng(8)
+        polys = [_random_float_poly(rng, 3, 5) for _ in range(3)]
+        X = rng.uniform(-1.5, 1.5, size=(20, 3))
+        V = PolyBatch(polys)(X)
+        assert batch_error_excess(polys, X, V) <= 1.0
+        e, c = next(iter(polys[1].terms.items()))
+        moved = Poly(3, {**polys[1].terms, e: c * (1 + 2.0 ** -40)}, FLOAT64)
+        assert batch_error_excess(polys, X, PolyBatch([polys[0], moved, polys[2]])(X)) > 1.0
 
     def test_zero_polynomial_and_rational_t4(self):
         t4 = chebyshev_t(4)
@@ -299,17 +355,37 @@ class TestPolyBatch:
         polys = [Poly(2, m, FLOAT64) for m in maps]
         X = np.random.default_rng(13).uniform(-1, 1, size=(9, 2))
         assert PolyBatch(exact)(X).tobytes() == PolyBatch(polys)(X).tobytes()
+        assert PolyBatch(polys).C.tobytes() == np.ascontiguousarray(V.T).tobytes()
 
     def test_chunk_boundary(self, monkeypatch):
-        # 30 points in chunks of 7: four full tables and a tail of two
+        # 30 points in chunks of 7: four full tables and a tail of two, each
+        # chunk the call at its own rows
         monkeypatch.setattr(polycore, "EVAL_CHUNK", 7)
         rng = np.random.default_rng(12)
         polys = [_random_float_poly(rng, 3, degree) for degree in (3, 5)]
         X = rng.uniform(-1, 1, size=(30, 3))
         self.assert_columns_match(polys, X)
         self.assert_columns_match(polys[1:], X[:14])
-        for k, p in enumerate(polys):
-            assert PolyBatch(polys)(X)[:, k] == pytest.approx([p.eval(x) for x in X], abs=1e-12)
+        for batch in (PolyBatch(polys), PolyBatch(polys[1:])):
+            whole = batch(X)
+            for lo in range(0, 30, 7):
+                assert whole[lo:lo + 7].tobytes() == batch(X[lo:lo + 7]).tobytes()
+
+    def test_point_count(self):
+        """The bits a value keeps when one call takes more or fewer points,
+        recorded with OpenBLAS's SkylakeX kernel (the PolyBatch docstring):
+        a batch of six at 2..64 points gives the rows of the 64-point call;
+        eval_grid, a matrix-vector product, gives them for a multiple of 4."""
+        rng = np.random.default_rng(14)
+        polys = [_random_float_poly(rng, 3, 5) for _ in range(6)]
+        X = rng.uniform(-1.5, 1.5, size=(64, 3))
+        batch = PolyBatch(polys)
+        whole = batch(X)
+        for n in range(2, 64):
+            assert batch(X[:n]).tobytes() == whole[:n].tobytes()
+        whole = polys[0].eval_grid(X)
+        for n in range(4, 64, 4):
+            assert polys[0].eval_grid(X[:n]).tobytes() == whole[:n].tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -317,20 +393,33 @@ class TestPolyBatch:
 
 
 def table_reference(mt, points):
-    """MonomialTable.table as a gather from the (n, nvars, powers) array, one
-    variable at a time."""
-    pts = np.ascontiguousarray(points, dtype=float)
-    pows = pts[:, :, None] ** mt.powers
-    table = np.empty((len(pts), mt.exps.shape[1]))
-    table[...] = pows[:, 0, mt.exps[0]] if mt.nvars else 1.0
-    for i in range(1, mt.nvars):
-        table *= pows[:, i, mt.exps[i]]
-    return table
+    """MonomialTable.table by a pure-Python float loop in its multiplication
+    order: a (point, variable, power) nested list with x^0 = 1.0 and
+    x^e = x^(e-1) * x, from which each column gathers its variables' powers
+    and multiplies them in variable order."""
+    exps = mt.exps.T.tolist()
+    rows = []
+    for x in np.asarray(points, dtype=float).tolist():
+        pows = []
+        for v in x:
+            pows.append([1.0])
+            for _ in range(mt.npowers - 1):
+                pows[-1].append(pows[-1][-1] * v)
+        row = []
+        for e in exps:
+            t = pows[0][e[0]] if e else 1.0
+            for i in range(1, len(e)):
+                t *= pows[i][e[i]]
+            row.append(t)
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), len(exps))
 
 
 class TestMonomialTable:
-    """The table takes each variable's factor from the flattened powers and
-    multiplies them in variable order: the same bytes as the 3-D gather."""
+    """Each power is a product of the one below and the coordinate, and each
+    column multiplies its variables' powers in variable order: the bytes of
+    the pure-Python 3-D gather in that order, each power within
+    gamma_(e-1) of the exact one."""
 
     def assert_matches(self, mt, X):
         got = mt.table(X)
@@ -356,6 +445,45 @@ class TestMonomialTable:
         X = sample_domain(simplex(3), 48)
         assert len(X) == 20825
         self.assert_matches(polycore.MonomialTable(polycore.exponent_array(6, 3)), X)
+
+    def powers(self):
+        """Seeded coordinates with 0.0, -0.0, negatives and magnitudes 1e-3
+        and 1e3, and the table of their powers 0..14 in one variable."""
+        rng = np.random.default_rng(15)
+        x = np.concatenate([[0.0, -0.0, 1.0, -1.0], rng.uniform(-2, 2, 40),
+                            rng.uniform(-1, 1, 20) * 1e-3, rng.uniform(-1, 1, 20) * 1e3])
+        return x, polycore.MonomialTable(np.arange(15)[:, None]).table(x[:, None])
+
+    def test_low_powers_are_exact(self):
+        x, table = self.powers()
+        assert table[:, 0].tobytes() == np.ones_like(x).tobytes()
+        assert table[:, 1].tobytes() == x.tobytes()
+        assert table[:, 2].tobytes() == (x * x).tobytes()
+
+    def test_powers_within_gamma(self):
+        x, table = self.powers()
+        for e in range(1, 15):
+            bound = Fraction(_gamma(e - 1))
+            for v, got in zip(x, table[:, e]):
+                exact = Fraction(float(v)) ** e
+                assert abs(Fraction(float(got)) - exact) <= bound * abs(exact), (v, e)
+        # a 3-variable table takes the same powers of each coordinate
+        X = np.stack([x, x[::-1], -x], axis=1)
+        exps = np.array([[e, 0, 0] for e in range(15)] + [[0, 0, e] for e in range(15)])
+        T = polycore.MonomialTable(exps).table(X)
+        one = polycore.MonomialTable(np.arange(15)[:, None])
+        assert T[:, :15].tobytes() == table.tobytes()
+        assert T[:, 15:].tobytes() == one.table(-x[:, None]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 2), (5, 4), (5,)])
+    def test_point_shape_is_checked(self, shape):
+        # a table, a batch and the derivatives of 3 variables take (n, 3) only
+        p = _random_float_poly(np.random.default_rng(16), 3, 4)
+        X = np.ones(shape)
+        for evaluate in (polycore.MonomialTable(polycore.exponent_array(4, 3)).table,
+                         PolyBatch([p]), derivatives(p)):
+            with pytest.raises(DimensionMismatchError):
+                evaluate(X)
 
 
 def constructor_reference(nvars, terms, field):

@@ -351,21 +351,21 @@ class TestSubharmonicity:
 
 
     @pytest.mark.parametrize("d,sign,total,boundary", [
-        (3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        (3, 1, "0x1.0000000000008p+0", "0x1.0000000000008p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (4, 1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
         (4, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (5, 1, "0x1.0000000000008p+0", "0x1.0000000000008p+0"),
+        (5, 1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
         (5, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
     ])
     def test_signed_max_bits(self, full_search, d, sign, total, boundary):
-        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
+        """Hex literals recorded with OpenBLAS's SkylakeX kernel: they hold per BLAS kernel (README)."""
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
         got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert [v.hex() for v in got] == [total, boundary]
 
     def test_ball_signed_max_bits(self):
-        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
+        """Hex literals recorded with OpenBLAS's SkylakeX kernel: they hold per BLAS kernel (README)."""
         p = Poly.constant(2, 1) - Poly.monomial((2, 0)) - Poly.monomial((0, 2))
         got = signed_max(p, ball(2), 6, seed=0)
         assert [v.hex() for v in got] == ["0x1.0000000000000p+0", "0x1.1000000000000p-52"]
@@ -375,19 +375,19 @@ class TestSubharmonicity:
         (3, 1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
         (3, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
         (4, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
-        (4, -1, "0x1.0000000000002p+0", "0x1.0000000000002p+0"),
+        (4, -1, "0x1.0000000000004p+0", "0x1.0000000000004p+0"),
         (5, 1, "0x1.0000000000006p+0", "0x1.0000000000006p+0"),
         (5, -1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
     ])
     def test_signed_max_bits_on_the_chamber(self, d, sign, total, boundary):
-        """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
+        """Hex literals recorded with OpenBLAS's SkylakeX kernel: they hold per BLAS kernel (README)."""
         p = (sign * (-1) ** (d - 1) * build_td(d).polynomial).to_float64()
         got = signed_max(p, simplex(d), resolution=max(6, 12 - d), seed=0)
         assert [v.hex() for v in got] == [total, boundary]
 
 
 def test_sup_norm_bits(full_search):
-    """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
+    """Hex literals recorded with OpenBLAS's SkylakeX kernel: they hold per BLAS kernel (README)."""
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
     assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
@@ -396,12 +396,12 @@ def test_sup_norm_bits(full_search):
 
 
 def test_sup_norm_bits_on_the_chamber():
-    """Hex literals recorded on an AVX512_SPR host: they hold per host class (README)."""
+    """Hex literals recorded with OpenBLAS's SkylakeX kernel: they hold per BLAS kernel (README)."""
     # the argmax is the centroid of the face sum x = 1, its coordinates non-increasing
     rep = sup_norm(build_td(4).polynomial, simplex(4), 8)
-    assert rep.value.hex() == "0x1.0000000000002p+0"
+    assert rep.value.hex() == "0x1.0000000000004p+0"
     assert [v.hex() for v in rep.argmax] == [
-        "0x1.000000000000ep-2", "0x1.000000000000dp-2", "0x1.ffffffffffffdp-3", "0x1.fffffffffffcfp-3"]
+        "0x1.000000000000cp-2", "0x1.000000000000ap-2", "0x1.0000000000000p-2", "0x1.fffffffffffd4p-3"]
     assert rep.grid_value.hex() == "0x1.0000000000000p+0"
 
 
@@ -1251,8 +1251,8 @@ class TestTableLayout:
 
 
 class TestSearchPinnedBits:
-    """Hex literals and digests recorded on an AVX512_SPR host: numpy picks
-    its power kernel by CPU features, so they hold per host class (README)."""
+    """Hex literals and digests recorded with OpenBLAS's SkylakeX kernel:
+    OpenBLAS picks its kernel by CPU, so they hold per BLAS kernel (README)."""
 
     # recorded before the running rows were carried between steps, the
     # Hessian gathered by one index and dedup blocked
@@ -1262,19 +1262,19 @@ class TestSearchPinnedBits:
         assert rep["max_abs_estimate"].hex() == "0x1.0000000000000p+0"
         assert rows.shape == (51, 6)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == (
-            "8b29e4e46fd639bbbf68b743d19ec60326381eb42a441d27b7ef990ecdfbfcca")
+            "9f2ce4363498b819262dedb21cdcff6246936d7d5698631a732339427a671eb1")
 
     def test_approx_report(self, capsys):
         assert cli.main(["approx", "--monomial", "2,2,2", "--degree", "5", "--grid", "10"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "3182977db869246f5f7501731fa640a04daf0b69269096e1f03c5268199a3226")
+            "fefaf4a27fa0ed90fc0958dd1df29c13b25c5dfe39a2c2114f086eec4aa884d8")
 
     # the chamber fold moves each coordinate's bits, a zero's sign too, as
     # sorted(reverse=True) does; TestKernelAgainstReference folds on both of
     # its sides, so only a pinned result sees a fold that changes them
     @pytest.mark.parametrize("dom, count, digest", [
-        (sphere(3), 57, "a84744199c6313b1ead1a974928fc8145beb3eade3c856c6fb92a6d16c38963d"),
-        (ball(3), 129, "74c015cd39ba99ed6fa9b8bc8c38d6f601c1861ef9ee55ef6fcc41ebec65458a"),
+        (sphere(3), 57, "46bf82bdb981e08162c44b57d5b343fc93d71045141b7c0999997078ab145535"),
+        (ball(3), 129, "32746fa7b742d3fb651efbd6dafe10990b1359862418a319b214525022670df5"),
     ], ids=["sphere", "ball"])
     def test_chamber_fold_keeps_signed_zeros(self, dom, count, digest):
         p = Poly.monomial((2, 2, 2)).to_float64() - 0.1
